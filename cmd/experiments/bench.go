@@ -91,7 +91,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-{jsonl,binary,paged}/{put,get} measure row-store overwrite and replay throughput per format; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd and etree-counts run the AMD ordering and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all four at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd and etree-counts run the AMD ordering and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all four at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -186,11 +186,9 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 			}
 		}
 	}))
-	// Row-store throughput across the three on-disk formats, over the same
-	// grid's rows: puts overwrite a fixed key set (the cached backend's
-	// steady state), gets replay it. The resident formats (jsonl, binary)
-	// serve gets from memory; the paged store reads through its page cache,
-	// so this pair also tracks the out-of-core read path.
+	// Paged row-store throughput over the same grid's rows: puts overwrite a
+	// fixed key set (the cached backend's steady state), gets replay it
+	// through the store's page cache — the out-of-core read path.
 	rows, err := (schedule.Local{}).Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		return err
@@ -204,41 +202,37 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	defer os.RemoveAll(storeDir)
-	for _, format := range []schedule.StoreFormat{schedule.FormatJSONL, schedule.FormatBinary, schedule.FormatPaged} {
-		st, err := schedule.OpenRowStore(
-			filepath.Join(storeDir, "rows."+format.String()),
-			schedule.StoreOptions{Format: format})
-		if err != nil {
+	st, err := schedule.OpenPagedStore(filepath.Join(storeDir, "rows.paged"))
+	if err != nil {
+		return err
+	}
+	for i := range keys { // warm once so every get hits
+		if err := st.Put(keys[i], rows[i]); err != nil {
 			return err
 		}
-		for i := range keys { // warm once so every get hits
-			if err := st.Put(keys[i], rows[i]); err != nil {
-				return err
-			}
-		}
-		add(record("store-"+format.String()+"/put", 0, float64(len(jobs)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for k := range keys {
-					if err := st.Put(keys[k], rows[k]); err != nil {
-						b.Fatal(err)
-					}
+	}
+	add(record("store-paged/put", 0, float64(len(jobs)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range keys {
+				if err := st.Put(keys[k], rows[k]); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}))
-		add(record("store-"+format.String()+"/get", 0, float64(len(jobs)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for k := range keys {
-					if _, ok := st.Get(keys[k]); !ok {
-						b.Fatalf("key %d missing from the %v store", k, format)
-					}
+		}
+	}))
+	add(record("store-paged/get", 0, float64(len(jobs)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := range keys {
+				if _, ok := st.Get(keys[k]); !ok {
+					b.Fatalf("key %d missing from the paged store", k)
 				}
 			}
-		}))
-		if err := st.Close(); err != nil {
-			return err
 		}
+	}))
+	if err := st.Close(); err != nil {
+		return err
 	}
 	// Remote throughput over the same warmed cache, JSON vs binary: the
 	// contrast is pure transport (encoding, HTTP framing, decoding).

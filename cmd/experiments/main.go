@@ -13,7 +13,7 @@
 //	experiments -exp all -scale medium
 //	experiments -exp fig7 -scale full -csv out/
 //	experiments -exp grid -algos postorder,liu,minmem -csv out/
-//	experiments -exp grid -backend cached -cache rows.jsonl -csv out/
+//	experiments -exp grid -backend cached -cache rows.paged -csv out/
 //	experiments -exp grid -backend http://127.0.0.1:8080 -notime -csv out/
 //	experiments -exp grid -backend http://h1:8080,http://h2:8080 -progress
 //
@@ -75,8 +75,7 @@ func run(args []string, w io.Writer) error {
 	workers := fs.Int("workers", 0, "parallel workers for table1 and grid (0 = GOMAXPROCS)")
 	algos := fs.String("algos", "postorder,liu,minmem", "MinMemory algorithms for the grid experiment")
 	backendSpec := fs.String("backend", "local", "grid evaluation backend: local | cached | scheduled-server URL(s); a comma-separated URL list shards the grid across the servers")
-	cachePath := fs.String("cache", "", "row-store path for -backend cached (empty = in-memory)")
-	cacheFormat := fs.String("cache-format", "jsonl", "row-store file form: "+strings.Join(schedule.StoreFormatNames(), " | "))
+	cachePath := fs.String("cache", "", "paged row-store path for -backend cached (empty = in-memory)")
 	retries := fs.Int("retries", 2, "per-chunk submission retries for remote backends (transient errors only)")
 	binary := fs.Bool("binary", false, "use the binary batch transport for remote backends (all servers must understand it)")
 	shardPolicy := fs.String("shard-policy", "adaptive", "chunk dispatch policy for sharded backends: adaptive | roundrobin")
@@ -109,7 +108,7 @@ func run(args []string, w io.Writer) error {
 		return runMatrices(w, matricesConfig{
 			grid: gridConfig{
 				algos: *algos, workers: *workers, csvDir: *csvDir,
-				backend: *backendSpec, cachePath: *cachePath, cacheFormat: *cacheFormat, retries: *retries,
+				backend: *backendSpec, cachePath: *cachePath, retries: *retries,
 				binary: *binary, shardPolicy: *shardPolicy, warm: *warm,
 				hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
 				progress: *progress, noTime: *noTime,
@@ -279,7 +278,7 @@ func run(args []string, w io.Writer) error {
 	if want("grid") {
 		cfg := gridConfig{
 			algos: *algos, workers: *workers, csvDir: *csvDir,
-			backend: *backendSpec, cachePath: *cachePath, cacheFormat: *cacheFormat, retries: *retries,
+			backend: *backendSpec, cachePath: *cachePath, retries: *retries,
 			binary: *binary, shardPolicy: *shardPolicy, warm: *warm,
 			hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
 			progress: *progress, noTime: *noTime,
@@ -298,7 +297,6 @@ type gridConfig struct {
 	csvDir        string
 	backend       string
 	cachePath     string
-	cacheFormat   string
 	retries       int
 	binary        bool
 	shardPolicy   string
@@ -310,9 +308,8 @@ type gridConfig struct {
 }
 
 // newBackend resolves a -backend spec: "local", "cached" (decorating local
-// with an in-memory store, or the row store at cachePath in the
-// -cache-format encoding), the URL of a
-// scheduled evaluation server, or a comma-separated URL list, which builds
+// with an in-memory store, or the paged row store at cachePath), the URL of
+// a scheduled evaluation server, or a comma-separated URL list, which builds
 // a schedule.Shard fanning chunks out across the servers under the
 // -shard-policy scheduler (with -warm, computed rows are forwarded to
 // sibling caches). The cleanup func flushes the on-disk store; call it when
@@ -336,11 +333,7 @@ func newBackend(cfg gridConfig) (schedule.Backend, func() error, error) {
 		if cfg.cachePath == "" {
 			return schedule.NewCached(schedule.Local{}, nil), nop, nil
 		}
-		format, err := schedule.ParseStoreFormat(cfg.cacheFormat)
-		if err != nil {
-			return nil, nil, err
-		}
-		store, err := schedule.OpenRowStore(cfg.cachePath, schedule.StoreOptions{Format: format})
+		store, err := schedule.OpenPagedStore(cfg.cachePath)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -67,7 +67,7 @@ func TestGridBackendsByteIdentical(t *testing.T) {
 	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
 	defer srv.Close()
 	dir := t.TempDir()
-	store := filepath.Join(dir, "rows.jsonl")
+	store := filepath.Join(dir, "rows.paged")
 
 	gridFiles := func(name string, backendArgs ...string) (csv, jsonl string, out string) {
 		t.Helper()

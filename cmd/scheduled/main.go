@@ -5,18 +5,14 @@
 // batches without linking the solvers.
 //
 // With -cache the server evaluates through a content-addressed result
-// cache persisted as a row store, so repeated grids over the same
-// instances are answered without re-running the algorithms. -cache-format
-// selects the store file form: "jsonl" (the default, line-per-entry text),
-// "binary" (the framed binary wire form — smaller and cheaper to load,
-// same contents bit for bit) or "paged" (an out-of-core paged block file
-// with a B-tree index — same contents again, but rows are served from disk
-// through a bounded page cache, so the store can be far larger than RAM
-// and opens in O(1) instead of loading every row). -cache-max bounds the
-// store: beyond that many rows the least-recently-used entries are evicted
-// (the resident formats compact the file down to the bound on close or the
-// next load; the paged store deletes in place through its free list), so a
-// long-lived server's store does not grow without bound. The same store backs the
+// cache persisted as a paged row store (an out-of-core block file with a
+// B-tree index: rows are served from disk through a bounded page cache, so
+// the store can be far larger than RAM and opens in O(1) instead of
+// loading every row), so repeated grids over the same instances are
+// answered without re-running the algorithms. -cache-max bounds the store:
+// beyond that many rows the least-recently-used entries are deleted in
+// place through the store's free list, so a long-lived server's store does
+// not grow without bound. The same store backs the
 // /v1/warm endpoint: rows a shard (or a sibling server) computed elsewhere
 // are pushed in and answer later batches here, so a fleet of cached servers
 // converges on one warm working set.
@@ -64,9 +60,7 @@
 // Usage:
 //
 //	scheduled -addr 127.0.0.1:8080
-//	scheduled -addr :9090 -workers 8 -cache rows.jsonl -cache-max 100000
-//	scheduled -addr :9091 -cache rows.bin -cache-format binary
-//	scheduled -addr :9092 -cache rows.paged -cache-format paged
+//	scheduled -addr :9090 -workers 8 -cache rows.paged -cache-max 100000
 //	scheduled -addr :8080 -tenant-rate 500 -tenant-burst 2000 -tenant-queue 5000
 //	scheduled -addr :8080 -children http://10.0.0.1:9090,http://10.0.0.2:9090 -admit-depth 256
 //	scheduled -list
@@ -111,7 +105,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	concurrency := fs.Int("concurrency", 0, "batches evaluated at once (0 = 1, strict serialization)")
 	cache := fs.String("cache", "", "row-store path; evaluate through a content-addressed result cache")
 	cacheMax := fs.Int("cache-max", 0, "row-store entry bound: LRU-evict beyond this many rows (0 = unbounded)")
-	cacheFormat := fs.String("cache-format", "jsonl", "row-store file form: "+strings.Join(schedule.StoreFormatNames(), " | "))
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant token-bucket refill, jobs/sec (0 = no rate limit)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant token-bucket capacity in jobs (0 = max(rate, 64))")
 	tenantQueue := fs.Int("tenant-queue", 0, "per-tenant bound on admitted-but-unfinished jobs (0 = unbounded)")
@@ -196,18 +189,15 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	var cached *schedule.Cached
-	var store schedule.RowStore
+	var store *schedule.PagedStore
 	defer func() {
 		if store != nil {
 			store.Close()
 		}
 	}()
 	if *cache != "" {
-		format, err := schedule.ParseStoreFormat(*cacheFormat)
-		if err != nil {
-			return err
-		}
-		store, err = schedule.OpenRowStore(*cache, schedule.StoreOptions{MaxEntries: *cacheMax, Format: format})
+		var err error
+		store, err = schedule.OpenPagedStoreWith(*cache, schedule.StoreOptions{MaxEntries: *cacheMax})
 		if err != nil {
 			return err
 		}
@@ -252,6 +242,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "scheduled: listening on http://%s (%d algorithms, backend %s)\n",
 		ln.Addr(), len(schedule.Names()), backend.Capabilities().Name)
+	// Without -cache, /v1/warm must see a nil Store, not a nil *PagedStore.
 	var warmStore schedule.Store
 	if store != nil {
 		warmStore = store

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -102,7 +104,7 @@ func TestServeHealthAndBatch(t *testing.T) {
 }
 
 func TestServeWithCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t, "-cache", cache)
 	client := service.NewClient(base, nil)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
@@ -127,11 +129,11 @@ func TestServeWithCache(t *testing.T) {
 	}
 }
 
-// -cache-format binary persists the store in the framed wire form and a
-// binary-transport client reads the served rows bit-identically to JSON.
+// A binary-transport client reads the rows served from the paged store
+// bit-identically to a JSON client, and the store keeps them on disk.
 func TestServeWithBinaryCacheAndTransport(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.bin")
-	base, shutdown := startScheduled(t, "-cache", cache, "-cache-format", "binary")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
+	base, shutdown := startScheduled(t, "-cache", cache)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -162,22 +164,22 @@ func TestServeWithBinaryCacheAndTransport(t *testing.T) {
 	if !strings.Contains(out, "2 cache hits, 2 misses") {
 		t.Fatalf("shutdown did not report cache counters:\n%s", out)
 	}
-	store, err := schedule.OpenRowStore(cache, schedule.StoreOptions{Format: schedule.FormatBinary})
+	store, err := schedule.OpenPagedStore(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	if store.Len() != 2 {
-		t.Fatalf("binary store reopened with %d rows, want 2", store.Len())
+		t.Fatalf("paged store reopened with %d rows, want 2", store.Len())
 	}
 }
 
-// -cache-format paged keeps the result cache out of core; a server restart
-// over the same file reopens it and serves every earlier row from disk
-// without re-running anything.
+// -cache keeps the result cache out of core in a paged store; a server
+// restart over the same file reopens it and serves every earlier row from
+// disk without re-running anything.
 func TestServeWithPagedCacheAndRestart(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "rows.paged")
-	base, shutdown := startScheduled(t, "-cache", cache, "-cache-format", "paged")
+	base, shutdown := startScheduled(t, "-cache", cache)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +197,7 @@ func TestServeWithPagedCacheAndRestart(t *testing.T) {
 		t.Fatalf("first server did not report the misses:\n%s", out)
 	}
 
-	base, shutdown = startScheduled(t, "-cache", cache, "-cache-format", "paged")
+	base, shutdown = startScheduled(t, "-cache", cache)
 	second, err := service.NewClient(base, nil).Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +217,7 @@ func TestServeWithPagedCacheAndRestart(t *testing.T) {
 // Retry-After, the rejection is scrapeable from /metrics, and shutdown
 // drains cleanly with the store flushed.
 func TestServeWithQuotasAndMetrics(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t,
 		"-cache", cache, "-tenant-rate", "0.5", "-tenant-burst", "2")
 	client := service.NewClient(base, nil)
@@ -327,8 +329,17 @@ func TestListAndErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &sb); err == nil {
 		t.Fatal("bad address accepted")
 	}
-	if err := run(context.Background(), []string{"-cache", "x", "-cache-format", "bogus"}, &sb); err == nil {
-		t.Fatal("bad cache format accepted")
+	// A cache file from a retired row-store format is refused, untouched.
+	legacy := filepath.Join(t.TempDir(), "rows.jsonl")
+	content := []byte(`{"key":"k","row":{"instance":"h"}}` + "\n")
+	if err := os.WriteFile(legacy, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), []string{"-cache", legacy}, &sb); err == nil {
+		t.Fatal("legacy JSONL cache file accepted as a paged store")
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("refused cache file changed: %q, %v", got, err)
 	}
 }
 
@@ -336,7 +347,7 @@ func TestListAndErrors(t *testing.T) {
 // the peer's cache, so the peer answers the same grid without recomputing,
 // and both ends report the gossip at shutdown.
 func TestServeGossipPeers(t *testing.T) {
-	peerCache := filepath.Join(t.TempDir(), "peer-rows.jsonl")
+	peerCache := filepath.Join(t.TempDir(), "peer-rows.paged")
 	peerBase, shutdownPeer := startScheduled(t, "-cache", peerCache)
 	originBase, shutdownOrigin := startScheduled(t, "-peers", peerBase)
 
@@ -450,10 +461,10 @@ func TestServeHedgedFrontDoorBeatsSlowChild(t *testing.T) {
 	}
 }
 
-// -cache-max bounds the row store: the LRU overflow is evicted, reported at
-// shutdown, and the store file compacts to the bound on the next load.
+// -cache-max bounds the row store: the LRU overflow is deleted from the
+// file, reported at shutdown, and a reopen finds only the bound.
 func TestServeWithBoundedCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t, "-cache", cache, "-cache-max", "1")
 	client := service.NewClient(base, nil)
 	h2, err := tree.NestedHarpoon(2, 2, 30, 1)
@@ -475,8 +486,7 @@ func TestServeWithBoundedCache(t *testing.T) {
 	if !strings.Contains(out, "1 evictions") {
 		t.Fatalf("shutdown did not report the eviction:\n%s", out)
 	}
-	// The store file compacts to the bound when reopened.
-	store, err := schedule.OpenJSONLStoreWith(cache, schedule.StoreOptions{MaxEntries: 1})
+	store, err := schedule.OpenPagedStoreWith(cache, schedule.StoreOptions{MaxEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/tree"
@@ -173,5 +174,37 @@ func TestSimulateScratchIsolation(t *testing.T) {
 	}
 	if _, err := Simulate(tr, order[:len(order)-1], Config{}); err == nil {
 		t.Fatal("short order accepted after warm runs")
+	}
+}
+
+// A steady-state paged-store hit costs zero allocations: the key and value
+// buffers are reused under the store's mutex and the row's strings are
+// interned. The key is a real cache key, longer than the compiler's
+// on-stack buffer for a []byte(string) conversion.
+func TestPagedStoreGetAllocFree(t *testing.T) {
+	skipIfRace(t)
+	s, err := OpenPagedStore(filepath.Join(t.TempDir(), "rows.paged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tr := allocTree(t, 200)
+	key := CacheKey(Job{Instance: "alloc", Tree: tr, Algorithm: "minmem", Memory: 1 << 20, Order: tr.TopDown()})
+	if len(key) < 100 {
+		t.Fatalf("cache key %q is shorter than a real one", key)
+	}
+	if err := s.Put(key, Row{Instance: "alloc", Algorithm: "minmem", Kind: "minmem", Memory: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); !ok { // warm the buffers and the intern table
+		t.Fatal("stored key missing")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := s.Get(key); !ok {
+			t.Fatal("stored key missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("paged store hit costs %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -1,15 +1,10 @@
 package schedule
 
 import (
-	"bufio"
-	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,148 +60,28 @@ type Store interface {
 
 // StoreOptions configures a row store.
 type StoreOptions struct {
-	// MaxEntries bounds the number of rows held in memory; ≤ 0 means
+	// MaxEntries bounds the number of rows the store keeps; ≤ 0 means
 	// unbounded. When a Put would exceed the bound, the least-recently-used
 	// entry (Get counts as use) is evicted and the store's eviction counter
-	// advances. The JSONL store additionally compacts its file down to the
-	// bound on load.
+	// advances.
 	MaxEntries int
-	// Format selects the on-disk encoding opened by OpenRowStore:
-	// FormatJSONL (the default), FormatBinary or FormatPaged. In-memory
-	// stores ignore it.
-	Format StoreFormat
 }
 
-// StoreFormat names an on-disk row store encoding.
-type StoreFormat int
-
-// The on-disk row store encodings. The constant order matches
-// StoreFormatNames, which ParseStoreFormat indexes into.
-const (
-	// FormatJSONL is the append-only JSON Lines store (JSONLStore), the
-	// default: one {"key": …, "row": …} object per line, greppable and
-	// line-healable.
-	FormatJSONL StoreFormat = iota
-	// FormatBinary is the length-prefixed binary store (BinaryStore): the
-	// same entries in the binary row wire form, appended without per-row
-	// json.Marshal.
-	FormatBinary
-	// FormatPaged is the out-of-core paged store (PagedStore): the same
-	// entries in a paged block file with a B-tree index (internal/store),
-	// served from disk with a bounded resident cache instead of being
-	// loaded into memory on open.
-	FormatPaged
-)
-
-// StoreFormatNames returns the accepted -cache-format spellings, indexed by
-// StoreFormat value. Flag help text and parse errors both derive from this
-// list, so every surface that enumerates the formats stays in step.
-func StoreFormatNames() []string { return []string{"jsonl", "binary", "paged"} }
-
-// String returns the format's flag spelling ("jsonl", "binary" or "paged").
-func (f StoreFormat) String() string {
-	names := StoreFormatNames()
-	if int(f) < 0 || int(f) >= len(names) {
-		return fmt.Sprintf("StoreFormat(%d)", int(f))
-	}
-	return names[f]
-}
-
-// ParseStoreFormat parses a -cache-format flag value; the empty string
-// selects the default FormatJSONL.
-func ParseStoreFormat(s string) (StoreFormat, error) {
-	if s == "" {
-		return FormatJSONL, nil
-	}
-	for i, name := range StoreFormatNames() {
-		if s == name {
-			return StoreFormat(i), nil
-		}
-	}
-	return 0, fmt.Errorf("schedule: unknown store format %q (want %s)", s, strings.Join(StoreFormatNames(), ", "))
-}
-
-// RowStore is the interface of the file-backed row stores (JSONLStore,
-// BinaryStore and PagedStore): a Store that must be closed to flush and
-// compact, plus the shared observability accessors.
-type RowStore interface {
-	Store
-	Close() error
-	Len() int
-	Evictions() int64
-}
-
-// OpenRowStore opens (creating if absent) the file-backed store at path in
-// the encoding selected by opt.Format. Every encoding serves bit-identical
-// rows under the same bounding semantics; they differ in how entries sit on
-// disk and in whether they are resident (the JSONL and binary stores load
-// everything into memory, the paged store reads from disk on demand).
-func OpenRowStore(path string, opt StoreOptions) (RowStore, error) {
-	switch opt.Format {
-	case FormatJSONL:
-		return OpenJSONLStoreWith(path, opt)
-	case FormatBinary:
-		return OpenBinaryStoreWith(path, opt)
-	case FormatPaged:
-		return OpenPagedStoreWith(path, opt)
-	default:
-		return nil, fmt.Errorf("schedule: unknown store format %d", int(opt.Format))
-	}
-}
-
-// lruRows is the shared bounded map behind both stores: a key→row map with
-// a recency list, evicting least-recently-used entries beyond max. Not safe
-// for concurrent use; the stores lock around it.
-type lruRows struct {
+// MemStore is an in-memory Store, optionally bounded (StoreOptions): a
+// key→row map with a recency list, evicting least-recently-used entries
+// beyond MaxEntries. The zero value is not usable; construct with
+// NewMemStore or NewMemStoreWith.
+type MemStore struct {
+	mu      sync.Mutex
 	m       map[string]*list.Element
 	order   *list.List // front = most recently used
 	max     int
 	evicted int64
 }
 
-type lruEntry struct {
+type memEntry struct {
 	key string
 	row Row
-}
-
-func newLRURows(max int) *lruRows {
-	return &lruRows{m: map[string]*list.Element{}, order: list.New(), max: max}
-}
-
-func (l *lruRows) get(key string) (Row, bool) {
-	e, ok := l.m[key]
-	if !ok {
-		return Row{}, false
-	}
-	l.order.MoveToFront(e)
-	return e.Value.(*lruEntry).row, true
-}
-
-func (l *lruRows) put(key string, row Row) {
-	if e, ok := l.m[key]; ok {
-		e.Value.(*lruEntry).row = row
-		l.order.MoveToFront(e)
-		return
-	}
-	l.m[key] = l.order.PushFront(&lruEntry{key: key, row: row})
-	l.trim()
-}
-
-// trim evicts least-recently-used entries until the bound holds.
-func (l *lruRows) trim() {
-	for l.max > 0 && len(l.m) > l.max {
-		oldest := l.order.Back()
-		delete(l.m, oldest.Value.(*lruEntry).key)
-		l.order.Remove(oldest)
-		l.evicted++
-	}
-}
-
-// MemStore is an in-memory Store, optionally bounded (StoreOptions). The
-// zero value is not usable; construct with NewMemStore or NewMemStoreWith.
-type MemStore struct {
-	mu  sync.Mutex
-	lru *lruRows
 }
 
 // NewMemStore returns an empty unbounded in-memory store.
@@ -214,21 +89,37 @@ func NewMemStore() *MemStore { return NewMemStoreWith(StoreOptions{}) }
 
 // NewMemStoreWith returns an empty in-memory store with the given options.
 func NewMemStoreWith(opt StoreOptions) *MemStore {
-	return &MemStore{lru: newLRURows(opt.MaxEntries)}
+	return &MemStore{m: map[string]*list.Element{}, order: list.New(), max: opt.MaxEntries}
 }
 
 // Get implements Store.
 func (s *MemStore) Get(key string) (Row, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.get(key)
+	e, ok := s.m[key]
+	if !ok {
+		return Row{}, false
+	}
+	s.order.MoveToFront(e)
+	return e.Value.(*memEntry).row, true
 }
 
 // Put implements Store.
 func (s *MemStore) Put(key string, row Row) error {
 	s.mu.Lock()
-	s.lru.put(key, row)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if e, ok := s.m[key]; ok {
+		e.Value.(*memEntry).row = row
+		s.order.MoveToFront(e)
+		return nil
+	}
+	s.m[key] = s.order.PushFront(&memEntry{key: key, row: row})
+	for s.max > 0 && len(s.m) > s.max {
+		oldest := s.order.Back()
+		delete(s.m, oldest.Value.(*memEntry).key)
+		s.order.Remove(oldest)
+		s.evicted++
+	}
 	return nil
 }
 
@@ -236,7 +127,7 @@ func (s *MemStore) Put(key string, row Row) error {
 func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.lru.m)
+	return len(s.m)
 }
 
 // Evictions returns the number of rows evicted by the MaxEntries bound, the
@@ -244,178 +135,7 @@ func (s *MemStore) Len() int {
 func (s *MemStore) Evictions() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.evicted
-}
-
-// jsonlEntry is one line of the on-disk store.
-type jsonlEntry struct {
-	Key string `json:"key"`
-	Row Row    `json:"row"`
-}
-
-// JSONLStore is a Store persisted as an append-only JSON Lines file: one
-// {"key": …, "row": …} object per line, optionally bounded (StoreOptions).
-// Construct with OpenJSONLStore or OpenJSONLStoreWith.
-type JSONLStore struct {
-	mu     sync.Mutex
-	lru    *lruRows
-	path   string
-	f      *os.File
-	w      *bufio.Writer
-	closed bool
-}
-
-// OpenJSONLStore opens (creating if absent) the unbounded store at path;
-// see OpenJSONLStoreWith.
-func OpenJSONLStore(path string) (*JSONLStore, error) {
-	return OpenJSONLStoreWith(path, StoreOptions{})
-}
-
-// OpenJSONLStoreWith opens (creating if absent) the store at path and loads
-// every entry into memory. Corrupt content — a truncated tail after a
-// crash, or bytes that are not store entries at all — is not fatal: the
-// surviving entries are kept, the damaged rows read as misses, and the
-// file is compacted (rewritten atomically from the surviving entries) so
-// the damage does not glue onto future appends or resurface on the next
-// open. With MaxEntries set, a file over budget is likewise trimmed to the
-// newest MaxEntries rows and compacted on load, so the on-disk store no
-// longer grows without bound across runs; at run time evictions drop
-// entries from memory only (the file compacts on Close, or at the next
-// load after a crash), and Evictions counts them.
-func OpenJSONLStoreWith(path string, opt StoreOptions) (*JSONLStore, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("schedule: read row store: %w", err)
-	}
-	lru := newLRURows(opt.MaxEntries)
-	loaded := 0
-	damaged := len(data) > 0 && data[len(data)-1] != '\n'
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil // partial tail, already flagged damaged above
-		}
-		var e jsonlEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
-			damaged = true
-			continue
-		}
-		// File order approximates recency: appends and the recency-ordered
-		// rewrite on Close both put newer (or more recently used) rows
-		// later, so loading front-ward reconstructs it and the MaxEntries
-		// trim inside put drops the stalest rows first.
-		lru.put(e.Key, e.Row)
-		loaded++
-	}
-	// Load-time trimming is compaction, not eviction: the counter reports
-	// what this process dropped, starting from zero.
-	compacted := lru.evicted > 0
-	lru.evicted = 0
-	if damaged || compacted || loaded > len(lru.m) {
-		if err := rewriteJSONL(path, lru); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("schedule: open row store: %w", err)
-	}
-	return &JSONLStore{lru: lru, path: path, f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// rewriteJSONL atomically replaces the store file with the surviving
-// entries, oldest first, so a reload sees the same recency order.
-func rewriteJSONL(path string, lru *lruRows) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("schedule: compact row store: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	for e := lru.order.Back(); e != nil; e = e.Prev() {
-		entry := e.Value.(*lruEntry)
-		if err := enc.Encode(jsonlEntry{Key: entry.key, Row: entry.row}); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("schedule: compact row store: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("schedule: compact row store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("schedule: compact row store: %w", err)
-	}
-	return nil
-}
-
-// Get implements Store.
-func (s *JSONLStore) Get(key string) (Row, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.get(key)
-}
-
-// Put implements Store: the entry is recorded in memory (evicting the
-// least-recently-used row when over MaxEntries) and appended to the file
-// (flushed and, when bounded, compacted down to the bound on Close).
-func (s *JSONLStore) Put(key string, row Row) error {
-	b, err := json.Marshal(jsonlEntry{Key: key, Row: row})
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lru.put(key, row)
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("schedule: append row store: %w", err)
-	}
-	return nil
-}
-
-// Len returns the number of cached rows resident in memory.
-func (s *JSONLStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.lru.m)
-}
-
-// Evictions returns the number of rows evicted by the MaxEntries bound
-// since the store was opened, the companion of the Cached backend's
-// hit/miss counters.
-func (s *JSONLStore) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.evicted
-}
-
-// Close flushes pending appends and closes the file. A bounded store
-// compacts on the way out — the file is rewritten in recency order, so the
-// next load's MaxEntries trim drops genuinely least-recently-used rows
-// (Get-bumps included) rather than oldest-inserted ones. Closing an already
-// closed store is a no-op, so Close can be both deferred and error-checked.
-func (s *JSONLStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return err
-	}
-	if s.lru.max > 0 {
-		return rewriteJSONL(s.path, s.lru)
-	}
-	return nil
+	return s.evicted
 }
 
 // Cached decorates a Backend with a content-addressed result cache: jobs

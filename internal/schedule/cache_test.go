@@ -2,10 +2,6 @@ package schedule_test
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -180,101 +176,6 @@ func TestCacheKeyDimensions(t *testing.T) {
 	}
 }
 
-// The JSONL store persists across processes (reopen), and a corrupted store
-// degrades to misses instead of failing: damaged lines are skipped on load
-// and re-written by the next run.
-func TestJSONLStoreAndCorruptionRecovery(t *testing.T) {
-	jobs := gridJobs(t)
-	path := filepath.Join(t.TempDir(), "rows.jsonl")
-
-	store, err := schedule.OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := schedule.NewCached(schedule.Local{}, store).Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: fully warm, zero algorithm runs, bit-identical rows.
-	store, err = schedule.OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != len(jobs) {
-		t.Fatalf("reopened store holds %d rows, want %d", store.Len(), len(jobs))
-	}
-	counting := &countingBackend{inner: schedule.Local{}}
-	warmBackend := schedule.NewCached(counting, store)
-	warm, err := warmBackend.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range warm {
-		if warm[i] != cold[i] {
-			t.Fatalf("row %d not replayed bit-identically from disk: %+v vs %+v", i, warm[i], cold[i])
-		}
-	}
-	if got := counting.jobs.Load(); got != 0 {
-		t.Fatalf("warm disk run executed %d algorithm runs, want 0", got)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the store: truncate mid-line and splice garbage in front.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := append([]byte("not json at all\n{\"key\": 12}\n"), data[:len(data)-len(data)/3]...)
-	if err := os.WriteFile(path, corrupted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store, err = schedule.OpenJSONLStore(path)
-	if err != nil {
-		t.Fatalf("corrupted store must open, got %v", err)
-	}
-	defer store.Close()
-	if store.Len() >= len(jobs) || store.Len() == 0 {
-		t.Fatalf("corrupted store holds %d rows, want a strict non-empty subset of %d", store.Len(), len(jobs))
-	}
-	counting = &countingBackend{inner: schedule.Local{}}
-	recovered, err := schedule.NewCached(counting, store).Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRowsNoTime(t, cold, recovered, "recovered vs cold")
-	if got := counting.jobs.Load(); got == 0 || got >= int64(len(jobs)) {
-		t.Fatalf("recovery run executed %d algorithm runs, want only the damaged subset (0 < n < %d)", got, len(jobs))
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The recovery must stick: the corrupted region was compacted away, so
-	// yet another open holds every row (the healed entries did not glue
-	// onto the partial tail) and a rerun is fully warm.
-	store, err = schedule.OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if store.Len() != len(jobs) {
-		t.Fatalf("healed store holds %d rows after reopen, want %d", store.Len(), len(jobs))
-	}
-	counting = &countingBackend{inner: schedule.Local{}}
-	if _, err := schedule.NewCached(counting, store).Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := counting.jobs.Load(); got != 0 {
-		t.Fatalf("healed store still re-ran %d jobs", got)
-	}
-}
-
 // The instance name is reporting identity, not algorithm input: a job whose
 // tree content is already cached under another instance name hits, and the
 // replayed row carries this job's name.
@@ -374,72 +275,6 @@ func TestMemStoreLRU(t *testing.T) {
 	}
 }
 
-// A bounded JSONL store evicts at run time and compacts its file down to
-// the bound on load, so the on-disk store stops growing without bound.
-func TestJSONLStoreBounded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rows.jsonl")
-	const max = 3
-	s, err := schedule.OpenJSONLStoreWith(path, schedule.StoreOptions{MaxEntries: max})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), schedule.Row{Instance: "r", Memory: int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != max {
-		t.Fatalf("bounded store holds %d rows, want %d", s.Len(), max)
-	}
-	if ev := s.Evictions(); ev != 10-max {
-		t.Fatalf("eviction counter %d, want %d", ev, 10-max)
-	}
-	for i := 0; i < 10-max; i++ {
-		if _, ok := s.Get(fmt.Sprintf("k%d", i)); ok {
-			t.Fatalf("old entry k%d survived", i)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Closing a bounded store compacts the append-only file down to the
-	// bound, in recency order.
-	if data, err := os.ReadFile(path); err != nil || len(strings.Split(strings.TrimSpace(string(data)), "\n")) != max {
-		t.Fatalf("file after bounded close: %v, %q", err, data)
-	}
-	s, err = schedule.OpenJSONLStoreWith(path, schedule.StoreOptions{MaxEntries: max})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != max || s.Evictions() != 0 {
-		t.Fatalf("reopened store len=%d evictions=%d, want %d/0", s.Len(), s.Evictions(), max)
-	}
-	for i := 10 - max; i < 10; i++ {
-		if got, ok := s.Get(fmt.Sprintf("k%d", i)); !ok || got.Memory != int64(i) {
-			t.Fatalf("newest entry k%d lost across compaction (%+v, %v)", i, got, ok)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Split(strings.TrimSpace(string(data)), "\n"); len(lines) != max {
-		t.Fatalf("compacted file holds %d lines, want %d", len(lines), max)
-	}
-	// An unbounded reopen of the compacted file sees exactly the survivors.
-	u, err := schedule.OpenJSONLStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	if u.Len() != max {
-		t.Fatalf("unbounded reopen holds %d rows, want %d", u.Len(), max)
-	}
-}
-
 // The cached backend stays correct over a store too small for the grid:
 // every row is still bit-identical, evictions just turn into extra misses
 // on the rerun.
@@ -467,41 +302,5 @@ func TestCachedOverBoundedStore(t *testing.T) {
 	hits, misses := cached.Counters()
 	if hits == 0 || misses <= int64(len(jobs)) {
 		t.Fatalf("counters hits=%d misses=%d: rerun of an undersized store should mix hits and extra misses", hits, misses)
-	}
-}
-
-// Recency survives a bounded close/reopen: Get-bumps are persisted by the
-// compacting Close, so the reload evicts the genuinely least-recently-used
-// row, never resurrecting an evicted one or dropping a hot one.
-func TestJSONLStoreRecencyAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rows.jsonl")
-	opt := schedule.StoreOptions{MaxEntries: 2}
-	s, err := schedule.OpenJSONLStoreWith(path, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := func(n int) schedule.Row { return schedule.Row{Instance: "r", Memory: int64(n)} }
-	s.Put("a", row(1))
-	s.Put("b", row(2))
-	if _, ok := s.Get("a"); !ok { // bump a: b becomes the LRU entry
-		t.Fatal("a missing")
-	}
-	s.Put("c", row(3)) // evicts b
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err = schedule.OpenJSONLStoreWith(path, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("recently used row a lost across reopen")
-	}
-	if _, ok := s.Get("c"); !ok {
-		t.Fatal("newest row c lost across reopen")
-	}
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("evicted row b resurrected by reopen")
 	}
 }

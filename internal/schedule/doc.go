@@ -73,8 +73,8 @@
 //
 // Cached decorates any backend with a content-addressed row store keyed by
 // CacheKey (tree digest + algorithm + budget + window + order digest);
-// MemStore and JSONLStore implement the Store interface with optional LRU
-// bounds. A Shard with ShardOptions.Warm forwards each computed chunk's
+// MemStore (in process) and PagedStore (on disk, out of core) implement the
+// Store interface with optional LRU bounds. A Shard with ShardOptions.Warm forwards each computed chunk's
 // keyed rows to every sibling implementing RowWarmer, so the fleet's
 // caches converge on one warm working set.
 package schedule

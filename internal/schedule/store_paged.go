@@ -10,10 +10,9 @@ import (
 	"repro/internal/store"
 )
 
-// The paged row store is the FormatPaged sibling of JSONLStore and
-// BinaryStore: the same key→row entries, but held out of core in a paged
-// block file with a B-tree index (internal/store) instead of being loaded
-// into memory on open. Each record's value is
+// The paged row store is the on-disk row store: key→row entries held out
+// of core in a paged block file with a B-tree index (internal/store), never
+// loaded into memory on open. Each record's value is
 //
 //	uvarint recency stamp, AppendRow(row)
 //
@@ -23,15 +22,22 @@ import (
 // list recycles its pages); nothing ever rewrites the whole file.
 
 // PagedStore is a Store persisted in a paged block file, optionally bounded
-// (StoreOptions). Unlike its siblings it does not hold rows in memory: Get
-// reads through the engine's bounded page cache, so the resident footprint
-// stays constant as the file grows. Construct with OpenPagedStoreWith.
+// (StoreOptions). It does not hold rows in memory: Get reads through the
+// engine's bounded page cache, so the resident footprint stays constant as
+// the file grows. Construct with OpenPagedStoreWith.
 type PagedStore struct {
-	mu      sync.Mutex
-	db      *store.DB
-	dec     rowDecoder
+	mu     sync.Mutex
+	db     *store.DB
+	dec    rowDecoder
+	closed bool
+
+	// Reused encode/decode buffers, guarded by mu, so a steady-state Get
+	// allocates nothing: keyBuf holds the key bytes (a cache key is too
+	// long for the compiler's on-stack []byte(string) conversion), valBuf
+	// receives the record value and scratch encodes values to write.
+	keyBuf  []byte
+	valBuf  []byte
 	scratch []byte
-	closed  bool
 
 	// Bounded mode only: recency index of keys (front = most recently
 	// used). Rows live on disk; this costs O(MaxEntries) keys, not rows.
@@ -62,11 +68,11 @@ func OpenPagedStore(path string) (*PagedStore, error) {
 // bounded open scans keys and stamps (not rows) to rebuild recency order,
 // and trims an over-budget file down to the newest MaxEntries rows —
 // load-time trimming is compaction, not eviction, so the counter starts at
-// zero. Like the binary store, a file in another format is an error rather
-// than healable damage, so a -cache-format mix-up cannot erase a good
-// cache. Crash damage is the engine's concern: the store rolls back to the
-// last durable commit on open, so torn writes cost recent entries, never
-// the file.
+// zero. A file that is not a paged store — such as a row cache written in
+// a retired format — is an error rather than healable damage, so pointing
+// -cache at the wrong file cannot erase it. Crash damage is the engine's
+// concern: the store rolls back to the last durable commit on open, so
+// torn writes cost recent entries, never the file.
 func OpenPagedStoreWith(path string, opt StoreOptions) (*PagedStore, error) {
 	db, err := store.Open(path, store.Options{})
 	if err != nil {
@@ -154,7 +160,9 @@ func (s *PagedStore) Get(key string) (Row, bool) {
 	if s.closed {
 		return Row{}, false
 	}
-	val, ok, err := s.db.Get([]byte(key))
+	s.keyBuf = append(s.keyBuf[:0], key...)
+	val, ok, err := s.db.Get(s.valBuf[:0], s.keyBuf)
+	s.valBuf = val
 	if err != nil || !ok {
 		return Row{}, false
 	}
@@ -172,7 +180,7 @@ func (s *PagedStore) Get(key string) (Row, bool) {
 		s.nextSeq++
 		s.order.MoveToFront(e)
 		s.scratch = s.appendStamped(s.scratch[:0], ent.seq, row)
-		if err := s.db.Put([]byte(key), s.scratch); err != nil {
+		if err := s.db.Put(s.keyBuf, s.scratch); err != nil {
 			return Row{}, false
 		}
 		s.db.SetUserMeta(s.nextSeq)
@@ -192,8 +200,9 @@ func (s *PagedStore) Put(key string, row Row) error {
 	}
 	seq := s.nextSeq
 	s.nextSeq++
+	s.keyBuf = append(s.keyBuf[:0], key...)
 	s.scratch = s.appendStamped(s.scratch[:0], seq, row)
-	if err := s.db.Put([]byte(key), s.scratch); err != nil {
+	if err := s.db.Put(s.keyBuf, s.scratch); err != nil {
 		return fmt.Errorf("schedule: append row store: %w", err)
 	}
 	s.db.SetUserMeta(s.nextSeq)

@@ -1,8 +1,10 @@
 package schedule_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -10,14 +12,13 @@ import (
 	"repro/internal/store"
 )
 
-// The paged store is a drop-in RowStore sibling: cold fill, fully warm
+// The paged store persists a cached grid: cold fill, fully warm
 // bit-identical replay across a reopen, zero algorithm runs when warm.
 func TestPagedStoreColdWarm(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged}
 
-	rs, err := schedule.OpenRowStore(path, opt)
+	rs, err := schedule.OpenPagedStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestPagedStoreColdWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, err = schedule.OpenRowStore(path, opt)
+	rs, err = schedule.OpenPagedStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPagedStoreColdWarm(t *testing.T) {
 func TestPagedStoreCrashRecovery(t *testing.T) {
 	jobs := gridJobs(t)
 	b := store.NewMemBacking()
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged}
+	opt := schedule.StoreOptions{}
 	ps, err := schedule.OpenPagedStoreBacking(b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -111,48 +112,39 @@ func TestPagedStoreCrashRecovery(t *testing.T) {
 	}
 }
 
-// A format mix-up must not erase a good cache: a JSONL file opened as paged
-// is an error, not healable damage — and the reverse open is also refused.
+// The upgrade guard: a cache file left by a retired row-store format — a
+// JSON Lines store, or a binary store with its 0xAB 'S' 1 header — is
+// refused at open rather than healed, and the file is left byte for byte
+// as it was.
 func TestPagedStoreRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
-	jsonlPath := filepath.Join(dir, "rows.jsonl")
-	js, err := schedule.OpenJSONLStore(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := js.Put("k", schedule.Row{Instance: "i"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := js.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := schedule.OpenRowStore(jsonlPath, schedule.StoreOptions{Format: schedule.FormatPaged}); err == nil {
-		t.Fatal("paged open of a JSONL store must fail")
-	}
-
-	pagedPath := filepath.Join(dir, "rows.paged")
-	ps, err := schedule.OpenRowStore(pagedPath, schedule.StoreOptions{Format: schedule.FormatPaged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Put("k", schedule.Row{Instance: "i"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := schedule.OpenRowStore(pagedPath, schedule.StoreOptions{Format: schedule.FormatBinary}); err == nil {
-		t.Fatal("binary open of a paged store must fail")
+	for name, content := range map[string][]byte{
+		"rows.jsonl": []byte(`{"key":"k","row":{"instance":"i","algorithm":"minmem","kind":"minmem","budget":0,"memory":35,"io":0,"writes":0,"seconds":0}}` + "\n"),
+		"rows.bin":   append([]byte{schedule.WireMagic, 'S', 1}, "\x05\x01k\x01i\x00"...),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []schedule.StoreOptions{{}, {MaxEntries: 1}} {
+			if ps, err := schedule.OpenPagedStoreWith(path, opt); err == nil {
+				ps.Close()
+				t.Fatalf("%s opened as a paged store (options %+v)", name, opt)
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("%s changed by the refused open: %q, %v", name, got, err)
+		}
 	}
 }
 
-// Bounded semantics match the resident stores exactly, including recency
-// surviving a reopen — but here via in-place stamp rewrites, not a
-// close-time file rewrite.
+// A bounded store evicts least-recently-used rows (Get counts as use), and
+// recency survives a reopen via in-place stamp rewrites, not a close-time
+// file rewrite.
 func TestPagedStoreBounded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged, MaxEntries: 4}
-	rs, err := schedule.OpenRowStore(path, opt)
+	opt := schedule.StoreOptions{MaxEntries: 4}
+	rs, err := schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +166,7 @@ func TestPagedStoreBounded(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = schedule.OpenRowStore(path, opt)
+	rs, err = schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +185,36 @@ func TestPagedStoreBounded(t *testing.T) {
 	if _, ok := rs.Get("key-7"); ok {
 		t.Error("key-7 survived although key-6 was more recently used")
 	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A tighter bound trims the file to the most recently used rows on
+	// open; that is compaction, not eviction, so the counter starts at 0.
+	// The trim is in place: an unbounded reopen finds only the survivors.
+	rs, err = schedule.OpenPagedStoreWith(path, schedule.StoreOptions{MaxEntries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Len() != 2 || rs.Evictions() != 0 {
+		t.Fatalf("trimmed reopen len=%d evictions=%d, want 2/0", rs.Len(), rs.Evictions())
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rs, err = schedule.OpenPagedStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if rs.Len() != 2 {
+		t.Fatalf("unbounded reopen of the trimmed file holds %d rows, want 2", rs.Len())
+	}
+	for _, key := range []string{"key-9", "key-10"} {
+		if _, ok := rs.Get(key); !ok {
+			t.Errorf("%s lost to the trim although it was among the most recent", key)
+		}
+	}
 }
 
 // Eviction reclaims pages in place: churning far more rows than the bound
@@ -200,26 +222,24 @@ func TestPagedStoreBounded(t *testing.T) {
 // page cache stays within the engine's bound the whole time.
 func TestPagedStoreEvictionBoundsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged, MaxEntries: 64}
-	rs, err := schedule.OpenRowStore(path, opt)
+	ps, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{MaxEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	ps := rs.(*schedule.PagedStore)
+	defer ps.Close()
 	row := schedule.Row{Instance: "inst", Algorithm: "minmem", Memory: 7, IO: 9}
 	var warm int
 	for i := 0; i < 64*20; i++ {
 		row.Budget = int64(i)
-		if err := rs.Put(fmt.Sprintf("key-%d", i), row); err != nil {
+		if err := ps.Put(fmt.Sprintf("key-%d", i), row); err != nil {
 			t.Fatal(err)
 		}
 		if i == 64*2 {
 			warm = ps.StoreStats().FilePages
 		}
 	}
-	if rs.Len() != 64 {
-		t.Fatalf("bounded store holds %d rows, want 64", rs.Len())
+	if ps.Len() != 64 {
+		t.Fatalf("bounded store holds %d rows, want 64", ps.Len())
 	}
 	s := ps.StoreStats()
 	if s.FilePages > warm*4 {

@@ -94,7 +94,8 @@ func (g *Gossiper) push(p *gossipPeer) {
 
 // Offer enqueues one warm batch toward every peer, without ever blocking:
 // a peer whose queue is full just doesn't get this batch (dropped and
-// counted). Safe for concurrent use; a closed gossiper ignores offers.
+// counted). Safe for concurrent use; a closed gossiper drops the batch for
+// every peer and counts it, so a loss on drain shows on /metrics.
 func (g *Gossiper) Offer(entries []schedule.WarmEntry) {
 	if len(entries) == 0 {
 		return
@@ -102,6 +103,7 @@ func (g *Gossiper) Offer(entries []schedule.WarmEntry) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if g.closed {
+		g.dropped.Add(int64(len(g.peers)))
 		return
 	}
 	for _, p := range g.peers {
@@ -137,7 +139,8 @@ type GossipStats struct {
 	// offered to three peers counts up to three).
 	EnqueuedBatches int64
 	// DroppedBatches counts batches dropped because a peer's queue was
-	// full — the backpressure outcome.
+	// full — the backpressure outcome — or because they were offered after
+	// Close.
 	DroppedBatches int64
 	// SentRows counts rows peers acknowledged storing.
 	SentRows int64

@@ -157,10 +157,23 @@ func TestGossipBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	if g := dead.Stats(); g.Errors != 1 || g.SentRows != 0 {
 		t.Fatalf("dead-peer stats %+v, want exactly 1 error", g)
 	}
-	// Offers after Close are ignored, not sent and not dropped.
-	dead.Offer(batch)
-	if g := dead.Stats(); g.EnqueuedBatches != 1 || g.DroppedBatches != 0 {
-		t.Fatalf("post-Close offer leaked into stats %+v", g)
+}
+
+// An offer that arrives after Close — a batch finishing while the server
+// drains — is not sent, but it is not lost silently either: it counts one
+// dropped batch per peer.
+func TestGossipOfferAfterCloseCountsDrops(t *testing.T) {
+	jobs := testJobs(t)[:1]
+	rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two peers whose pushes would fail: a leaked offer shows as an error.
+	gossip := service.NewGossiper(service.GossiperOptions{}, errWarmer{}, errWarmer{})
+	gossip.Close()
+	gossip.Offer(schedule.NewWarmEntries(jobs, rows))
+	if g := gossip.Stats(); g.DroppedBatches != 2 || g.EnqueuedBatches != 0 || g.Errors != 0 {
+		t.Fatalf("post-Close offer stats %+v, want 2 dropped and nothing enqueued or pushed", g)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // startPagedServer starts a server whose backend caches into a paged row
 // store, wired as the /v1/warm sink like cmd/scheduled does.
-func startPagedServer(t *testing.T, path string) (*service.Client, schedule.RowStore) {
+func startPagedServer(t *testing.T, path string) (*service.Client, *schedule.PagedStore) {
 	t.Helper()
-	rs, err := schedule.OpenRowStore(path, schedule.StoreOptions{Format: schedule.FormatPaged})
+	rs, err := schedule.OpenPagedStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}

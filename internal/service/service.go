@@ -182,7 +182,7 @@ type Server struct {
 	// /metrics can export the cache, row-store and shard counters without
 	// unwrapping backend decorators.
 	cache  *schedule.Cached
-	rows   schedule.RowStore
+	rows   *schedule.PagedStore
 	shard  *schedule.Shard
 	gossip *Gossiper
 	// evalSem bounds concurrent batch evaluations (ServerOptions.
@@ -229,8 +229,8 @@ type ServerOptions struct {
 	// on /metrics; it should be the Cached decorator inside Backend.
 	Cache *schedule.Cached
 	// Rows, when non-nil, exposes the row store's size and eviction count
-	// on /metrics; normally the RowStore behind both Store and Cache.
-	Rows schedule.RowStore
+	// on /metrics; normally the paged store behind both Store and Cache.
+	Rows *schedule.PagedStore
 	// Shard, when non-nil, exposes the shard's scheduling counters and
 	// per-child stats on /metrics; it should be the Shard inside Backend
 	// (a front-door server fanning out to children).
@@ -523,12 +523,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchesOK.Add(1)
 	s.rowsStreamed.Add(int64(len(rows)))
-	resp.done(len(rows))
 	if s.gossip != nil {
-		// After the terminator: keying the rows costs tree digests, and the
-		// client should not wait on them. The offer itself never blocks.
+		// Before the terminator: once the client sees it, it may shut the
+		// server down and close the gossiper, so an offer made after it
+		// could be lost on drain. The offer itself never blocks.
 		s.gossip.Offer(schedule.NewWarmEntries(jobs, rows))
 	}
+	resp.done(len(rows))
 }
 
 // decodeJobs parses the request's trees once each and resolves job specs

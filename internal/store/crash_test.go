@@ -143,7 +143,7 @@ func TestCrashRecoveryEveryByte(t *testing.T) {
 		}
 		// Point reads agree with the scan: the index serves the same state.
 		for k, want := range states[match].rows {
-			v, ok, err := re.Get([]byte(k))
+			v, ok, err := re.Get(nil, []byte(k))
 			if err != nil || !ok || string(v) != want {
 				t.Fatalf("cut %d: get %q = %q, %v, %v; want %q", cut, k, v, ok, err, want)
 			}

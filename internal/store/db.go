@@ -264,28 +264,30 @@ func (db *DB) freeRecord(l loc) {
 	db.pg.free(l.page)
 }
 
-// Get returns the value stored under key. A page that cannot be read or
-// verified surfaces as an error, never as another record's bytes.
-func (db *DB) Get(key []byte) ([]byte, bool, error) {
+// Get appends the value stored under key to dst and returns the extended
+// slice, so a caller that reuses dst reads without allocating. A page that
+// cannot be read or verified surfaces as an error, never as another
+// record's bytes.
+func (db *DB) Get(dst, key []byte) ([]byte, bool, error) {
 	if err := db.usable(); err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	l, found, err := db.pg.btreeGet(hashKey(key))
 	if err != nil || !found {
-		return nil, false, err
+		return dst, false, err
 	}
 	rec, err := db.readRecord(l)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	k, v, err := decodeRecord(rec)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	if !bytes.Equal(k, key) {
-		return nil, false, nil // hash collision: not this key
+		return dst, false, nil // hash collision: not this key
 	}
-	return append([]byte(nil), v...), true, nil
+	return append(dst, v...), true, nil
 }
 
 // Delete removes key, reporting whether it was present.

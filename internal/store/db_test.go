@@ -23,15 +23,16 @@ func mustPut(t *testing.T, db *DB, k, v string) {
 
 func mustGet(t *testing.T, db *DB, k, want string) {
 	t.Helper()
-	v, ok, err := db.Get([]byte(k))
-	if err != nil || !ok || string(v) != want {
-		t.Fatalf("get %q = %q, %v, %v; want %q", k, v, ok, err, want)
+	// Get appends to dst: the prefix must survive in front of the value.
+	v, ok, err := db.Get([]byte("dst:"), []byte(k))
+	if err != nil || !ok || string(v) != "dst:"+want {
+		t.Fatalf("get %q = %q, %v, %v; want %q", k, v, ok, err, "dst:"+want)
 	}
 }
 
 func mustMiss(t *testing.T, db *DB, k string) {
 	t.Helper()
-	if v, ok, err := db.Get([]byte(k)); err != nil || ok {
+	if v, ok, err := db.Get(nil, []byte(k)); err != nil || ok {
 		t.Fatalf("get %q = %q, %v, %v; want a miss", k, v, ok, err)
 	}
 }
@@ -127,7 +128,7 @@ func TestOverflowRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, want := range vals {
-		got, ok, err := db.Get([]byte(k))
+		got, ok, err := db.Get(nil, []byte(k))
 		if err != nil || !ok || !bytes.Equal(got, want) {
 			t.Fatalf("get %q: ok=%v err=%v, %d bytes vs %d", k, ok, err, len(got), len(want))
 		}

@@ -49,7 +49,7 @@ func TestResidentFootprintBounded(t *testing.T) {
 	readPass := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i += 7 {
-			if _, ok, err := db.Get([]byte(fmt.Sprintf("key-%06d", i))); err != nil || !ok {
+			if _, ok, err := db.Get(nil, []byte(fmt.Sprintf("key-%06d", i))); err != nil || !ok {
 				t.Fatalf("get %d: %v, %v", i, ok, err)
 			}
 		}

@@ -50,7 +50,7 @@ func FuzzPagedStoreOps(f *testing.F) {
 				}
 				delete(model, k)
 			case 3:
-				v, ok, err := db.Get([]byte(k))
+				v, ok, err := db.Get(nil, []byte(k))
 				if err != nil {
 					t.Fatal(err)
 				}
