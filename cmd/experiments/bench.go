@@ -19,6 +19,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
+	"repro/internal/traversal"
 	"repro/internal/tree"
 )
 
@@ -61,6 +62,20 @@ func benchCorpus(nodes int) (map[string]*tree.Tree, error) {
 	return out, nil
 }
 
+// bandPath builds the assembly tree of band-5000 (half bandwidth 8) under
+// the natural ordering with relax 1: a path of about 2,500 nodes.
+func bandPath() (*tree.Tree, error) {
+	m, err := sparse.BandMatrix(5000, 8)
+	if err != nil {
+		return nil, err
+	}
+	res, err := symbolic.AssemblyTree(m.Symmetrize(), symbolic.AssemblyOptions{Relax: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res.Tree, nil
+}
+
 // record runs fn under testing.Benchmark and converts the result, deriving
 // RowsPerSec from rows processed per op.
 func record(name string, nodes int, rowsPerOp float64, fn func(b *testing.B)) benchRecord {
@@ -91,7 +106,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd and etree-counts run the AMD ordering and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all four at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd and etree-counts run the AMD ordering and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all four at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -145,6 +160,28 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 			}
 		}))
 	}
+	// Both exact solvers on a chain: band-5000 (half bandwidth 8) under the
+	// natural ordering with relax 1 amalgamates to a 2,496-node path, the
+	// shape of the real-matrix grid's band and natural-order instances. A
+	// fixed problem size, independent of -bench-nodes.
+	path, err := bandPath()
+	if err != nil {
+		return err
+	}
+	add(record("liu-exact/path", path.Len(), float64(path.Len()), func(b *testing.B) {
+		var k hillvalley.Kernel
+		var order []int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, order = k.Exact(path, order[:0])
+		}
+	}))
+	add(record("minmem/path", path.Len(), float64(path.Len()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = traversal.MinMem(path)
+		}
+	}))
 	// Batch evaluator throughput: a small MinMemory grid on the local
 	// backend, reported as evaluation rows per second.
 	var insts []schedule.Instance

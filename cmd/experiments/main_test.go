@@ -276,12 +276,20 @@ func TestBenchMode(t *testing.T) {
 	if len(report.Benchmarks) < 13 {
 		t.Fatalf("only %d benchmark records", len(report.Benchmarks))
 	}
+	seen := map[string]bool{}
 	for _, b := range report.Benchmarks {
+		seen[b.Name] = true
 		if b.NsPerOp <= 0 || b.RowsPerSec <= 0 {
 			t.Errorf("%s: non-positive metrics: %+v", b.Name, b)
 		}
-		if strings.HasPrefix(b.Name, "liu-profile/") && b.AllocsPerOp > 4 {
+		kernel := strings.HasPrefix(b.Name, "liu-profile/") || strings.HasPrefix(b.Name, "liu-exact/")
+		if kernel && b.AllocsPerOp > 4 {
 			t.Errorf("%s: %d allocs/op, kernel should be (near) allocation-free", b.Name, b.AllocsPerOp)
+		}
+	}
+	for _, name := range []string{"liu-exact/path", "minmem/path"} {
+		if !seen[name] {
+			t.Errorf("benchmark %s missing", name)
 		}
 	}
 }

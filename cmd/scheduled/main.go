@@ -89,6 +89,25 @@ import (
 	_ "repro/internal/traversal"
 )
 
+// The server's read timeouts: fixed, since a slow or stalled client must
+// not hold a connection however the server is configured.
+const (
+	// readHeaderTimeout bounds sending the request line and headers.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds reading a whole request, body included: room for
+	// a maximal 64 MiB batch body at about 0.5 MB/s.
+	readTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the server around h with the fixed read timeouts.
+// It sets no WriteTimeout: a batch response streams rows for as long as
+// the batch evaluates, which the client's cancellation and the drain bound
+// limit instead. The read deadline does not cut a long batch short either:
+// net/http clears it once the request body has been read.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -247,7 +266,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if store != nil {
 		warmStore = store
 	}
-	srv := &http.Server{Handler: service.NewServerWith(service.ServerOptions{
+	srv := newHTTPServer(service.NewServerWith(service.ServerOptions{
 		Backend:     backend,
 		Workers:     *workers,
 		Store:       warmStore,
@@ -257,7 +276,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Rows:        store,
 		Shard:       shard,
 		Gossip:      gossip,
-	}).Handler()}
+	}).Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {

@@ -343,6 +343,26 @@ func TestListAndErrors(t *testing.T) {
 	}
 }
 
+// The server bounds how long a client may take to send a request, headers
+// and body, but not how long a streamed batch response may run.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(h)
+	if srv.Handler != h {
+		t.Fatal("server does not serve the given handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout {
+		t.Fatalf("read timeouts header %v, whole request %v; want %v and %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
+	if readHeaderTimeout <= 0 || readHeaderTimeout > readTimeout {
+		t.Fatalf("header timeout %v must be positive and within the request timeout %v", readHeaderTimeout, readTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut long streamed batches short", srv.WriteTimeout)
+	}
+}
+
 // -peers push-gossips computed rows: a batch served by one server lands in
 // the peer's cache, so the peer answers the same grid without recomputing,
 // and both ends report the gossip at shutdown.

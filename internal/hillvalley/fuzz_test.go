@@ -89,24 +89,37 @@ func shrinkTree(tr *tree.Tree, disagrees func(*tree.Tree) bool) *tree.Tree {
 	return tr
 }
 
-// FuzzKernelVsReference generates a random tree from the fuzzed seed,
-// runs the refactored kernel against the seed reference implementation
-// and the naive replay simulator, and on any disagreement shrinks the
-// tree to a minimal reproducer before failing.
+// FuzzKernelVsReference generates a tree from the fuzzed seed — a random
+// tree of one of the three attachment kinds (kind 0–2), a path (3) or a
+// caterpillar (4) — runs the refactored kernel against the seed reference
+// implementation and the naive replay simulator, and on any disagreement
+// shrinks the tree to a minimal reproducer before failing.
 func FuzzKernelVsReference(f *testing.F) {
 	f.Add(int64(1), uint16(12), uint8(0))
 	f.Add(int64(7), uint16(40), uint8(1))
 	f.Add(int64(42), uint16(90), uint8(2))
+	f.Add(int64(3), uint16(150), uint8(3))
+	f.Add(int64(9), uint16(120), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nodes uint16, kind uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		tr, err := tree.Random(rng, tree.RandomOptions{
-			Nodes:  1 + int(nodes%200),
-			MaxF:   15,
-			MaxN:   6,
-			Attach: tree.AttachKind(kind % 3),
-		})
-		if err != nil {
-			t.Fatal(err)
+		p := 1 + int(nodes%200)
+		var tr *tree.Tree
+		switch kind % 5 {
+		case 3:
+			tr = randomPath(t, rng, p)
+		case 4:
+			tr = randomCaterpillar(t, rng, p)
+		default:
+			var err error
+			tr, err = tree.Random(rng, tree.RandomOptions{
+				Nodes:  p,
+				MaxF:   15,
+				MaxN:   6,
+				Attach: tree.AttachKind(kind % 5),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, bad := kernelDisagrees(tr); !bad {
 			return

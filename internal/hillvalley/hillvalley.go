@@ -23,11 +23,14 @@
 //
 // The Kernel recycles every internal buffer (segment stack, merge heap,
 // rope arena, canonicalization scratch) across runs, so a steady-state
-// Profile pass performs no per-node allocations: the whole combine runs in
-// O(S log c) time for S segments and maximum fan-out c, with the per-node
-// map and per-node sort of the original implementation gone. The package
-// functions Profile and Exact draw kernels from an internal pool and are
-// safe for concurrent use.
+// Profile pass performs no per-node allocations. A node with two or more
+// children costs O(S log c) for the S segments of its children and its
+// fan-out c. A node with one child skips the merge: its step is appended
+// to the child's profile in place, popping the segments it absorbs, in
+// amortised O(1) — so a path-shaped tree, which the band and
+// natural-order grid matrices produce, costs O(p) rather than O(p²). The
+// package functions Profile and Exact draw kernels from an internal pool
+// and are safe for concurrent use.
 package hillvalley
 
 // Segment is one canonical hill–valley segment: memory rises to Hill

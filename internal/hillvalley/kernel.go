@@ -144,6 +144,10 @@ func (k *Kernel) combine(t *tree.Tree, v int, track bool) {
 		k.segs = append(k.segs, seg{hill: t.MemReq(v), valley: t.F(v), rope: k.leafRope(v, track)})
 		return
 	}
+	if nc == 1 {
+		k.combineOnly(t, v, track)
+		return
+	}
 	if nc > cap(k.pos) {
 		k.pos = make([]int32, nc)
 		k.end = make([]int32, nc)
@@ -185,6 +189,42 @@ func (k *Kernel) combine(t *tree.Tree, v int, track bool) {
 	k.off[v] = int32(base)
 	k.canonAppend(track)
 	k.cnt[v] = int32(len(k.segs) - base)
+}
+
+// combineOnly is combine for a node with a single child. The merge of one
+// profile is the identity — every peak is the child's own hill and the
+// running sum ends at the child's last valley — and the child's canonical
+// profile already sits on top of the segment stack. Re-canonicalizing it
+// with the node's step (H, V) appended keeps every leading segment with
+// hill ≥ H and valley ≤ V unchanged; since hills are non-increasing and
+// valleys non-decreasing, the others form a suffix, which collapses with
+// the step into one segment (max(first such hill, H), V). Popping that
+// suffix in place makes the combine amortised O(1) per node, where the
+// general combine copies the whole profile, so a path costs O(p) rather
+// than O(p²). Segments and ropes are those canonAppend would produce.
+func (k *Kernel) combineOnly(t *tree.Tree, v int, track bool) {
+	base := k.off[t.Child(v, 0)]
+	hill := k.segs[len(k.segs)-1].valley + t.F(v) + t.N(v)
+	valley := t.F(v)
+	leaf := k.leafRope(v, track)
+	j := len(k.segs)
+	for j > int(base) && (k.segs[j-1].hill < hill || k.segs[j-1].valley > valley) {
+		j--
+	}
+	r := leaf
+	if j < len(k.segs) {
+		hill = max(hill, k.segs[j].hill)
+		r = k.segs[j].rope
+		if track {
+			for _, s := range k.segs[j+1:] {
+				r = k.concatRopes(r, s.rope)
+			}
+			r = k.concatRopes(r, leaf)
+		}
+	}
+	k.segs = append(k.segs[:j], seg{hill: hill, valley: valley, rope: r})
+	k.off[v] = base
+	k.cnt[v] = int32(len(k.segs)) - base
 }
 
 // canonAppend canonicalizes the raw scratch onto the segment stack,

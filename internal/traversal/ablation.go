@@ -18,14 +18,10 @@ func MinMemNoReuse(t *tree.Tree) Result {
 	peak := t.MaxMemReq()
 	for peak != Infinite {
 		avail = peak
-		out = st.explore(t.Root(), avail, nil, nil)
+		out = st.fromRoot(avail, nil)
 		peak = out.peak
 	}
-	order := make([]int, len(out.order))
-	for i, v := range out.order {
-		order[i] = int(v)
-	}
-	return Result{Memory: avail, Order: order}
+	return Result{Memory: avail, Order: st.order()}
 }
 
 // ExploreCalls counts the recursive Explore invocations performed by a full
@@ -37,9 +33,9 @@ func ExploreCalls(t *tree.Tree, reuse bool) int64 {
 	peak := t.MaxMemReq()
 	for peak != Infinite {
 		if reuse {
-			out = st.explore(t.Root(), peak, out.cut, out.order)
+			out = st.fromRoot(peak, out.cut)
 		} else {
-			out = st.explore(t.Root(), peak, nil, nil)
+			out = st.fromRoot(peak, nil)
 		}
 		peak = out.peak
 	}

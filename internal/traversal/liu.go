@@ -17,7 +17,11 @@ import (
 // segments in non-increasing (h−v) order — Liu's theorem shows this
 // interleaving is optimal — followed by the node's own assembly step and
 // re-canonicalization. The minimum memory of the whole tree is the first
-// hill of the root profile. Worst-case complexity O(p²).
+// hill of the root profile. Worst-case complexity O(p²), reached when Θ(p)
+// multi-child nodes each merge a profile of Θ(p) segments, as on a
+// caterpillar whose spine keeps a long profile. A single-child node skips
+// the merge and extends its child's profile in place in amortised O(1), so
+// a path-shaped tree costs O(p).
 //
 // The profile machinery lives in the shared internal/hillvalley kernel
 // (heap-based k-way merge over pooled arenas); this function adapts it to

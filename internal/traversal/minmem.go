@@ -12,7 +12,13 @@ import (
 // stalls, Explore reports the smallest memory that would let it visit one
 // more node, and MinMem lifts the available memory exactly to that value and
 // resumes from the saved frontier. The last lift is the optimal memory.
-// Worst-case complexity O(p²), but in practice only a few sweeps are needed.
+//
+// Worst-case complexity O(p²), reached when Θ(p) lifts each re-explore
+// Θ(p) nodes below the saved frontier. Paths add no factor of their own:
+// every explore call appends to one shared traversal buffer, so a sweep
+// down a path of depth d costs O(d), not the O(d²) of copying each
+// subtree's traversal into its parent's. In practice only a few sweeps are
+// needed.
 func MinMem(t *tree.Tree) Result {
 	var (
 		avail int64
@@ -22,14 +28,10 @@ func MinMem(t *tree.Tree) Result {
 	peak := t.MaxMemReq()
 	for peak != Infinite {
 		avail = peak
-		out = st.explore(t.Root(), avail, out.cut, out.order)
+		out = st.fromRoot(avail, out.cut)
 		peak = out.peak
 	}
-	order := make([]int, len(out.order))
-	for i, v := range out.order {
-		order[i] = int(v)
-	}
-	return Result{Memory: avail, Order: order}
+	return Result{Memory: avail, Order: st.order()}
 }
 
 // TraversalWithin returns a feasible top-down traversal of t using at most
@@ -53,16 +55,12 @@ func TraversalWithin(t *tree.Tree, m int64) ([]int, error) {
 // one more node (Infinite if the whole tree was processed).
 func Explore(t *tree.Tree, avail int64) (minMemory int64, frontier []int, order []int, peak int64) {
 	st := exploreState{t: t}
-	out := st.explore(t.Root(), avail, nil, nil)
+	out := st.fromRoot(avail, nil)
 	frontier = make([]int, len(out.cut))
 	for i, e := range out.cut {
 		frontier[i] = int(e.node)
 	}
-	order = make([]int, len(out.order))
-	for i, v := range out.order {
-		order[i] = int(v)
-	}
-	return out.min, frontier, order, out.peak
+	return out.min, frontier, st.order(), out.peak
 }
 
 // cutEntry is one frontier node together with the last known threshold:
@@ -74,25 +72,50 @@ type cutEntry struct {
 }
 
 // exploreResult mirrors the tuple ⟨M_i, L_i, Tr_i, M_i^peak⟩ of Algorithm 3.
+// The traversal Tr_i is not carried here: it is the tail of the state's
+// shared buffer that the call appended.
 type exploreResult struct {
-	min   int64      // Σ files on the frontier at the reached state
-	cut   []cutEntry // the frontier itself
-	order []int32    // traversal from the subtree root to the frontier
-	peak  int64      // minimal memory to visit one more node (Infinite if done)
+	min  int64      // Σ files on the frontier at the reached state
+	cut  []cutEntry // the frontier itself
+	peak int64      // minimal memory to visit one more node (Infinite if done)
 }
 
 type exploreState struct {
 	t *tree.Tree
+	// ord is the one traversal buffer of a run. Every explore call appends
+	// the nodes it visits, so a call's traversal is ord[mark:] for the
+	// length mark at its entry; a caller that does not commit a
+	// sub-exploration truncates ord back to that mark.
+	ord []int32
 	// countCalls enables the instrumentation used by ExploreCalls.
 	countCalls bool
 	calls      int64
 }
 
+// fromRoot runs explore at the tree root with the given budget. A
+// non-empty init resumes from that saved frontier, whose traversal is
+// already in ord; otherwise the run starts afresh with an empty traversal.
+func (st *exploreState) fromRoot(avail int64, init []cutEntry) exploreResult {
+	if len(init) == 0 {
+		st.ord = st.ord[:0]
+	}
+	return st.explore(st.t.Root(), avail, init)
+}
+
+// order copies the traversal out of the shared buffer.
+func (st *exploreState) order() []int {
+	order := make([]int, len(st.ord))
+	for i, v := range st.ord {
+		order[i] = int(v)
+	}
+	return order
+}
+
 // explore is Algorithm 3. The budget avail accounts for the whole subtree
 // rooted at i, input file included. When init is non-empty, exploration
-// resumes from that saved frontier (only used at the tree root by MinMem)
-// and initOrder is the traversal that reached it.
-func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder []int32) exploreResult {
+// resumes from that saved frontier (only used at the tree root by MinMem),
+// extending the traversal that reached it at the end of ord.
+func (st *exploreState) explore(i int, avail int64, init []cutEntry) exploreResult {
 	if st.countCalls {
 		st.calls++
 	}
@@ -101,7 +124,8 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 	if len(init) == 0 {
 		if t.IsLeaf(i) {
 			if ni+fi <= avail {
-				return exploreResult{min: 0, order: []int32{int32(i)}, peak: Infinite}
+				st.ord = append(st.ord, int32(i))
+				return exploreResult{min: 0, peak: Infinite}
 			}
 			return exploreResult{min: Infinite, peak: ni + fi}
 		}
@@ -110,13 +134,11 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 		}
 	}
 	var (
-		cut   []cutEntry
-		order []int32
-		sumL  int64
+		cut  []cutEntry
+		sumL int64
 	)
 	if len(init) > 0 {
 		cut = init
-		order = initOrder
 		for _, e := range cut {
 			sumL += t.F(int(e.node))
 		}
@@ -129,7 +151,7 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 			cut[k] = cutEntry{node: int32(c), peak: -1}
 			sumL += t.F(c)
 		}
-		order = append(order, int32(i))
+		st.ord = append(st.ord, int32(i))
 	}
 	// Iterate: explore every candidate; commits shrink the frontier memory,
 	// which can turn other entries back into candidates.
@@ -141,20 +163,22 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 			if e.peak >= 0 && budget < e.peak {
 				continue // not a candidate: re-exploring cannot reach a new node
 			}
-			sub := st.explore(int(e.node), budget, nil, nil)
+			mark := len(st.ord)
+			sub := st.explore(int(e.node), budget, nil)
 			if sub.min <= t.F(int(e.node)) {
 				// Process e.node: replace it by the cut found in its subtree
-				// (line 17) and append the sub-traversal (line 18). The cut
-				// is a set, so a swap-remove plus append keeps the commit
-				// O(|sub-cut|) instead of O(|cut|).
+				// (line 17); its traversal, already at the end of ord, is the
+				// appended sub-traversal (line 18). The cut is a set, so a
+				// swap-remove plus append keeps the commit O(|sub-cut|)
+				// instead of O(|cut|).
 				sumL += sub.min - t.F(int(e.node))
 				cut[k] = cut[len(cut)-1]
 				cut = cut[:len(cut)-1]
 				cut = append(cut, sub.cut...)
 				k-- // revisit the slot that now holds the swapped-in entry
-				order = append(order, sub.order...)
 				progressed = true
 			} else {
+				st.ord = st.ord[:mark]
 				cut[k].peak = sub.peak
 			}
 		}
@@ -163,7 +187,7 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 		}
 	}
 	if len(cut) == 0 {
-		return exploreResult{min: 0, cut: nil, order: order, peak: Infinite}
+		return exploreResult{min: 0, cut: nil, peak: Infinite}
 	}
 	peak := int64(Infinite)
 	for _, e := range cut {
@@ -171,5 +195,5 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry, initOrder [
 			peak = cand
 		}
 	}
-	return exploreResult{min: sumL, cut: cut, order: order, peak: peak}
+	return exploreResult{min: sumL, cut: cut, peak: peak}
 }
