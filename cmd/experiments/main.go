@@ -431,11 +431,22 @@ func runGrid(w io.Writer, insts []dataset.Instance, cfg gridConfig) error {
 		}
 		return []int64{lo}, nil
 	}
-	polJobs, err := schedule.MinIOGrid(context.Background(), gridInsts, "minmem", schedule.EvictionPolicyNames(), memories, workers)
+	// The header and the -progress total need the job count up front, so
+	// the policy half is drained into the slice after the MinMemory block.
+	polJobs, err := schedule.GridSource(schedule.InstanceSliceSource(gridInsts), nil, "minmem", schedule.EvictionPolicyNames(), memories)
 	if err != nil {
 		return err
 	}
-	jobs = append(jobs, polJobs...)
+	for {
+		j, ok, err := polJobs.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		jobs = append(jobs, j)
+	}
 	backend, cleanup, err := newBackend(cfg)
 	if err != nil {
 		return err

@@ -47,13 +47,6 @@
 // fleets of cached servers heat each other without loops and without a
 // shard in the middle.
 //
-// The environment knobs SCHEDULED_FAULT_DELAY (a duration) and
-// SCHEDULED_FAULT_AFTER (a call count, default 0) wrap the backend in the
-// schedule.FaultBackend test harness: every batch evaluation from call
-// number FAULT_AFTER on stalls for FAULT_DELAY first, honoring
-// cancellation. This is the deterministic "one child degrades mid-grid"
-// knob the hedging smoke tests use; leave it unset in production.
-//
 // On SIGINT/SIGTERM the server drains: in-flight batches finish (bounded
 // by -drain), the row store is flushed and closed, and the process exits 0.
 //
@@ -75,7 +68,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -186,25 +178,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		case *chunk != 0:
 			return fmt.Errorf("-chunk needs -children: only the front-door shard re-chunks batches")
 		}
-	}
-
-	// The fault-injection env knobs wrap whatever backend evaluates the
-	// batches, so smoke fleets can degrade one child deterministically.
-	if spec := os.Getenv("SCHEDULED_FAULT_DELAY"); spec != "" {
-		delay, err := time.ParseDuration(spec)
-		if err != nil {
-			return fmt.Errorf("SCHEDULED_FAULT_DELAY: %w", err)
-		}
-		after := 0
-		if a := os.Getenv("SCHEDULED_FAULT_AFTER"); a != "" {
-			if after, err = strconv.Atoi(a); err != nil {
-				return fmt.Errorf("SCHEDULED_FAULT_AFTER: %w", err)
-			}
-		}
-		fault := schedule.NewFaultBackend(backend)
-		fault.SlowAfter(after, delay)
-		backend = fault
-		fmt.Fprintf(w, "scheduled: fault injection armed: %v delay from call %d on\n", delay, after)
 	}
 
 	var cached *schedule.Cached

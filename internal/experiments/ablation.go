@@ -16,7 +16,7 @@ import (
 func RunMemoryComparisonParallel(ctx context.Context, insts []dataset.Instance, workers int) (MemoryComparison, error) {
 	algs := []string{"postorder", "minmem"}
 	jobs := schedule.MinMemoryGrid(toGridInstances(insts), algs)
-	rows, err := schedule.RunBatch(ctx, jobs, schedule.BatchOptions{Workers: workers})
+	rows, err := schedule.Local{}.Run(ctx, jobs, schedule.BatchOptions{Workers: workers})
 	if err != nil {
 		return MemoryComparison{}, err
 	}

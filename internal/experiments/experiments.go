@@ -46,6 +46,21 @@ func toGridInstances(insts []dataset.Instance) []schedule.Instance {
 	return out
 }
 
+// policyRows streams the policy half of the experiment grid — the orderBy
+// traversal of every instance replayed under each policy at each budget of
+// memories — through the Local backend and returns the rows in job order.
+func policyRows(insts []schedule.Instance, orderBy string, policies []string, memories func(*tree.Tree, schedule.Outcome) ([]int64, error)) ([]schedule.Row, error) {
+	src, err := schedule.GridSource(schedule.InstanceSliceSource(insts), nil, orderBy, policies, memories)
+	if err != nil {
+		return nil, err
+	}
+	var rows schedule.Collector
+	if err := (schedule.Local{}).Stream(context.Background(), src, &rows, schedule.StreamOptions{}); err != nil {
+		return nil, err
+	}
+	return rows.Rows(), nil
+}
+
 // MemoryComparison is the raw data behind Table I / Figure 5 (assembly
 // trees) and Table II / Figure 9 (random-weight trees).
 type MemoryComparison struct {
@@ -170,7 +185,7 @@ var TimingAlgorithms = []string{"minmem", "postorder", "liu"}
 // contend; the algorithms are deterministic).
 func RunTimings(insts []dataset.Instance) TimingResult {
 	jobs := schedule.MinMemoryGrid(toGridInstances(insts), TimingAlgorithms)
-	rows, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{Workers: 1})
+	rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{Workers: 1})
 	if err != nil {
 		panic(err) // the exact solvers never fail on a valid tree
 	}
@@ -261,11 +276,7 @@ func RunHeuristics(insts []dataset.Instance) (HeuristicResult, error) {
 	memories := func(t *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		return sweepFromOptimum(t, out.Memory), nil
 	}
-	jobs, err := schedule.MinIOGrid(context.Background(), toGridInstances(insts), "minmem", policies, memories, 0)
-	if err != nil {
-		return HeuristicResult{}, err
-	}
-	rows, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{})
+	rows, err := policyRows(toGridInstances(insts), "minmem", policies, memories)
 	if err != nil {
 		return HeuristicResult{}, err
 	}
@@ -331,11 +342,7 @@ func RunTraversalIO(insts []dataset.Instance) (TraversalIOResult, error) {
 	// One grid per ordering algorithm; the case list (instance × budget) is
 	// identical across grids, so it is recorded on the first.
 	for k, orderBy := range traversalIOOrderings {
-		jobs, err := schedule.MinIOGrid(context.Background(), gridInsts, orderBy, []string{"first-fit"}, memories, 0)
-		if err != nil {
-			return tio, err
-		}
-		rows, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{})
+		rows, err := policyRows(gridInsts, orderBy, []string{"first-fit"}, memories)
 		if err != nil {
 			return tio, err
 		}

@@ -3,9 +3,9 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
-
-	"repro/internal/runner"
+	"sync/atomic"
 )
 
 // Capabilities is the metadata a backend reports about itself, used by
@@ -34,7 +34,7 @@ type Capabilities struct {
 // than memory can flow through with peak resident state bounded by
 // StreamOptions.ChunkSize × InFlight. Either method may be the native one:
 // batch-first backends get Stream via StreamChunked, stream-first backends
-// (Shard) get Run via RunViaStream, mirroring how RunBatch wraps Local.
+// (Shard) get Run via RunViaStream.
 //
 // Four implementations ship with the repository: Local (the in-process
 // worker-pool evaluator), Cached (a content-addressed decorator over any
@@ -48,8 +48,8 @@ type Backend interface {
 }
 
 // Local is the in-process backend: it evaluates every job concurrently on
-// runner.ForEach against the process-wide algorithm registry. The zero
-// value is ready to use.
+// a bounded worker pool against the process-wide algorithm registry. The
+// zero value is ready to use.
 type Local struct{}
 
 // Capabilities implements Backend.
@@ -57,32 +57,67 @@ func (Local) Capabilities() Capabilities { return Capabilities{Name: "local"} }
 
 // Run implements Backend. Algorithms are deterministic and jobs are
 // independent, so the rows are bit-identical to a sequential run; only the
-// Seconds column varies. The first failing job cancels the rest. The
-// returned slice is drawn from the stream engine's row pool, so the
-// streaming merge can recycle it after the sink consumes the chunk; callers
-// that keep the slice simply never return it to the pool.
+// Seconds column varies. The first failing job cancels the rest and is the
+// error returned. The returned slice is drawn from the stream engine's row
+// pool, so the streaming merge can recycle it after the sink consumes the
+// chunk; callers that keep the slice simply never return it to the pool.
 func (Local) Run(ctx context.Context, jobs []Job, opt BatchOptions) ([]Row, error) {
-	rows := getRowSlice(len(jobs))
-	var mu sync.Mutex
-	err := runner.ForEach(ctx, len(jobs), opt.Workers, func(i int) error {
-		row, err := runJob(jobs[i])
-		if err != nil {
-			return fmt.Errorf("schedule: job %s/%s: %w", jobs[i].Instance, jobs[i].Algorithm, err)
-		}
-		rows[i] = row
-		if opt.OnRow != nil || opt.OnRowIndexed != nil {
-			mu.Lock()
-			if opt.OnRow != nil {
-				opt.OnRow(row)
+	n := len(jobs)
+	rows := getRowSlice(n)
+	if n == 0 {
+		return rows, nil
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Every error stored in firstErr comes from the one fmt.Errorf below,
+	// so the atomic.Value never sees two concrete types.
+	var (
+		next     atomic.Int64
+		firstErr atomic.Value
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				row, err := runJob(jobs[i])
+				if err != nil {
+					firstErr.CompareAndSwap(nil, fmt.Errorf("schedule: job %s/%s: %w", jobs[i].Instance, jobs[i].Algorithm, err))
+					cancel()
+					return
+				}
+				rows[i] = row
+				if opt.OnRow != nil || opt.OnRowIndexed != nil {
+					mu.Lock()
+					if opt.OnRow != nil {
+						opt.OnRow(row)
+					}
+					if opt.OnRowIndexed != nil {
+						opt.OnRowIndexed(i, row)
+					}
+					mu.Unlock()
+				}
 			}
-			if opt.OnRowIndexed != nil {
-				opt.OnRowIndexed(i, row)
-			}
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
+		}()
+	}
+	wg.Wait()
+	if err, ok := firstErr.Load().(error); ok {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -1,13 +1,10 @@
 package schedule
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/tree"
 )
 
@@ -62,14 +59,6 @@ type BatchOptions struct {
 	OnRowIndexed func(i int, r Row)
 }
 
-// RunBatch evaluates the jobs on the default Local backend. It is the
-// compatibility shim over the Backend interface: existing callers keep the
-// one-call API, while backend-aware callers pick Local, NewCached or the
-// service client explicitly.
-func RunBatch(ctx context.Context, jobs []Job, opt BatchOptions) ([]Row, error) {
-	return Local{}.Run(ctx, jobs, opt)
-}
-
 func runJob(j Job) (Row, error) {
 	alg, err := Lookup(j.Algorithm)
 	if err != nil {
@@ -102,52 +91,6 @@ func MinMemoryGrid(insts []Instance, algorithms []string) []Job {
 		}
 	}
 	return jobs
-}
-
-// MinIOGrid expands instances × memory budgets × MinIO algorithm names into
-// jobs. The traversal replayed by every job of an instance is produced by
-// the orderBy MinMemory algorithm (run concurrently, one per instance), and
-// memories maps each tree to its budget sweep; it also receives the orderBy
-// outcome so sweeps anchored on a solver's memory need not re-run it. Jobs
-// are instance-major, then budget, then algorithm.
-func MinIOGrid(ctx context.Context, insts []Instance, orderBy string, algorithms []string, memories func(*tree.Tree, Outcome) ([]int64, error), workers int) ([]Job, error) {
-	orderAlg, err := Lookup(orderBy)
-	if err != nil {
-		return nil, err
-	}
-	if orderAlg.Kind() != KindMinMemory {
-		return nil, fmt.Errorf("schedule: orderBy algorithm %q is not a MinMemory solver", orderBy)
-	}
-	type prep struct {
-		order []int
-		mems  []int64
-	}
-	preps, err := runner.Map(ctx, len(insts), workers, func(i int) (prep, error) {
-		out, err := orderAlg.Run(Request{Tree: insts[i].Tree})
-		if err != nil {
-			return prep{}, fmt.Errorf("schedule: %s: %s: %w", insts[i].Name, orderBy, err)
-		}
-		if out.Order == nil {
-			return prep{}, fmt.Errorf("schedule: %s returns no traversal to replay", orderBy)
-		}
-		mems, err := memories(insts[i].Tree, out)
-		if err != nil {
-			return prep{}, fmt.Errorf("schedule: %s: %w", insts[i].Name, err)
-		}
-		return prep{order: out.Order, mems: mems}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var jobs []Job
-	for i, inst := range insts {
-		for _, m := range preps[i].mems {
-			for _, a := range algorithms {
-				jobs = append(jobs, Job{Instance: inst.Name, Tree: inst.Tree, Algorithm: a, Order: preps[i].order, Memory: m})
-			}
-		}
-	}
-	return jobs, nil
 }
 
 // rowCSVHeader is the CSV column set; Row's JSON field order matches it.

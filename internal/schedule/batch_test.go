@@ -3,6 +3,7 @@ package schedule_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -23,41 +24,63 @@ func batchInstances(t *testing.T) []schedule.Instance {
 }
 
 // A parallel batch must produce, row for row, the same values as running
-// every job sequentially (timing aside).
-func TestRunBatchMatchesSequential(t *testing.T) {
+// every job sequentially (timing aside), at any worker count — including
+// more workers than jobs, which the pool clamps to len(jobs).
+func TestLocalRunMatchesSequential(t *testing.T) {
 	insts := batchInstances(t)
 	jobs := schedule.MinMemoryGrid(insts, []string{"postorder", "minmem", "liu"})
 	if len(jobs) != len(insts)*3 {
 		t.Fatalf("grid has %d jobs, want %d", len(jobs), len(insts)*3)
 	}
-	seq, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := 0
-	par, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{
-		Workers: 8,
-		OnRow:   func(schedule.Row) { streamed++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != len(jobs) {
-		t.Fatalf("OnRow saw %d rows, want %d", streamed, len(jobs))
-	}
-	for i := range seq {
-		a, b := seq[i], par[i]
-		a.Seconds, b.Seconds = 0, 0
-		if a != b {
-			t.Fatalf("row %d differs: %+v vs %+v", i, seq[i], par[i])
+	var seq []schedule.Row
+	for _, workers := range []int{1, 3, 8, 64} {
+		streamed := 0
+		rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{
+			Workers: workers,
+			OnRow:   func(schedule.Row) { streamed++ },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if streamed != len(jobs) {
+			t.Fatalf("workers=%d: OnRow saw %d rows, want %d", workers, streamed, len(jobs))
+		}
+		if seq == nil {
+			seq = rows
+			continue
+		}
+		sameRowsNoTime(t, seq, rows, fmt.Sprintf("workers=%d vs 1", workers))
 	}
 }
 
-// A MinIO grid replays the orderBy traversal under every policy; at the
-// in-core optimum budget the I/O must be zero, at the floor it must match
-// a direct simulator run.
-func TestMinIOGrid(t *testing.T) {
+// Local.Run's edge cases: an empty batch is a no-op, a cancelled context
+// is reported rather than read as success, and the error of the one
+// failing job is the error returned.
+func TestLocalRunEdgeCases(t *testing.T) {
+	rows, err := schedule.Local{}.Run(context.Background(), nil, schedule.BatchOptions{})
+	if err != nil || len(rows) != 0 {
+		t.Fatalf("empty batch: %d rows, err %v", len(rows), err)
+	}
+
+	jobs := schedule.MinMemoryGrid(batchInstances(t), []string{"postorder", "minmem"})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := (schedule.Local{}).Run(ctx, jobs, schedule.BatchOptions{}); err == nil {
+		t.Fatal("cancelled context not reported")
+	}
+
+	bad := append([]schedule.Job(nil), jobs...)
+	bad[5].Algorithm = "no-such-solver"
+	_, err = schedule.Local{}.Run(context.Background(), bad, schedule.BatchOptions{Workers: 4})
+	want := fmt.Sprintf("schedule: job %s/no-such-solver: ", bad[5].Instance)
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want the failing job's error %q…", err, want)
+	}
+}
+
+// The policy half of GridSource replays the orderBy traversal under every
+// policy; at the floor budget each row must match a direct simulator run.
+func TestGridSourcePolicyRows(t *testing.T) {
 	insts := batchInstances(t)
 	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		if out.Memory < tr.MaxMemReq() {
@@ -66,14 +89,11 @@ func TestMinIOGrid(t *testing.T) {
 		return []int64{tr.MaxMemReq()}, nil
 	}
 	policies := schedule.EvictionPolicyNames()
-	jobs, err := schedule.MinIOGrid(context.Background(), insts, "minmem", policies, memories, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := policyJobs(t, insts, "minmem", policies, memories)
 	if len(jobs) != len(insts)*len(policies) {
 		t.Fatalf("grid has %d jobs, want %d", len(jobs), len(insts)*len(policies))
 	}
-	rows, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{})
+	rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,26 +117,23 @@ func TestMinIOGrid(t *testing.T) {
 	}
 }
 
-func TestMinIOGridRejects(t *testing.T) {
-	insts := batchInstances(t)[:1]
+// GridSource validates orderBy at construction; an orderBy that proves a
+// value but exhibits no traversal fails when the stream reaches its replay.
+func TestGridSourceRejects(t *testing.T) {
+	insts := schedule.InstanceSliceSource(batchInstances(t)[:1])
 	memories := func(tr *tree.Tree, _ schedule.Outcome) ([]int64, error) { return []int64{tr.TotalF()}, nil }
-	if _, err := schedule.MinIOGrid(context.Background(), insts, "nope", []string{"lsnf"}, memories, 0); err == nil {
+	if _, err := schedule.GridSource(insts, nil, "nope", []string{"lsnf"}, memories); err == nil {
 		t.Fatal("unknown orderBy accepted")
 	}
-	if _, err := schedule.MinIOGrid(context.Background(), insts, "lsnf", []string{"lsnf"}, memories, 0); err == nil {
+	if _, err := schedule.GridSource(insts, nil, "lsnf", []string{"lsnf"}, memories); err == nil {
 		t.Fatal("MinIO orderBy accepted")
 	}
-	// enumerate proves a value but exhibits no traversal to replay.
-	if _, err := schedule.MinIOGrid(context.Background(), insts, "enumerate", []string{"lsnf"}, memories, 0); err == nil {
-		t.Fatal("orderless orderBy accepted")
+	src, err := schedule.GridSource(insts, nil, "enumerate", []string{"lsnf"}, memories)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRunBatchPropagatesErrors(t *testing.T) {
-	insts := batchInstances(t)
-	jobs := schedule.MinMemoryGrid(insts, []string{"minmem", "no-such-solver"})
-	if _, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{}); err == nil {
-		t.Fatal("unknown algorithm in a job accepted")
+	if _, _, err := src.Next(); err == nil || !strings.Contains(err.Error(), "no traversal to replay") {
+		t.Fatalf("orderless orderBy: first Next err = %v", err)
 	}
 }
 

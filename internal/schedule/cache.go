@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,6 +50,48 @@ func cacheKey(j Job, td tree.Digest) string {
 		sb.WriteString(hex.EncodeToString(h.Sum(nil)))
 	}
 	return sb.String()
+}
+
+// CheckWarmEntry reports whether a warm row arriving from outside the
+// process may be stored under its key. The key must parse as cacheKey's
+// form — <tree digest>/<registered algorithm>/m<int>/w<int>/o<'-' or
+// order digest>, digests in tree.ParseDigest's hex form — and agree with
+// the row: the same algorithm and budget, and the algorithm's registry
+// kind. No registry name contains '/'. It lives beside cacheKey so the key
+// format stays known to this file alone.
+func CheckWarmEntry(e WarmEntry) error {
+	digest, rest, _ := strings.Cut(e.Key, "/")
+	name, rest, _ := strings.Cut(rest, "/")
+	m, rest, _ := strings.Cut(rest, "/")
+	w, order, ok := strings.Cut(rest, "/")
+	budget, okM := keyInt(m, "m")
+	_, okW := keyInt(w, "w")
+	order, okO := strings.CutPrefix(order, "o")
+	if !ok || !okM || !okW || !okO || !isDigest(digest) || (order != "-" && !isDigest(order)) {
+		return fmt.Errorf("schedule: malformed cache key %q", e.Key)
+	}
+	alg, err := Lookup(name)
+	if err != nil {
+		return err
+	}
+	if e.Row.Algorithm != name || e.Row.Budget != budget || e.Row.Kind != alg.Kind().String() {
+		return fmt.Errorf("schedule: cache key %q does not match its %s row %q at budget %d",
+			e.Key, e.Row.Kind, e.Row.Algorithm, e.Row.Budget)
+	}
+	return nil
+}
+
+// isDigest reports whether s is a digest in tree.ParseDigest's hex form.
+func isDigest(s string) bool {
+	_, err := tree.ParseDigest(s)
+	return err == nil
+}
+
+// keyInt parses a cacheKey field: prefix, then a decimal integer.
+func keyInt(field, prefix string) (int64, bool) {
+	s, ok := strings.CutPrefix(field, prefix)
+	v, err := strconv.ParseInt(s, 10, 64)
+	return v, ok && err == nil
 }
 
 // Store is a content-addressed row store for the cached backend. Get and

@@ -36,11 +36,7 @@ func gridJobs(t *testing.T) []schedule.Job {
 	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		return []int64{tr.MaxMemReq()}, nil
 	}
-	polJobs, err := schedule.MinIOGrid(context.Background(), insts, "minmem", schedule.EvictionPolicyNames(), memories, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(jobs, polJobs...)
+	return append(jobs, policyJobs(t, insts, "minmem", schedule.EvictionPolicyNames(), memories)...)
 }
 
 func sameRowsNoTime(t *testing.T, a, b []schedule.Row, label string) {

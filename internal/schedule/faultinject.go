@@ -8,9 +8,9 @@ import (
 )
 
 // FaultBackend is a deterministic fault-injection harness around a Backend,
-// for tests and smoke fleets: per-call latency scripts (including the
-// mid-grid slowdown of SlowAfter), scripted failures, and a hook observing
-// cancelled injected waits. The injected delay honors context cancellation
+// for tests: per-call latency scripts (including the mid-grid slowdown of
+// SlowAfter), scripted failures, and a hook observing cancelled injected
+// waits. The injected delay honors context cancellation
 // — a cancelled call returns ctx.Err() without running the inner backend —
 // so a hedged shard's loser releases the child immediately, exactly like a
 // real server whose request context is cancelled when the client hangs up.

@@ -60,7 +60,7 @@ func TestRowsRoundTrip(t *testing.T) {
 			Order: inst.Tree.TopDown(), Memory: inst.Tree.TotalF(),
 		})
 	}
-	rows, err := schedule.RunBatch(context.Background(), jobs, schedule.BatchOptions{})
+	rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@
 //   - Algorithm, Register and Lookup: a named registry over every solver in
 //     the repository, so binaries and experiments select algorithms by
 //     string instead of hard-wiring dispatch switches.
-//   - Job/Row/RunBatch: a parallel batch evaluator over (instance ×
-//     algorithm) grids built on runner.ForEach, streaming structured rows
-//     for the experiment tables.
+//   - Job/Row/Local.Run: a parallel batch evaluator over (instance ×
+//     algorithm) grids expanded by GridSource (or MinMemoryGrid),
+//     streaming structured rows for the experiment tables.
 //
-// The package depends only on tree and runner; the solver packages
+// The package depends only on tree, hillvalley and store; the solver packages
 // (traversal, minio) import it and register their algorithms in init, the
 // same way database/sql drivers do.
 package schedule

@@ -58,21 +58,6 @@ func SliceSource(jobs []Job) JobSource {
 	})
 }
 
-// Chain concatenates sources: each is drained in turn.
-func Chain(srcs ...JobSource) JobSource {
-	k := 0
-	return SourceFunc(func() (Job, bool, error) {
-		for k < len(srcs) {
-			j, ok, err := srcs[k].Next()
-			if err != nil || ok {
-				return j, ok, err
-			}
-			k++
-		}
-		return Job{}, false, nil
-	})
-}
-
 // DefaultChunkSize is the job-chunk granularity of the streaming engine
 // when StreamOptions.ChunkSize is unset: the unit of dispatch, retry and
 // in-flight accounting.
@@ -327,8 +312,7 @@ func readChunk(src JobSource, n int, jobs []Job) ([]Job, error) {
 // RunViaStream implements Backend.Run on top of Backend.Stream: the jobs
 // are streamed from a SliceSource and the rows collected in job order, with
 // BatchOptions callbacks fired as each row is merged. It is the default
-// adapter for stream-first backends (Shard implements Run this way),
-// mirroring how RunBatch wraps Local.
+// adapter for stream-first backends (Shard implements Run this way).
 func RunViaStream(ctx context.Context, b Backend, jobs []Job, opt BatchOptions) ([]Row, error) {
 	rows := make([]Row, 0, len(jobs))
 	sink := SinkFunc(func(r Row) error {
@@ -349,75 +333,6 @@ func RunViaStream(ctx context.Context, b Backend, jobs []Job, opt BatchOptions) 
 		return nil, fmt.Errorf("schedule: stream produced %d rows for %d jobs", len(rows), len(jobs))
 	}
 	return rows, nil
-}
-
-// MinMemoryGridSource is the lazy MinMemoryGrid: it yields the same jobs in
-// the same instance-major order without materializing the slice.
-func MinMemoryGridSource(insts []Instance, algorithms []string) JobSource {
-	i, k := 0, 0
-	return SourceFunc(func() (Job, bool, error) {
-		for i < len(insts) {
-			if k < len(algorithms) {
-				j := Job{Instance: insts[i].Name, Tree: insts[i].Tree, Algorithm: algorithms[k]}
-				k++
-				return j, true, nil
-			}
-			i, k = i+1, 0
-		}
-		return Job{}, false, nil
-	})
-}
-
-// MinIOGridSource is the lazy MinIOGrid: jobs come out in the same
-// instance-major (then budget, then algorithm) order, but the per-instance
-// preparation — running the orderBy solver and expanding the budget sweep —
-// happens on demand as the stream reaches each instance, so a corpus larger
-// than memory can flow through without materializing every replay order at
-// once. The orderBy name is validated eagerly.
-func MinIOGridSource(insts []Instance, orderBy string, algorithms []string, memories func(*tree.Tree, Outcome) ([]int64, error)) (JobSource, error) {
-	orderAlg, err := Lookup(orderBy)
-	if err != nil {
-		return nil, err
-	}
-	if orderAlg.Kind() != KindMinMemory {
-		return nil, fmt.Errorf("schedule: orderBy algorithm %q is not a MinMemory solver", orderBy)
-	}
-	var (
-		i       int
-		order   []int
-		mems    []int64
-		mi, ki  int
-		prepped bool
-	)
-	return SourceFunc(func() (Job, bool, error) {
-		for i < len(insts) {
-			if !prepped {
-				out, err := orderAlg.Run(Request{Tree: insts[i].Tree})
-				if err != nil {
-					return Job{}, false, fmt.Errorf("schedule: %s: %s: %w", insts[i].Name, orderBy, err)
-				}
-				if out.Order == nil {
-					return Job{}, false, fmt.Errorf("schedule: %s returns no traversal to replay", orderBy)
-				}
-				mems, err = memories(insts[i].Tree, out)
-				if err != nil {
-					return Job{}, false, fmt.Errorf("schedule: %s: %w", insts[i].Name, err)
-				}
-				order, mi, ki, prepped = out.Order, 0, 0, true
-			}
-			if mi < len(mems) {
-				if ki < len(algorithms) {
-					j := Job{Instance: insts[i].Name, Tree: insts[i].Tree, Algorithm: algorithms[ki], Order: order, Memory: mems[mi]}
-					ki++
-					return j, true, nil
-				}
-				mi, ki = mi+1, 0
-				continue
-			}
-			i, prepped = i+1, false
-		}
-		return Job{}, false, nil
-	}), nil
 }
 
 // InstanceSource is a pull iterator over named trees: the streaming
@@ -448,10 +363,13 @@ func (f instanceSourceFunc) NextInstance() (Instance, bool, error) { return f() 
 // GridSource streams the full per-instance experiment grid over an
 // instance stream: for each instance, every MinMemory algorithm, then the
 // orderBy solver's traversal replayed under every eviction policy at each
-// memory budget derived by memories — the streaming fusion of
-// MinMemoryGridSource and MinIOGridSource, pulling instances one at a time
-// so a corpus pipeline can overlap tree construction with evaluation. The
-// orderBy name is validated eagerly; instances are prepared lazily.
+// memory budget derived by memories (which also receives the orderBy
+// outcome, so sweeps anchored on the solver's memory need not re-run it).
+// Within an instance, policy jobs are budget-major, then policy. Instances
+// are pulled one at a time, so a corpus pipeline can overlap tree
+// construction with evaluation. The orderBy name is validated eagerly;
+// instances are prepared lazily, so an orderBy that proves a value but
+// returns no traversal fails on the first Next that reaches its replay.
 func GridSource(src InstanceSource, algorithms []string, orderBy string, policies []string, memories func(*tree.Tree, Outcome) ([]int64, error)) (JobSource, error) {
 	orderAlg, err := Lookup(orderBy)
 	if err != nil {

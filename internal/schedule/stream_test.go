@@ -178,42 +178,18 @@ func TestRunViaStream(t *testing.T) {
 	}
 }
 
-// The lazy grid sources must yield exactly the jobs of their eager
-// counterparts, in the same order.
+// With no MinMemory algorithms, GridSource yields the policy half alone:
+// exactly the jobs of the eager reference expansion, in the same order.
 func TestLazyGridSources(t *testing.T) {
 	insts := batchInstances(t)
-	algs := []string{"postorder", "minmem"}
-	sameJobs(t, drain(t, schedule.MinMemoryGridSource(insts, algs)),
-		schedule.MinMemoryGrid(insts, algs), "MinMemoryGridSource")
-
 	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		return []int64{tr.MaxMemReq(), (tr.MaxMemReq() + out.Memory) / 2}, nil
 	}
-	eager, err := schedule.MinIOGrid(context.Background(), insts, "minmem", schedule.EvictionPolicyNames(), memories, 0)
+	eager, err := refMinIOGrid(insts, "minmem", schedule.EvictionPolicyNames(), memories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := schedule.MinIOGridSource(insts, "minmem", schedule.EvictionPolicyNames(), memories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameJobs(t, drain(t, lazy), eager, "MinIOGridSource")
-
-	if _, err := schedule.MinIOGridSource(insts, "nope", algs, memories); err == nil {
-		t.Fatal("unknown orderBy accepted")
-	}
-	if _, err := schedule.MinIOGridSource(insts, "lsnf", algs, memories); err == nil {
-		t.Fatal("MinIO orderBy accepted")
-	}
-
-	// Chain concatenates: MinMemory grid then MinIO grid, like the eager
-	// append in cmd/experiments.
-	lazy2, err := schedule.MinIOGridSource(insts, "minmem", schedule.EvictionPolicyNames(), memories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chained := drain(t, schedule.Chain(schedule.MinMemoryGridSource(insts, algs), lazy2))
-	sameJobs(t, chained, append(schedule.MinMemoryGrid(insts, algs), eager...), "Chain")
+	sameJobs(t, policyJobs(t, insts, "minmem", schedule.EvictionPolicyNames(), memories), eager, "GridSource policy half")
 }
 
 // A directory of .tree files streams as (file × algorithm) jobs in sorted
@@ -458,7 +434,7 @@ func TestGridSource(t *testing.T) {
 	for _, inst := range insts {
 		one := []schedule.Instance{inst}
 		want = append(want, schedule.MinMemoryGrid(one, algs)...)
-		eager, err := schedule.MinIOGrid(context.Background(), one, "minmem", policies, memories, 0)
+		eager, err := refMinIOGrid(one, "minmem", policies, memories)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"strings"
 
@@ -184,6 +185,9 @@ func decodeBatchBinary(data []byte) (jobs []schedule.Job, workers int, err error
 	treeCount := uv("tree count")
 	if err != nil {
 		return nil, 0, err
+	}
+	if w > math.MaxInt {
+		return nil, 0, fmt.Errorf("service: binary batch workers count %d overflows int", w)
 	}
 	if treeCount > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("service: binary batch claims %d trees in %d bytes", treeCount, len(data))

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -20,7 +21,7 @@ import (
 	_ "repro/internal/traversal"
 )
 
-func binaryFixtureJobs(t *testing.T) []schedule.Job {
+func binaryFixtureJobs(t testing.TB) []schedule.Job {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	t1, err := tree.Random(rng, tree.RandomOptions{Nodes: 25, MaxF: 9, MaxN: 5})
@@ -122,6 +123,63 @@ func TestBatchBinaryRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: corrupt request decoded without error", name)
 		}
 	}
+}
+
+// The binary request decoder reads bodies straight off the network: it
+// must never panic, and any body it accepts must survive re-encoding — the
+// same workers count and the same jobs come back out.
+func FuzzBatchBinaryDecode(f *testing.F) {
+	jobs := binaryFixtureJobs(f)
+	for _, seed := range []struct {
+		jobs    []schedule.Job
+		workers int
+	}{{jobs, 0}, {jobs, 3}, {jobs[1:2], 1}, {nil, 0}} {
+		data, err := encodeBatchBinary(seed.jobs, seed.workers)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A workers count past math.MaxInt once decoded to a negative int that
+	// re-encoded as 0.
+	empty, err := encodeBatchBinary(nil, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(binary.AppendUvarint(append([]byte{}, empty[:3]...), 1<<63), empty[4:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		jobs, workers, err := decodeBatchBinary(data)
+		if err != nil {
+			return
+		}
+		again, err := encodeBatchBinary(jobs, workers)
+		if err != nil {
+			t.Fatalf("accepted batch does not re-encode: %v", err)
+		}
+		back, backWorkers, err := decodeBatchBinary(again)
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if backWorkers != workers || len(back) != len(jobs) {
+			t.Fatalf("round trip changed the batch: %d workers, %d jobs → %d workers, %d jobs",
+				workers, len(jobs), backWorkers, len(back))
+		}
+		for i := range jobs {
+			a, b := jobs[i], back[i]
+			if a.Instance != b.Instance || a.Algorithm != b.Algorithm || a.Memory != b.Memory ||
+				a.Window != b.Window || len(a.Order) != len(b.Order) {
+				t.Fatalf("job %d changed: %+v → %+v", i, a, b)
+			}
+			for k := range a.Order {
+				if a.Order[k] != b.Order[k] {
+					t.Fatalf("job %d order changed at %d", i, k)
+				}
+			}
+			if !bytes.Equal(a.Tree.AppendBinary(nil), b.Tree.AppendBinary(nil)) {
+				t.Fatalf("job %d tree changed", i)
+			}
+		}
+	})
 }
 
 // Content negotiation is per header and independent: the binary request

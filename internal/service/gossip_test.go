@@ -234,8 +234,13 @@ func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// From its second call on the slow server stalls until cancelled, so
+	// every chunk it holds can only finish through a hedge.
 	slowFault := schedule.NewFaultBackend(schedule.Local{})
-	slowFault.SlowAfter(1, 400*time.Millisecond)
+	slowFault.SlowAfter(1, time.Hour)
+	cancelled := make(chan struct{})
+	var once sync.Once
+	slowFault.OnCancel(func(int) { once.Do(func() { close(cancelled) }) })
 	slowSrv := httptest.NewServer(service.NewServer(slowFault, 0).Handler())
 	defer slowSrv.Close()
 	fastSrv := httptest.NewServer(service.NewServer(nil, 0).Handler())
@@ -261,7 +266,11 @@ func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	if c.HedgeWins < 1 {
 		t.Fatalf("slow server was never beaten: counters %+v", c)
 	}
-	if slowFault.Cancellations() < 1 {
+	// The cancellation reaches the server's backend after the stream has
+	// returned; wait for it.
+	select {
+	case <-cancelled:
+	case <-time.After(10 * time.Second):
 		t.Fatal("the losing server's handler never observed the cancellation")
 	}
 }

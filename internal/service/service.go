@@ -371,8 +371,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, e := range req.Entries {
-		if e.Key == "" {
-			http.Error(w, fmt.Sprintf("warm entry %d has an empty key", i), http.StatusBadRequest)
+		if err := schedule.CheckWarmEntry(e); err != nil {
+			http.Error(w, fmt.Sprintf("warm entry %d: %v", i, err), http.StatusBadRequest)
 			return
 		}
 	}
@@ -516,6 +516,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Workers:      workers,
 		OnRowIndexed: resp.row,
 	})
+	// Free the quota slots before the terminator (release is idempotent;
+	// the defer covers the other paths): a client that has read it may
+	// send its next batch at once and must find this batch's slots free.
+	release()
 	if err != nil {
 		s.batchesFailed.Add(1)
 		resp.fail(err.Error())

@@ -44,11 +44,20 @@ func testJobs(t *testing.T) []schedule.Job {
 	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		return []int64{tr.MaxMemReq()}, nil
 	}
-	polJobs, err := schedule.MinIOGrid(context.Background(), insts, "minmem", schedule.EvictionPolicyNames(), memories, 0)
+	src, err := schedule.GridSource(schedule.InstanceSliceSource(insts), nil, "minmem", schedule.EvictionPolicyNames(), memories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(jobs, polJobs...)
+	for {
+		j, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return jobs
+		}
+		jobs = append(jobs, j)
+	}
 }
 
 func startServer(t *testing.T, backend schedule.Backend) *service.Client {
@@ -301,26 +310,20 @@ func TestClientRetries(t *testing.T) {
 	}
 }
 
-// slowHandler delays every /v1/batch POST by delay before delegating — the
-// stand-in for an overloaded server.
-type slowHandler struct {
-	inner http.Handler
-	delay time.Duration
-}
-
-func (h *slowHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/batch" {
-		time.Sleep(h.delay)
-	}
-	h.inner.ServeHTTP(w, r)
-}
-
-// The ISSUE's differential pin: an adaptively-scheduled, readmitting Shard
-// over two scheduled servers — one slow, one flapping — is bit-identical
-// (modulo Seconds) to Local for the same grid. The flapping server's
-// batch failures quarantine it; its algorithm-list endpoint keeps
+// The differential pin for the shard's child lifecycle: an adaptively
+// scheduled, readmitting Shard over two scheduled servers — one steady,
+// one flapping — is bit-identical (modulo Seconds) to Local. The flapping
+// server's batch failures quarantine it; its algorithm-list endpoint keeps
 // answering, so the health probe readmits it and it serves again, and both
 // lifecycle counters end up nonzero.
+//
+// Nothing here waits on the clock. The stream repeats the grid until the
+// shard has readmitted the flapping server and that server has taken a
+// batch past its two failures; only the number of passes depends on
+// timing. Both events must come: every dispatch after the quarantine's due
+// time probes the benched server, and a readmitted server that has never
+// completed a chunk is unmeasured, so the adaptive policy explores it on
+// the next dispatch.
 func TestShardOverTwoServersMatchesLocal(t *testing.T) {
 	jobs := testJobs(t)
 	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
@@ -328,17 +331,17 @@ func TestShardOverTwoServersMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Server 1 is healthy but slow; server 2 flaps: it fails its first two
-	// batch calls mid-grid style (chunked dispatch spreads calls across
-	// both), while its list endpoint — the health probe — keeps working.
-	slow := httptest.NewServer(&slowHandler{inner: service.NewServer(nil, 0).Handler(), delay: 10 * time.Millisecond})
-	defer slow.Close()
+	// Server 2 flaps: it fails its first two batch calls (chunked dispatch
+	// spreads calls across both servers), while its list endpoint — the
+	// health probe — keeps working.
+	steady := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	defer steady.Close()
 	wrap := &flakyHandler{inner: service.NewServer(nil, 0).Handler(), status: http.StatusBadGateway}
 	wrap.failN.Store(2)
 	flaky := httptest.NewServer(wrap)
 	defer flaky.Close()
 
-	c1 := service.NewClient(slow.URL, slow.Client())
+	c1 := service.NewClient(steady.URL, steady.Client())
 	c2 := service.NewClient(flaky.URL, flaky.Client())
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
 		Policy:         schedule.PolicyAdaptive,
@@ -351,20 +354,31 @@ func TestShardOverTwoServersMatchesLocal(t *testing.T) {
 		t.Fatalf("shard of remotes not remote: %+v", caps)
 	}
 
+	// maxPasses only turns a lifecycle regression into a failure instead of
+	// an endless stream.
+	const maxPasses = 1000
+	n := 0
+	src := schedule.SourceFunc(func() (schedule.Job, bool, error) {
+		recovered := shard.Counters().Readmissions >= 1 && wrap.batches.Load() > 2
+		if recovered || n == maxPasses*len(jobs) {
+			return schedule.Job{}, false, nil
+		}
+		n++
+		return jobs[(n-1)%len(jobs)], true, nil
+	})
 	var sank schedule.Collector
-	if err := shard.Stream(context.Background(), schedule.SliceSource(jobs), &sank,
-		schedule.StreamOptions{ChunkSize: 4}); err != nil {
+	if err := shard.Stream(context.Background(), src, &sank, schedule.StreamOptions{ChunkSize: 4}); err != nil {
 		t.Fatal(err)
 	}
 	rows := sank.Rows()
-	if len(rows) != len(want) {
-		t.Fatalf("shard streamed %d rows, want %d", len(rows), len(want))
+	if len(rows) != n {
+		t.Fatalf("shard streamed %d rows for %d jobs", len(rows), n)
 	}
-	for i := range want {
-		a, b := want[i], rows[i]
+	for i, row := range rows {
+		a, b := want[i%len(want)], row
 		a.Seconds, b.Seconds = 0, 0
 		if a != b {
-			t.Fatalf("row %d differs sharded vs local: %+v vs %+v", i, rows[i], want[i])
+			t.Fatalf("row %d differs sharded vs local: %+v vs %+v", i, row, want[i%len(want)])
 		}
 	}
 	c := shard.Counters()
@@ -438,9 +452,36 @@ func TestWarmEndpoint(t *testing.T) {
 		t.Fatalf("cacheless warm: stored %d, err %v", stored, err)
 	}
 
-	// Empty keys are rejected as malformed.
-	if _, err := client.WarmRows(context.Background(), []schedule.WarmEntry{{}}); err == nil {
-		t.Fatal("empty warm key accepted")
+	// Entries whose key is malformed or disagrees with the row are
+	// rejected before anything is stored.
+	before := store.Len()
+	minio := len(jobs) - 1 // testJobs ends with a policy job
+	wrongAlg := entries[minio]
+	wrongAlg.Row.Algorithm = "lsnf"
+	if wrongAlg.Row.Algorithm == jobs[minio].Algorithm {
+		wrongAlg.Row.Algorithm = "first-fit"
+	}
+	wrongBudget := entries[minio]
+	wrongBudget.Row.Budget++
+	wrongKind := entries[0]
+	wrongKind.Row.Kind = "minio"
+	bad := map[string]schedule.WarmEntry{
+		"empty key":         {},
+		"mismatched algo":   wrongAlg,
+		"mismatched budget": wrongBudget,
+		"mismatched kind":   wrongKind,
+		"unknown algorithm": {Key: strings.Replace(entries[0].Key, "/"+jobs[0].Algorithm+"/", "/no-such-solver/", 1), Row: rows[0]},
+		"malformed key":     {Key: "not-a-digest/" + jobs[0].Algorithm + "/m0/w0/o-", Row: rows[0]},
+		"extra key segment": {Key: entries[0].Key + "/x", Row: rows[0]},
+		"empty order field": {Key: strings.TrimSuffix(entries[0].Key, "o-"), Row: rows[0]},
+	}
+	for name, e := range bad {
+		if _, err := client.WarmRows(context.Background(), []schedule.WarmEntry{entries[1], e}); err == nil {
+			t.Errorf("%s: warm entry accepted", name)
+		}
+	}
+	if store.Len() != before {
+		t.Fatalf("rejected warm requests stored rows: %d → %d", before, store.Len())
 	}
 }
 
