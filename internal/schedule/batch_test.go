@@ -23,10 +23,11 @@ func batchInstances(t *testing.T) []schedule.Instance {
 	return out
 }
 
-// A parallel batch must produce, row for row, the same values as running
-// every job sequentially (timing aside), at any worker count — including
-// more workers than jobs, which the pool clamps to len(jobs).
-func TestLocalRunMatchesSequential(t *testing.T) {
+// A parallel batch through Local.Run must produce, row for row, the same
+// values as running every job sequentially (timing aside), at any worker
+// count — including more workers than jobs, which the pool clamps to
+// len(jobs).
+func TestRunBatchMatchesSequential(t *testing.T) {
 	insts := batchInstances(t)
 	jobs := schedule.MinMemoryGrid(insts, []string{"postorder", "minmem", "liu"})
 	if len(jobs) != len(insts)*3 {
@@ -53,25 +54,13 @@ func TestLocalRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// Local.Run's edge cases: an empty batch is a no-op, a cancelled context
-// is reported rather than read as success, and the error of the one
-// failing job is the error returned.
-func TestLocalRunEdgeCases(t *testing.T) {
-	rows, err := schedule.Local{}.Run(context.Background(), nil, schedule.BatchOptions{})
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("empty batch: %d rows, err %v", len(rows), err)
-	}
-
+// A batch with one failing job returns that job's error, whichever
+// worker runs it.
+func TestRunBatchPropagatesErrors(t *testing.T) {
 	jobs := schedule.MinMemoryGrid(batchInstances(t), []string{"postorder", "minmem"})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := (schedule.Local{}).Run(ctx, jobs, schedule.BatchOptions{}); err == nil {
-		t.Fatal("cancelled context not reported")
-	}
-
 	bad := append([]schedule.Job(nil), jobs...)
 	bad[5].Algorithm = "no-such-solver"
-	_, err = schedule.Local{}.Run(context.Background(), bad, schedule.BatchOptions{Workers: 4})
+	_, err := schedule.Local{}.Run(context.Background(), bad, schedule.BatchOptions{Workers: 4})
 	want := fmt.Sprintf("schedule: job %s/no-such-solver: ", bad[5].Instance)
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("err = %v, want the failing job's error %q…", err, want)
