@@ -106,7 +106,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd and etree-counts run the AMD ordering and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all four at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -292,10 +292,10 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 	}
 	// Real-matrix front end, fixed problem sizes (independent of -bench-nodes
 	// so the CI gate compares like with like): the zero-alloc MatrixMarket
-	// parser (rows/sec = coordinate entries), AMD on the ~100k-node 2D model
-	// problem and the skeleton column counts on the same matrix (rows/sec =
-	// matrix columns), and the smoke corpus pipeline end to end (rows/sec =
-	// tree instances).
+	// parser (rows/sec = coordinate entries), AMD, nested dissection,
+	// Permute and the skeleton column counts on the ~100k-node 2D model
+	// problem (rows/sec = matrix columns), and the smoke corpus pipeline
+	// end to end (rows/sec = tree instances).
 	gm, err := sparse.Grid2D(200, 200)
 	if err != nil {
 		return err
@@ -325,6 +325,30 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ordering.AMD(ga); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	// Nested dissection at the corpus's leaf size, then PAPᵀ under its
+	// permutation: the two front-end stages rebuilt on flat arrays. Both
+	// are meant to stay near AMD's cost on the same matrix.
+	ndOpt := ordering.NestedDissectionOptions{LeafSize: 32}
+	add(record("nd/grid2d-100k", ga.N(), float64(ga.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ordering.NestedDissection(ga, ndOpt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	ndPerm, err := ordering.NestedDissection(ga, ndOpt)
+	if err != nil {
+		return err
+	}
+	add(record("permute/grid2d-100k", ga.N(), float64(ga.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ga.Permute(ndPerm); err != nil {
 				b.Fatal(err)
 			}
 		}

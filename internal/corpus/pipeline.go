@@ -157,8 +157,18 @@ func buildEntry(e Entry, dir string, ords []string, relax []int) ([]Instance, er
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
 		}
+		// The elimination tree and column counts do not depend on relax:
+		// compute them once per ordering, amalgamate once per relax.
+		parent, err := symbolic.EliminationTree(pm)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
+		}
+		counts, err := symbolic.ColumnCounts(pm, parent)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
+		}
 		for _, r := range relax {
-			res, err := symbolic.AssemblyTree(pm, symbolic.AssemblyOptions{Relax: r})
+			res, err := symbolic.Amalgamate(parent, counts, symbolic.AssemblyOptions{Relax: r})
 			if err != nil {
 				return nil, fmt.Errorf("corpus: %s/%s/r%d: %w", e.Name, ord, r, err)
 			}

@@ -128,8 +128,18 @@ func AssemblySuite(scale Scale) ([]Instance, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
 			}
+			// Elimination tree and column counts once per ordering; only
+			// the amalgamation depends on relax.
+			parent, err := symbolic.EliminationTree(pm)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
+			}
+			counts, err := symbolic.ColumnCounts(pm, parent)
+			if err != nil {
+				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
+			}
 			for _, relax := range RelaxLevels {
-				res, err := symbolic.AssemblyTree(pm, symbolic.AssemblyOptions{Relax: relax})
+				res, err := symbolic.Amalgamate(parent, counts, symbolic.AssemblyOptions{Relax: relax})
 				if err != nil {
 					return nil, fmt.Errorf("dataset: %s/%s/r%d: %w", spec.name, ord.name, relax, err)
 				}

@@ -97,9 +97,26 @@ const (
 
 const amdEmpty = int32(-1)
 
-func newAMDState(m *sparse.Matrix) *amdState {
+// pattern is the read-only view of a symmetric pattern AMD starts from: a
+// *sparse.Matrix, or a leaf subgraph in nested dissection's arena. Only
+// off-diagonal entries are read, in column order.
+type pattern interface {
+	N() int
+	Col(j int) []int32
+}
+
+func newAMDState(m pattern) *amdState {
+	a := &amdState{}
+	a.reset(m)
+	return a
+}
+
+// reset loads pattern m, reusing a's buffers where they are large enough,
+// so one state can order many small patterns (nested dissection's leaves).
+// Every array starts as a fresh allocation would: zeroed at its exact
+// length, then initialized.
+func (a *amdState) reset(m pattern) {
 	n := m.N()
-	a := &amdState{n: n}
 	// Count off-diagonal entries to size the arena: the initial lists plus
 	// slack for new element lists before the first garbage collection.
 	nz := 0
@@ -112,26 +129,33 @@ func newAMDState(m *sparse.Matrix) *amdState {
 			}
 		}
 	}
-	a.iw = make([]int32, nz+nz/5+n+1)
-	a.pe = make([]int32, n)
-	a.ln = make([]int32, n)
-	a.elen = make([]int32, n)
-	a.nv = make([]int32, n)
-	a.degree = make([]int32, n)
-	a.state = make([]uint8, n)
-	a.head = make([]int32, n+1)
-	a.dnext = make([]int32, n)
-	a.dprev = make([]int32, n)
-	a.w = make([]int64, n)
-	a.wflg = 2
-	a.hhead = make([]int32, n)
-	a.hnext = make([]int32, n)
-	a.hash = make([]uint32, n)
-	a.mhead = make([]int32, n)
-	a.mtail = make([]int32, n)
-	a.mnext = make([]int32, n)
-	a.scratch = make([]int32, n)
-	a.perm = make([]int, 0, n)
+	perm := a.perm[:0]
+	if cap(perm) < n {
+		perm = make([]int, 0, n)
+	}
+	*a = amdState{
+		n:       n,
+		iw:      zeroed(a.iw, nz+nz/5+n+1),
+		pe:      zeroed(a.pe, n),
+		ln:      zeroed(a.ln, n),
+		elen:    zeroed(a.elen, n),
+		nv:      zeroed(a.nv, n),
+		degree:  zeroed(a.degree, n),
+		state:   zeroed(a.state, n),
+		head:    zeroed(a.head, n+1),
+		dnext:   zeroed(a.dnext, n),
+		dprev:   zeroed(a.dprev, n),
+		w:       zeroed(a.w, n),
+		wflg:    2,
+		hhead:   zeroed(a.hhead, n),
+		hnext:   zeroed(a.hnext, n),
+		hash:    zeroed(a.hash, n),
+		mhead:   zeroed(a.mhead, n),
+		mtail:   zeroed(a.mtail, n),
+		mnext:   zeroed(a.mnext, n),
+		scratch: zeroed(a.scratch, n),
+		perm:    perm,
+	}
 
 	for d := range a.head {
 		a.head[d] = amdEmpty
@@ -158,7 +182,17 @@ func newAMDState(m *sparse.Matrix) *amdState {
 	}
 	a.pfree = p
 	a.mindeg = 0
-	return a
+}
+
+// zeroed returns a zeroed slice of length n, reusing buf's storage when it
+// has the capacity.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // dlistInsert puts variable i at the head of degree bucket d.

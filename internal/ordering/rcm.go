@@ -1,8 +1,9 @@
 package ordering
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -10,40 +11,50 @@ import (
 // ReverseCuthillMcKee computes the RCM ordering: BFS from a
 // pseudo-peripheral vertex visiting neighbours by increasing degree, then
 // reversed. It reduces bandwidth/profile — a classic baseline ordering.
+// Every buffer is allocated once per call and each BFS resets only what it
+// reached, so the cost is linear in nnz however many components there are.
 func ReverseCuthillMcKee(m *sparse.Matrix) ([]int, error) {
 	if !m.IsSymmetric() {
 		return nil, fmt.Errorf("ordering: RCM needs a symmetric pattern")
 	}
 	n := m.N()
 	visited := make([]bool, n)
-	deg := func(v int) int { return len(m.Col(v)) }
+	byDegree := func(a, b int32) int {
+		if da, db := len(m.Col(int(a))), len(m.Col(int(b))); da != db {
+			return cmp.Compare(da, db)
+		}
+		return cmp.Compare(a, b)
+	}
+	level := make([]int32, n)
+	for i := range level {
+		level[i] = -1
+	}
+	queue := make([]int32, n)
+	var next []int32
+	// order doubles as the BFS queue: vertices are appended when reached
+	// and visited from head on.
 	order := make([]int, 0, n)
-	var queue []int
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(m, start)
+		root := pseudoPeripheral(m, int32(start), level, queue)
 		visited[root] = true
-		queue = append(queue[:0], root)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			var next []int
+		head := len(order)
+		order = append(order, int(root))
+		for ; head < len(order); head++ {
+			v := order[head]
+			next = next[:0]
 			for _, w := range m.Col(v) {
 				if int(w) != v && !visited[w] {
 					visited[w] = true
-					next = append(next, int(w))
+					next = append(next, w)
 				}
 			}
-			sort.Slice(next, func(a, b int) bool {
-				if deg(next[a]) != deg(next[b]) {
-					return deg(next[a]) < deg(next[b])
-				}
-				return next[a] < next[b]
-			})
-			queue = append(queue, next...)
+			slices.SortFunc(next, byDegree)
+			for _, w := range next {
+				order = append(order, int(w))
+			}
 		}
 	}
 	// Reverse.
@@ -55,13 +66,12 @@ func ReverseCuthillMcKee(m *sparse.Matrix) ([]int, error) {
 
 // pseudoPeripheral finds an approximately eccentric vertex of the connected
 // component containing start via repeated BFS (the George–Liu heuristic).
-func pseudoPeripheral(m *sparse.Matrix, start int) int {
-	n := m.N()
-	level := make([]int32, n)
+// level must be all −1 and queue hold n entries; level is left all −1.
+func pseudoPeripheral(m *sparse.Matrix, start int32, level, queue []int32) int32 {
 	cur := start
-	curEcc := -1
+	curEcc := int32(-1)
 	for iter := 0; iter < 8; iter++ {
-		last, ecc := bfsFarthest(m, cur, level)
+		last, ecc := bfsFarthest(m, cur, level, queue)
 		if ecc <= curEcc {
 			break
 		}
@@ -71,27 +81,30 @@ func pseudoPeripheral(m *sparse.Matrix, start int) int {
 	return cur
 }
 
-// bfsFarthest runs a BFS from root, filling level (−1 = unreached), and
-// returns a farthest vertex of smallest degree and the eccentricity.
-func bfsFarthest(m *sparse.Matrix, root int, level []int32) (far int, ecc int) {
-	for i := range level {
-		level[i] = -1
-	}
+// bfsFarthest runs a BFS from root over its component, using level
+// (−1 = unreached) and queue, and returns a farthest vertex of smallest
+// degree and the eccentricity. It resets the levels it set before
+// returning.
+func bfsFarthest(m *sparse.Matrix, root int32, level, queue []int32) (far, ecc int32) {
 	level[root] = 0
-	queue := []int{root}
+	queue[0] = root
+	count := 1
 	far, ecc = root, 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if int(level[v]) > ecc || (int(level[v]) == ecc && len(m.Col(v)) < len(m.Col(far))) {
-			far, ecc = v, int(level[v])
+	for head := 0; head < count; head++ {
+		v := queue[head]
+		if level[v] > ecc || (level[v] == ecc && len(m.Col(int(v))) < len(m.Col(int(far)))) {
+			far, ecc = v, level[v]
 		}
-		for _, w := range m.Col(v) {
+		for _, w := range m.Col(int(v)) {
 			if level[w] == -1 {
 				level[w] = level[v] + 1
-				queue = append(queue, int(w))
+				queue[count] = w
+				count++
 			}
 		}
+	}
+	for _, v := range queue[:count] {
+		level[v] = -1
 	}
 	return far, ecc
 }

@@ -79,6 +79,13 @@ func (m *Matrix) Has(i, j int) bool {
 
 // Transpose returns the pattern of Aᵀ.
 func (m *Matrix) Transpose() *Matrix {
+	return m.transpose(make([]int32, m.n))
+}
+
+// transpose returns the pattern of Aᵀ, using next (length n) as its fill
+// cursor. Columns of m are visited in increasing order, so every output
+// column comes out sorted whatever the order within m's columns.
+func (m *Matrix) transpose(next []int32) *Matrix {
 	out := &Matrix{n: m.n, colPtr: make([]int32, m.n+1), rowIdx: make([]int32, len(m.rowIdx))}
 	for _, i := range m.rowIdx {
 		out.colPtr[i+1]++
@@ -86,7 +93,6 @@ func (m *Matrix) Transpose() *Matrix {
 	for j := 1; j <= m.n; j++ {
 		out.colPtr[j] += out.colPtr[j-1]
 	}
-	next := make([]int32, m.n)
 	copy(next, out.colPtr[:m.n])
 	for j := 0; j < m.n; j++ {
 		for _, i := range m.Col(j) {
@@ -141,19 +147,27 @@ func (m *Matrix) Symmetrize() *Matrix {
 	return out
 }
 
-// IsSymmetric reports whether the pattern equals its transpose.
+// IsSymmetric reports whether the pattern equals its transpose. Columns
+// are sorted, so a walk over the columns in increasing order meets the
+// entries (i, j) of every row i in the order column i lists them. One
+// cursor per column checks each as it is met; the pattern is symmetric iff
+// every check passes and every cursor ends at its column's end. It is a
+// full O(nnz) verification with one n-entry allocation, where building
+// the transpose would take three.
 func (m *Matrix) IsSymmetric() bool {
-	at := m.Transpose()
-	if len(at.rowIdx) != len(m.rowIdx) {
-		return false
-	}
-	for k := range m.rowIdx {
-		if m.rowIdx[k] != at.rowIdx[k] {
-			return false
+	cursor := make([]int32, m.n)
+	copy(cursor, m.colPtr[:m.n])
+	for j := 0; j < m.n; j++ {
+		for _, i := range m.Col(j) {
+			c := cursor[i]
+			if c == m.colPtr[i+1] || m.rowIdx[c] != int32(j) {
+				return false
+			}
+			cursor[i] = c + 1
 		}
 	}
-	for j := 0; j <= m.n; j++ {
-		if m.colPtr[j] != at.colPtr[j] {
+	for i, c := range cursor {
+		if c != m.colPtr[i+1] {
 			return false
 		}
 	}
@@ -172,33 +186,47 @@ func (m *Matrix) HasFullDiagonal() bool {
 
 // Permute returns the pattern of PAPᵀ where perm is the new-to-old
 // permutation: row/column perm[k] of A becomes row/column k of the result.
+// It builds the result without comparisons: a counting pass sizes the rows
+// of PAPᵀ, one scatter of inv[Col(perm[k])] over the new columns k in
+// increasing order fills (PAPᵀ)ᵀ with sorted columns, and transposing that
+// yields PAPᵀ with sorted columns. A fixed number of allocations, whatever
+// n.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	if len(perm) != m.n {
-		return nil, fmt.Errorf("sparse: permutation has %d entries, want %d", len(perm), m.n)
+	n := m.n
+	if len(perm) != n {
+		return nil, fmt.Errorf("sparse: permutation has %d entries, want %d", len(perm), n)
 	}
-	inv := make([]int, m.n)
+	inv := make([]int32, n)
 	for k := range inv {
 		inv[k] = -1
 	}
 	for k, old := range perm {
-		if old < 0 || old >= m.n {
+		if old < 0 || old >= n {
 			return nil, fmt.Errorf("sparse: permutation entry %d out of range", old)
 		}
 		if inv[old] != -1 {
 			return nil, fmt.Errorf("sparse: permutation repeats %d", old)
 		}
-		inv[old] = k
+		inv[old] = int32(k)
 	}
-	cols := make([][]int, m.n)
+	// Column r of t lists the new columns k holding an entry in new row r.
+	t := Matrix{n: n, colPtr: make([]int32, n+1), rowIdx: make([]int32, len(m.rowIdx))}
+	for _, i := range m.rowIdx {
+		t.colPtr[inv[i]+1]++
+	}
+	for r := 1; r <= n; r++ {
+		t.colPtr[r] += t.colPtr[r-1]
+	}
+	next := make([]int32, n)
+	copy(next, t.colPtr[:n])
 	for k, old := range perm {
-		src := m.Col(old)
-		col := make([]int, len(src))
-		for x, i := range src {
-			col[x] = inv[i]
+		for _, i := range m.Col(old) {
+			r := inv[i]
+			t.rowIdx[next[r]] = int32(k)
+			next[r]++
 		}
-		cols[k] = col
 	}
-	return New(m.n, cols)
+	return t.transpose(inv), nil
 }
 
 // AverageDegree returns NNZ / n, the mean number of entries per column.

@@ -377,3 +377,85 @@ func TestAverageDegree(t *testing.T) {
 		t.Fatalf("grid average degree %f implausible", got)
 	}
 }
+
+// The cursor-per-column IsSymmetric agrees with the transpose-based
+// reference on symmetric patterns and on every single-entry perturbation
+// of one: a dropped entry, an added entry and a moved entry.
+func TestIsSymmetricMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	base, err := RandomSymmetric(rng, 60, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Grid2D(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []*Matrix{base, g, base.Transpose()}
+	cols := func(m *Matrix) [][]int {
+		out := make([][]int, m.N())
+		for j := range out {
+			for _, i := range m.Col(j) {
+				out[j] = append(out[j], int(i))
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		c := cols(base)
+		j := rng.Intn(base.N())
+		switch trial % 3 {
+		case 0: // drop one entry
+			if len(c[j]) > 0 {
+				c[j] = c[j][1:]
+			}
+		case 1: // add one entry
+			c[j] = append(c[j], rng.Intn(base.N()))
+		case 2: // add an entry and its mirror
+			i := rng.Intn(base.N())
+			c[j] = append(c[j], i)
+			c[i] = append(c[i], j)
+		}
+		m, err := New(base.N(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, m)
+	}
+	asym, err := New(3, [][]int{{0, 2}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, asym)
+	sawFalse := false
+	for k, m := range cases {
+		got, want := m.IsSymmetric(), refIsSymmetric(m)
+		if got != want {
+			t.Fatalf("case %d: IsSymmetric %v, reference %v", k, got, want)
+		}
+		sawFalse = sawFalse || !got
+	}
+	if !sawFalse {
+		t.Fatal("no asymmetric case was generated")
+	}
+}
+
+// Permute makes a fixed number of allocations, whatever the matrix size.
+func TestPermuteAllocationsConstant(t *testing.T) {
+	allocs := func(nx int) float64 {
+		g, err := Grid2D(nx, nx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rand.New(rand.NewSource(int64(nx))).Perm(g.N())
+		return testing.AllocsPerRun(3, func() {
+			if _, err := g.Permute(perm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(100)
+	if small > 8 || large > 8 {
+		t.Fatalf("Permute: %.0f allocs on 100 columns, %.0f on 10,000; want at most 8 at any size", small, large)
+	}
+}

@@ -85,132 +85,181 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 		}
 	}
 	// Assembly state per representative column (the top column of a node).
-	eta := make([]int32, n)
-	kids := make([][]int32, n) // children assembly reps, maintained at reps
-	rep := make([]int32, n)    // union-find: etree column → assembly rep
+	work := make([]int32, 5*n)
+	eta := work[:n]      // columns amalgamated, at reps
+	rep := work[n : 2*n] // union-find: etree column → assembly rep
+	kids := kidLists{head: work[2*n : 3*n], tail: work[3*n : 4*n], next: work[4*n:]}
 	for j := range rep {
 		rep[j] = int32(j)
 		eta[j] = 1
+		kids.head[j], kids.tail[j] = -1, -1
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for rep[x] != x {
 			rep[x] = rep[rep[x]]
 			x = rep[x]
 		}
 		return x
 	}
-	post := EtreePostorder(parent)
-	etreeKids := make([][]int32, n)
-	for j, p := range parent {
-		if p != NoParent {
-			etreeKids[p] = append(etreeKids[p], int32(j))
-		}
+	absorb := func(p, prev, c int32) {
+		rep[c] = p
+		eta[p] += eta[c]
+		kids.absorb(p, prev, c)
 	}
-	for _, pi := range post {
+	childPtr, child := etreeChildren(parent)
+	for _, pi := range etreePostorder(parent, childPtr, child) {
 		p := int32(pi)
+		etreeKids := child[childPtr[p]:childPtr[p+1]]
 		// Children assembly nodes of p (already final).
-		for _, c := range etreeKids[p] {
-			kids[p] = append(kids[p], find(c))
-		}
-		absorb := func(idx int) {
-			c := kids[p][idx]
-			rep[c] = p
-			eta[p] += eta[c]
-			kids[p] = append(kids[p][:idx], kids[p][idx+1:]...)
-			kids[p] = append(kids[p], kids[c]...)
-			kids[c] = nil
+		for _, c := range etreeKids {
+			kids.push(p, find(c))
 		}
 		// Perfect amalgamation: the child attaches at column p itself, is
 		// p's only elimination-tree child, and its top column has exactly
 		// one more factor entry than column p — the two columns share the
 		// below-diagonal structure (a fundamental supernode edge). Each
 		// etree edge is examined once, when its upper endpoint is visited.
-		if len(etreeKids[p]) == 1 && counts[etreeKids[p][0]] == counts[p]+1 {
-			absorb(0)
+		if len(etreeKids) == 1 && counts[etreeKids[0]] == counts[p]+1 {
+			absorb(p, -1, kids.head[p])
 		}
 		// Relaxed amalgamation: absorb the densest children as long as the
 		// number of columns acquired this way stays within the per-node
 		// budget. Bounding the acquired columns (rather than the merge
 		// count) prevents chains from collapsing transitively into a single
-		// node as the budget is spent bottom-up.
+		// node as the budget is spent bottom-up. Ties go to the child met
+		// first in list order.
 		budget := int32(opt.Relax)
-		for budget > 0 && len(kids[p]) > 0 {
-			di := -1
-			for i := range kids[p] {
-				c := kids[p][i]
-				if eta[c] > budget {
-					continue
-				}
-				if di < 0 || counts[c] > counts[kids[p][di]] {
-					di = i
+		for budget > 0 && kids.head[p] >= 0 {
+			best, bestPrev := int32(-1), int32(-1)
+			for prev, c := int32(-1), kids.head[p]; c >= 0; prev, c = c, kids.next[c] {
+				if eta[c] <= budget && (best < 0 || counts[c] > counts[best]) {
+					best, bestPrev = c, prev
 				}
 			}
-			if di < 0 {
+			if best < 0 {
 				break
 			}
-			budget -= eta[kids[p][di]]
-			absorb(di)
+			budget -= eta[best]
+			absorb(p, bestPrev, best)
 		}
 	}
-	// Collect final assembly nodes.
-	var reps []int32
+	// Collect final assembly nodes. After flattening rep, rep[j] is j's
+	// node's top column; index[r] numbers the reps in increasing order.
+	index := kids.head // free after the loop
+	nreps, nroots := 0, 0
 	for j := 0; j < n; j++ {
-		if find(int32(j)) == int32(j) {
-			reps = append(reps, int32(j))
+		rep[j] = find(int32(j))
+		if rep[j] == int32(j) {
+			index[j] = int32(nreps)
+			nreps++
+			if parent[j] == NoParent {
+				nroots++
+			}
 		}
 	}
-	asmIndex := make(map[int32]int, len(reps))
-	for k, r := range reps {
-		asmIndex[r] = k
+	// Parents in the assembly tree; roots get a virtual root if several.
+	size := nreps
+	if nroots > 1 {
+		size++
 	}
-	// Parents in the assembly tree; count roots to decide on a virtual root.
-	asmParent := make([]int, len(reps))
-	var roots []int
-	for k, r := range reps {
-		p := parent[r]
-		if p == NoParent {
+	asmParent := make([]int, nreps, size)
+	nodes := make([]AssemblyNode, nreps, size)
+	columns := make([][]int, nreps, size)
+	f := make([]int64, nreps, size)
+	nw := make([]int64, nreps, size)
+	// Columns are carved from one n-entry buffer, each node's η-entry
+	// segment filled in increasing column order.
+	colBuf := make([]int, n)
+	fill := kids.tail // free after the loop
+	off := int32(0)
+	for j := 0; j < n; j++ {
+		r := rep[j]
+		if r != int32(j) {
+			continue
+		}
+		k := index[j]
+		fill[k] = off
+		columns[k] = colBuf[off : off+eta[r] : off+eta[r]]
+		off += eta[r]
+		if p := parent[j]; p == NoParent {
 			asmParent[k] = tree.NoParent
-			roots = append(roots, k)
 		} else {
-			asmParent[k] = asmIndex[find(int32(p))]
+			asmParent[k] = int(index[rep[p]])
 		}
-	}
-	columns := make([][]int, len(reps))
-	for j := 0; j < n; j++ {
-		k := asmIndex[find(int32(j))]
-		columns[k] = append(columns[k], j)
-	}
-	nodes := make([]AssemblyNode, len(reps))
-	f := make([]int64, len(reps))
-	nw := make([]int64, len(reps))
-	for k, r := range reps {
 		mu := counts[r]
 		h := int64(eta[r])
-		nodes[k] = AssemblyNode{Top: int(r), Eta: int(eta[r]), Mu: mu}
+		nodes[k] = AssemblyNode{Top: j, Eta: int(eta[r]), Mu: mu}
 		f[k] = (mu - 1) * (mu - 1)
 		nw[k] = h*h + 2*h*(mu-1)
 	}
-	if len(roots) > 1 {
-		// Virtual zero-weight root joining the forest.
-		vr := len(nodes)
+	for j := 0; j < n; j++ {
+		k := index[rep[j]]
+		colBuf[fill[k]] = j
+		fill[k]++
+	}
+	// A root's contribution block leaves the system: it carries no file to
+	// a parent. Several roots are joined by a virtual zero-weight root.
+	for k := range asmParent {
+		if asmParent[k] == tree.NoParent {
+			f[k] = 0
+			if nroots > 1 {
+				asmParent[k] = nreps
+			}
+		}
+	}
+	if nroots > 1 {
 		nodes = append(nodes, AssemblyNode{Top: -1})
 		columns = append(columns, nil)
 		f = append(f, 0)
 		nw = append(nw, 0)
-		for _, k := range roots {
-			asmParent[k] = vr
-			f[k] = 0 // each component's final result leaves the system
-		}
 		asmParent = append(asmParent, tree.NoParent)
-	} else {
-		// The root's contribution block leaves the system; it carries no
-		// file to a parent.
-		f[roots[0]] = 0
 	}
 	tr, err := tree.New(asmParent, f, nw)
 	if err != nil {
 		return nil, fmt.Errorf("symbolic: assembly tree construction: %w", err)
 	}
 	return &AssemblyResult{Tree: tr, Nodes: nodes, Columns: columns}, nil
+}
+
+// kidLists holds every assembly node's children as an intrusive singly
+// linked list over one next array: a node sits in at most one list at a
+// time, so next[c] is c's successor in its parent's list. Appending,
+// unlinking a child and splicing the child's own list onto the end are
+// O(1) and keep list order exactly, which the densest-child tie-break
+// depends on.
+type kidLists struct {
+	head, tail, next []int32
+}
+
+// push appends c to p's list.
+func (l *kidLists) push(p, c int32) {
+	l.next[c] = -1
+	if l.tail[p] < 0 {
+		l.head[p] = c
+	} else {
+		l.next[l.tail[p]] = c
+	}
+	l.tail[p] = c
+}
+
+// absorb unlinks c, whose predecessor in p's list is prev (−1 if c is the
+// head), and appends c's own list to p's.
+func (l *kidLists) absorb(p, prev, c int32) {
+	if prev < 0 {
+		l.head[p] = l.next[c]
+	} else {
+		l.next[prev] = l.next[c]
+	}
+	if l.tail[p] == c {
+		l.tail[p] = prev
+	}
+	if l.head[c] >= 0 {
+		if l.tail[p] < 0 {
+			l.head[p] = l.head[c]
+		} else {
+			l.next[l.tail[p]] = l.head[c]
+		}
+		l.tail[p] = l.tail[c]
+		l.head[c], l.tail[c] = -1, -1
+	}
 }

@@ -183,30 +183,19 @@ func columnCountsNaive(m *sparse.Matrix, parent []int) ([]int64, error) {
 // EtreePostorder returns a postorder of the elimination forest (children
 // before parents, siblings in index order); forests are handled by
 // visiting each root in turn. The child lists live in one flat bucketed
-// array (counting pass + prefix sums), so the whole computation is four
-// fixed-size allocations regardless of tree shape.
+// array (see etreeChildren), so the whole computation is four fixed-size
+// allocations regardless of tree shape.
 func EtreePostorder(parent []int) []int {
+	childPtr, child := etreeChildren(parent)
+	return etreePostorder(parent, childPtr, child)
+}
+
+// etreePostorder is EtreePostorder over child lists already bucketed by
+// etreeChildren.
+func etreePostorder(parent []int, childPtr, child []int32) []int {
 	n := len(parent)
-	childPtr := make([]int32, n+1)
-	for _, p := range parent {
-		if p != NoParent {
-			childPtr[p+1]++
-		}
-	}
-	for j := 0; j < n; j++ {
-		childPtr[j+1] += childPtr[j]
-	}
-	child := make([]int32, childPtr[n])
-	// cursor doubles as the fill cursor here and the next-child cursor in
-	// the traversal below; both sweep each bucket exactly once.
+	// cursor is each node's next-child position in the traversal.
 	cursor := make([]int32, n)
-	copy(cursor, childPtr[:n])
-	for j, p := range parent {
-		if p != NoParent {
-			child[cursor[p]] = int32(j)
-			cursor[p]++
-		}
-	}
 	copy(cursor, childPtr[:n])
 	out := make([]int, 0, n)
 	stack := make([]int32, 0, 64)
@@ -228,6 +217,32 @@ func EtreePostorder(parent []int) []int {
 		}
 	}
 	return out
+}
+
+// etreeChildren buckets the forest's child lists into one flat array: the
+// children of j are child[childPtr[j]:childPtr[j+1]], in increasing index
+// order. A counting pass and prefix sums leave childPtr[j] at the end of
+// bucket j; filling with j descending moves each back to its start. Every
+// parent must be NoParent or in [0, len(parent)).
+func etreeChildren(parent []int) (childPtr, child []int32) {
+	n := len(parent)
+	childPtr = make([]int32, n+1)
+	for _, p := range parent {
+		if p != NoParent {
+			childPtr[p]++
+		}
+	}
+	for j := 1; j <= n; j++ {
+		childPtr[j] += childPtr[j-1]
+	}
+	child = make([]int32, childPtr[n])
+	for j := n - 1; j >= 0; j-- {
+		if p := parent[j]; p != NoParent {
+			childPtr[p]--
+			child[childPtr[p]] = int32(j)
+		}
+	}
+	return childPtr, child
 }
 
 // FactorNNZ returns Σ column counts = |L|.
