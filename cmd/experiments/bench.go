@@ -76,6 +76,41 @@ func bandPath() (*tree.Tree, error) {
 	return res.Tree, nil
 }
 
+// hitBatch builds cache-hits/64x4's batch: 16 jobs for each instance,
+// three MinMemory solvers and then eviction policies that replay the
+// instance's minmem traversal at its MaxMemReq, the midpoint and the
+// traversal's peak, so the policy jobs of an instance share one order.
+func hitBatch(insts []schedule.Instance) ([]schedule.Job, error) {
+	const perInstance = 16
+	budgets := func(t *tree.Tree, out schedule.Outcome) ([]int64, error) {
+		lo := t.MaxMemReq()
+		return []int64{lo, (lo + out.Memory) / 2, out.Memory}, nil
+	}
+	src, err := schedule.GridSource(schedule.InstanceSliceSource(insts), []string{"postorder", "liu", "minmem"}, "minmem", schedule.EvictionPolicyNames(), budgets)
+	if err != nil {
+		return nil, err
+	}
+	var jobs []schedule.Job
+	taken := map[string]int{}
+	for {
+		j, ok, err := src.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if taken[j.Instance] < perInstance {
+			taken[j.Instance]++
+			jobs = append(jobs, j)
+		}
+	}
+	if len(jobs) != perInstance*len(insts) {
+		return nil, fmt.Errorf("hit batch has %d jobs, want %d", len(jobs), perInstance*len(insts))
+	}
+	return jobs, nil
+}
+
 // record runs fn under testing.Benchmark and converts the result, deriving
 // RowsPerSec from rows processed per op.
 func record(name string, nodes int, rowsPerOp float64, fn func(b *testing.B)) benchRecord {
@@ -106,7 +141,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), digest/tree-1k hashes a 1,000-node tree (rows_per_sec = nodes), both at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -271,6 +306,46 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 	if err := st.Close(); err != nil {
 		return err
 	}
+	// The cache hit path: one 64-job batch over four of the grid's
+	// instances, every job already in a paged store, the shape of the
+	// batches serve-shard's servers answer. Keys are built per call, so
+	// the entry moves with tree and order hashing as well as store reads.
+	hitJobs, err := hitBatch(insts[:4])
+	if err != nil {
+		return err
+	}
+	hitStore, err := schedule.OpenPagedStore(filepath.Join(storeDir, "hits.paged"))
+	if err != nil {
+		return err
+	}
+	defer hitStore.Close()
+	hitCache := schedule.NewCached(schedule.Local{}, hitStore)
+	if _, err := hitCache.Run(context.Background(), hitJobs, schedule.BatchOptions{}); err != nil {
+		return err
+	}
+	_, warmMisses := hitCache.Counters()
+	add(record("cache-hits/64x4", 0, float64(len(hitJobs)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := hitCache.Run(context.Background(), hitJobs, schedule.BatchOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	if _, misses := hitCache.Counters(); misses != warmMisses {
+		return fmt.Errorf("cache-hits/64x4: %d misses in an all-hit batch", misses-warmMisses)
+	}
+	// The tree digest, which keys every cache entry, on a 1,000-node tree.
+	digestTree, err := tree.Random(rand.New(rand.NewSource(2011)), tree.RandomOptions{Nodes: 1000, MaxF: 100, MaxN: 40})
+	if err != nil {
+		return err
+	}
+	add(record("digest/tree-1k", digestTree.Len(), float64(digestTree.Len()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			digestTree.Digest()
+		}
+	}))
 	// Remote throughput over the same warmed cache, JSON vs binary: the
 	// contrast is pure transport (encoding, HTTP framing, decoding).
 	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: cached}).Handler())

@@ -24,32 +24,101 @@ import (
 // restamps it on every hit, so the same tree cached under one name is
 // shared by all names.
 func CacheKey(j Job) string {
-	return cacheKey(j, j.Tree.Digest())
+	var km keyMemo
+	return km.key(j)
 }
 
-func cacheKey(j Job, td tree.Digest) string {
+// keyMemo derives the CacheKeys of one call's jobs, hashing each distinct
+// tree and each distinct order once. Trees are memoized by pointer (a
+// *tree.Tree is immutable, and a grid reuses one tree across many jobs).
+// Orders are memoized by the address of their first element and their
+// length, the identity encodeBatchBinary dedupes on and decodeBatchBinary
+// preserves, so the jobs a policy grid derives from one traversal share a
+// single hash. Orders are mutable []int, so a keyMemo must not outlive the
+// call that made it; its tree map may, see Shard.warmEntries. The zero
+// value is ready to use.
+type keyMemo struct {
+	trees  map[*tree.Tree]tree.Digest
+	orders map[orderID][sha256.Size]byte
+}
+
+// orderID identifies an order slice by its first element and length; all
+// empty orders share the zero head.
+type orderID struct {
+	head *int
+	n    int
+}
+
+func (km *keyMemo) key(j Job) string {
+	td, ok := km.trees[j.Tree]
+	if !ok {
+		td = j.Tree.Digest()
+		if km.trees == nil {
+			km.trees = map[*tree.Tree]tree.Digest{}
+		}
+		km.trees[j.Tree] = td
+	}
+	if j.Order == nil {
+		return cacheKey(j, td, nil)
+	}
+	id := orderID{n: len(j.Order)}
+	if id.n > 0 {
+		id.head = &j.Order[0]
+	}
+	od, ok := km.orders[id]
+	if !ok {
+		od = orderDigest(j.Order)
+		if km.orders == nil {
+			km.orders = map[orderID][sha256.Size]byte{}
+		}
+		km.orders[id] = od
+	}
+	return cacheKey(j, td, &od)
+}
+
+// cacheKey renders a job's key from its tree digest and its order digest
+// (nil for a job without an order):
+// <tree digest>/<algorithm>/m<memory>/w<window>/o<'-' or order digest>.
+func cacheKey(j Job, td tree.Digest, od *[sha256.Size]byte) string {
 	var sb strings.Builder
-	sb.WriteString(td.String())
+	sb.Grow(2*len(td) + len(j.Algorithm) + 2*sha256.Size + 48)
+	var scratch [2 * sha256.Size]byte
+	hex.Encode(scratch[:], td[:])
+	sb.Write(scratch[:])
 	sb.WriteByte('/')
 	sb.WriteString(j.Algorithm)
 	sb.WriteString("/m")
-	sb.WriteString(strconv.FormatInt(j.Memory, 10))
+	sb.Write(strconv.AppendInt(scratch[:0], j.Memory, 10))
 	sb.WriteString("/w")
-	sb.WriteString(strconv.Itoa(j.Window))
+	sb.Write(strconv.AppendInt(scratch[:0], int64(j.Window), 10))
 	sb.WriteString("/o")
-	if j.Order == nil {
+	if od == nil {
 		sb.WriteByte('-')
 	} else {
-		h := sha256.New()
-		buf := make([]byte, 0, 12)
-		for _, v := range j.Order {
-			buf = strconv.AppendInt(buf[:0], int64(v), 10)
-			buf = append(buf, ',')
-			h.Write(buf)
-		}
-		sb.WriteString(hex.EncodeToString(h.Sum(nil)))
+		hex.Encode(scratch[:], od[:])
+		sb.Write(scratch[:])
 	}
 	return sb.String()
+}
+
+// orderDigest hashes an order as the decimal text "v," of each node in
+// turn, in large writes through one stack buffer.
+func orderDigest(order []int) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [512]byte
+	b := buf[:0]
+	for _, v := range order {
+		if len(b)+21 > len(buf) { // 21 = len("-9223372036854775808,")
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, ',')
+	}
+	h.Write(b)
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // CheckWarmEntry reports whether a warm row arriving from outside the
@@ -223,25 +292,14 @@ func (c *Cached) Counters() (hits, misses int64) {
 // job does not discard the rows that did finish — the rerun only pays for
 // what is genuinely missing.
 func (c *Cached) Run(ctx context.Context, jobs []Job, opt BatchOptions) ([]Row, error) {
-	// Memoize digests per Run by tree pointer: a grid reuses the same
-	// *tree.Tree across many jobs. The map is Run-local so a long-running
-	// server does not pin every tree it ever decoded.
-	digests := map[*tree.Tree]tree.Digest{}
-	digest := func(t *tree.Tree) tree.Digest {
-		d, ok := digests[t]
-		if !ok {
-			d = t.Digest()
-			digests[t] = d
-		}
-		return d
-	}
 	// Drawn from the stream engine's row pool, like Local.Run, so warmed
 	// streaming chunks recycle their row slices through the merge loop.
 	rows := getRowSlice(len(jobs))
 	keys := make([]string, len(jobs))
+	var km keyMemo
 	var missIdx []int
 	for i, j := range jobs {
-		keys[i] = cacheKey(j, digest(j.Tree))
+		keys[i] = km.key(j)
 		if row, ok := c.store.Get(keys[i]); ok {
 			// The instance name is reporting identity, not algorithm input,
 			// so it is not part of the key: restamp the stored row with this

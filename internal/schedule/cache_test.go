@@ -300,3 +300,52 @@ func TestCachedOverBoundedStore(t *testing.T) {
 		t.Fatalf("counters hits=%d misses=%d: rerun of an undersized store should mix hits and extra misses", hits, misses)
 	}
 }
+
+// Keys and tree digests are persisted by paged stores and exchanged by
+// gossip and /v1/warm peers, so their bytes are pinned literally: an
+// ordered job, an order-less job ("o-") and an empty-order job on a small
+// tree, and an ordered job on a 1,000-node tree whose digest and order
+// text span many hash writes.
+func TestCacheKeyGolden(t *testing.T) {
+	small := tree.MustNew([]int{-1, 0, 0, 1, 1}, []int64{0, 3, 4, 2, 5}, []int64{1, 2, -1, 4, 3})
+	const p = 1000
+	parent := make([]int, p)
+	f := make([]int64, p)
+	n := make([]int64, p)
+	order := make([]int, p)
+	for i := range parent {
+		parent[i] = (i - 1) / 3
+		f[i] = int64(i * 7 % 101)
+		n[i] = int64(i*13%97) - 40
+		order[i] = p - 1 - i
+	}
+	parent[0] = tree.NoParent
+	big := tree.MustNew(parent, f, n)
+
+	const smallDigest = "cab72d5979fb93cc5d34d2d89c331358b82d72b2d5cc874b7a6db8a11aa2ecef"
+	const bigDigest = "741352b19188abc29406bc00966d9308ca83e4879bf896b637bc16dcfee39f82"
+	if got := small.Digest().String(); got != smallDigest {
+		t.Errorf("small tree digest %s, want %s", got, smallDigest)
+	}
+	if got := big.Digest().String(); got != bigDigest {
+		t.Errorf("1,000-node tree digest %s, want %s", got, bigDigest)
+	}
+	for _, c := range []struct {
+		name string
+		job  schedule.Job
+		want string
+	}{
+		{"ordered", schedule.Job{Tree: small, Algorithm: "lru", Memory: 17, Order: []int{0, 1, 3, 4, 2}},
+			smallDigest + "/lru/m17/w0/o6857fef7817232af05ece04fd7b67e03fefbce2469275bcdd840700ea91ddd03"},
+		{"order-less", schedule.Job{Tree: small, Algorithm: "minmem"},
+			smallDigest + "/minmem/m0/w0/o-"},
+		{"empty order", schedule.Job{Tree: small, Algorithm: "best-k", Memory: 12, Window: 3, Order: []int{}},
+			smallDigest + "/best-k/m12/w3/oe3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{"long order", schedule.Job{Tree: big, Algorithm: "fif", Memory: 1 << 40, Window: -1, Order: order},
+			bigDigest + "/fif/m1099511627776/w-1/of9a1b0e4eccfa30b5e547d18f82074c6b78d7b4f6706079b356076b634edd1c0"},
+	} {
+		if got := schedule.CacheKey(c.job); got != c.want {
+			t.Errorf("%s job: key\n%s\nwant\n%s", c.name, got, c.want)
+		}
+	}
+}

@@ -176,21 +176,15 @@ type RowWarmer interface {
 }
 
 // NewWarmEntries keys a batch's rows by CacheKey for cache warming,
-// memoizing tree digests across the batch (a grid references the same
-// *tree.Tree from many jobs, and the digest is the expensive part of the
-// key). jobs and rows must be parallel slices, as returned by a successful
+// hashing each distinct tree and order of the batch once (see keyMemo).
+// jobs and rows must be parallel slices, as returned by a successful
 // Backend.Run. Servers use it to build push-gossip payloads without a
 // shard in the loop.
 func NewWarmEntries(jobs []Job, rows []Row) []WarmEntry {
 	entries := make([]WarmEntry, len(jobs))
-	digests := make(map[*tree.Tree]tree.Digest, 1)
+	var km keyMemo
 	for i, j := range jobs {
-		d, ok := digests[j.Tree]
-		if !ok {
-			d = j.Tree.Digest()
-			digests[j.Tree] = d
-		}
-		entries[i] = WarmEntry{Key: cacheKey(j, d), Row: rows[i]}
+		entries[i] = WarmEntry{Key: km.key(j), Row: rows[i]}
 	}
 	return entries
 }
@@ -652,26 +646,23 @@ func (s *Shard) warmSiblings(ctx context.Context, from int, jobs []Job, rows []R
 	wg.Wait()
 }
 
-// warmEntries keys a chunk's rows by CacheKey, memoizing tree digests
-// across chunks (a grid reuses the same *tree.Tree for many jobs). The
-// memo lives for the duration of the active streams (see releaseDigests),
-// so a long-lived Shard does not pin every tree it ever warmed.
+// warmEntries keys a chunk's rows by CacheKey. Tree digests are memoized
+// across chunks (a grid reuses the same *tree.Tree for many jobs) for the
+// duration of the active streams (see releaseDigests), so a long-lived
+// Shard does not pin every tree it ever warmed; order digests, like any
+// keyMemo's, only within the chunk.
 func (s *Shard) warmEntries(jobs []Job, rows []Row) []WarmEntry {
 	entries := make([]WarmEntry, len(jobs))
 	s.digestMu.Lock()
 	defer s.digestMu.Unlock()
-	// A straggler chunk can land here after the last stream released the
-	// memo; compute without repopulating it so the cleared map stays empty.
-	memoize := s.activeStreams > 0
+	km := keyMemo{trees: s.digests}
+	if s.activeStreams == 0 {
+		// A straggler chunk landed after the last stream released the
+		// memo: key it with a private map so the cleared one stays empty.
+		km.trees = nil
+	}
 	for i, j := range jobs {
-		d, ok := s.digests[j.Tree]
-		if !ok {
-			d = j.Tree.Digest()
-			if memoize {
-				s.digests[j.Tree] = d
-			}
-		}
-		entries[i] = WarmEntry{Key: cacheKey(j, d), Row: rows[i]}
+		entries[i] = WarmEntry{Key: km.key(j), Row: rows[i]}
 	}
 	return entries
 }

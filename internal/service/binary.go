@@ -44,6 +44,12 @@ import (
 //
 // mirroring the JSON Lines contract: rows stream in completion order and a
 // stream without a terminator frame is truncated, not short.
+//
+// Both response forms flush at three points only: once when the 200
+// status commits (the batch may still be queued), whenever the HTTP
+// server's write buffer fills, and at the terminator. Rows are not
+// flushed one by one, so a long batch still streams in buffer-sized
+// pieces while a short one travels in a single write.
 
 // ContentTypeBinaryBatch is the media type of a binary batch request body.
 const ContentTypeBinaryBatch = "application/x-schedule-batch"
@@ -309,27 +315,27 @@ type jsonResponder struct {
 	flusher interface{ Flush() }
 }
 
-func (j *jsonResponder) flush() {
+func (j *jsonResponder) row(i int, r schedule.Row) { j.enc.Encode(BatchLine{Index: i, Row: &r}) }
+
+func (j *jsonResponder) fail(msg string) { j.end(BatchLine{Error: msg}) }
+
+func (j *jsonResponder) done(count int) { j.end(BatchLine{Done: true, Count: count}) }
+
+// end writes the terminator line and flushes the stream.
+func (j *jsonResponder) end(line BatchLine) {
+	j.enc.Encode(line)
 	if j.flusher != nil {
 		j.flusher.Flush()
 	}
 }
 
-func (j *jsonResponder) row(i int, r schedule.Row) {
-	j.enc.Encode(BatchLine{Index: i, Row: &r})
-	j.flush()
-}
-
-func (j *jsonResponder) fail(msg string) { j.enc.Encode(BatchLine{Error: msg}); j.flush() }
-
-func (j *jsonResponder) done(count int) { j.enc.Encode(BatchLine{Done: true, Count: count}); j.flush() }
-
 // binaryResponder streams the framed binary response form, reusing one
-// scratch buffer across frames.
+// scratch buffer and one length-prefix buffer across frames.
 type binaryResponder struct {
 	w       io.Writer
 	flusher interface{ Flush() }
 	scratch []byte
+	lenBuf  [binary.MaxVarintLen64]byte
 	header  bool
 }
 
@@ -338,10 +344,14 @@ func (b *binaryResponder) frame() {
 		b.header = true
 		b.w.Write([]byte{schedule.WireMagic, batchResponseKind, binaryBatchVersion})
 	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(b.scratch)))
-	b.w.Write(lenBuf[:n])
+	n := binary.PutUvarint(b.lenBuf[:], uint64(len(b.scratch)))
+	b.w.Write(b.lenBuf[:n])
 	b.w.Write(b.scratch)
+}
+
+// end writes the terminator frame and flushes the stream.
+func (b *binaryResponder) end() {
+	b.frame()
 	if b.flusher != nil {
 		b.flusher.Flush()
 	}
@@ -357,13 +367,13 @@ func (b *binaryResponder) row(i int, r schedule.Row) {
 func (b *binaryResponder) fail(msg string) {
 	b.scratch = append(b.scratch[:0], frameError)
 	b.scratch = append(b.scratch, msg...)
-	b.frame()
+	b.end()
 }
 
 func (b *binaryResponder) done(count int) {
 	b.scratch = append(b.scratch[:0], frameDone)
 	b.scratch = binary.AppendUvarint(b.scratch, uint64(count))
-	b.frame()
+	b.end()
 }
 
 // readBinaryResponse consumes a binary batch response stream, filling

@@ -16,8 +16,8 @@ import (
 // be negative (model transforms) so it travels zigzag. The document is
 // self-delimiting — DecodeBinary returns the remaining bytes — so documents
 // concatenate on one stream exactly like the textual form. Both codecs
-// rebuild through New, so a binary round trip is bit-identical to a textual
-// one.
+// validate with New's checks, so a binary round trip is bit-identical to a
+// textual one.
 
 // BinaryMagic is the first byte of every binary .tree document. It is
 // deliberately non-ASCII so binary and textual documents can never be
@@ -42,8 +42,9 @@ func (t *Tree) AppendBinary(dst []byte) []byte {
 
 // DecodeBinary parses one binary .tree document from the front of data and
 // returns the tree plus the remaining bytes, so concatenated documents
-// decode one at a time. The tree is rebuilt through New, so a decoded tree
-// is validated and bit-identical to the encoded one.
+// decode one at a time. The vectors decode straight into the tree and pass
+// New's validation, so a decoded tree is validated and bit-identical to the
+// encoded one.
 func DecodeBinary(data []byte) (*Tree, []byte, error) {
 	if len(data) < 2 {
 		return nil, nil, fmt.Errorf("tree: binary document truncated (%d bytes)", len(data))
@@ -66,9 +67,11 @@ func DecodeBinary(data []byte) (*Tree, []byte, error) {
 		return nil, nil, fmt.Errorf("tree: binary node count %d does not fit the %d-byte payload", count, len(rest))
 	}
 	p := int(count)
-	parent := make([]int, p)
-	f := make([]int64, p)
-	nn := make([]int64, p)
+	t := &Tree{
+		parent: make([]int32, p),
+		f:      make([]int64, p),
+		n:      make([]int64, p),
+	}
 	for i := 0; i < p; i++ {
 		pv, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -78,22 +81,21 @@ func DecodeBinary(data []byte) (*Tree, []byte, error) {
 		if pv > uint64(p) {
 			return nil, nil, fmt.Errorf("tree: binary node %d has out-of-range parent %d", i, int64(pv)-1)
 		}
-		parent[i] = int(pv) - 1
+		t.parent[i] = int32(pv) - 1
 		fv, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return nil, nil, fmt.Errorf("tree: binary node %d has a malformed f", i)
 		}
 		rest = rest[n:]
-		f[i] = int64(fv)
+		t.f[i] = int64(fv)
 		nv, n := binary.Varint(rest)
 		if n <= 0 {
 			return nil, nil, fmt.Errorf("tree: binary node %d has a malformed n", i)
 		}
 		rest = rest[n:]
-		nn[i] = nv
+		t.n[i] = nv
 	}
-	t, err := New(parent, f, nn)
-	if err != nil {
+	if _, err := link(t, t.parent); err != nil {
 		return nil, nil, err
 	}
 	return t, rest, nil

@@ -40,18 +40,21 @@ func ParseDigest(s string) (Digest, error) {
 // solvers (natural-postorder) would otherwise alias distinct instances.
 func (t *Tree) Digest() Digest {
 	h := sha256.New()
-	var buf [8]byte
 	h.Write([]byte("repro/tree/v1\n"))
-	binary.LittleEndian.PutUint64(buf[:], uint64(t.Len()))
-	h.Write(buf[:])
-	for i := 0; i < t.Len(); i++ {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(t.parent[i])))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(t.f[i]))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(t.n[i]))
-		h.Write(buf[:])
+	// The records go to the hash in large writes through one stack buffer;
+	// the bytes hashed are the same as one write per field.
+	var buf [24 * 64]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(t.Len()))
+	for i := range t.parent {
+		if len(b)+24 > len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(t.parent[i])))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.f[i]))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.n[i]))
 	}
+	h.Write(b)
 	var d Digest
 	h.Sum(d[:0])
 	return d

@@ -59,10 +59,20 @@ func New(parent []int, f, n []int64) (*Tree, error) {
 		parent: make([]int32, p),
 		f:      make([]int64, p),
 		n:      make([]int64, p),
-		root:   NoParent,
 	}
 	copy(t.f, f)
 	copy(t.n, n)
+	return link(t, parent)
+}
+
+// link validates a parent vector for t, whose f and n vectors must already
+// be filled, stores it in t.parent and builds the children adjacency. It
+// is the single validation pass behind New and DecodeBinary: New passes
+// the caller's []int, DecodeBinary decodes straight into t.parent and
+// passes that, so neither copies the vectors twice.
+func link[P int | int32](t *Tree, parent []P) (*Tree, error) {
+	p := len(parent)
+	t.root = NoParent
 	counts := make([]int32, p+1)
 	for i, par := range parent {
 		switch {
@@ -71,9 +81,9 @@ func New(parent []int, f, n []int64) (*Tree, error) {
 				return nil, fmt.Errorf("tree: nodes %d and %d are both roots", t.root, i)
 			}
 			t.root = int32(i)
-		case par < 0 || par >= p:
+		case par < 0 || int(par) >= p:
 			return nil, fmt.Errorf("tree: node %d has out-of-range parent %d", i, par)
-		case par == i:
+		case int(par) == i:
 			return nil, fmt.Errorf("tree: node %d is its own parent", i)
 		default:
 			counts[par+1]++
@@ -83,12 +93,12 @@ func New(parent []int, f, n []int64) (*Tree, error) {
 	if t.root == NoParent {
 		return nil, errors.New("tree: no root (no node with parent -1)")
 	}
-	if f[t.root] < 0 {
-		return nil, fmt.Errorf("tree: root input file size %d is negative", f[t.root])
+	if t.f[t.root] < 0 {
+		return nil, fmt.Errorf("tree: root input file size %d is negative", t.f[t.root])
 	}
-	for i := range f {
-		if f[i] < 0 {
-			return nil, fmt.Errorf("tree: node %d has negative input file size %d", i, f[i])
+	for i, fi := range t.f {
+		if fi < 0 {
+			return nil, fmt.Errorf("tree: node %d has negative input file size %d", i, fi)
 		}
 	}
 	// Build CSR children adjacency.
