@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -111,6 +113,18 @@ func hitBatch(insts []schedule.Instance) ([]schedule.Job, error) {
 	return jobs, nil
 }
 
+// handlerTransport serves a Client's requests with an in-process handler,
+// so batch-binary-refs times the codec and the cache, not sockets.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	resp := rec.Result()
+	resp.Request = r
+	return resp, nil
+}
+
 // record runs fn under testing.Benchmark and converts the result, deriving
 // RowsPerSec from rows processed per op.
 func record(name string, nodes int, rowsPerOp float64, fn func(b *testing.B)) benchRecord {
@@ -141,7 +155,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), digest/tree-1k hashes a 1,000-node tree (rows_per_sec = nodes), both at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), batch-binary-refs/64x4 sends the same batch as a binary Client to a server handler joined in memory that retains its four trees, so the batch carries references and every job hits the server's cache (rows_per_sec = jobs), digest/tree-1k hashes a fresh 1,000-node tree, its first Digest call (rows_per_sec = nodes), all three at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -335,15 +349,56 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 	if _, misses := hitCache.Counters(); misses != warmMisses {
 		return fmt.Errorf("cache-hits/64x4: %d misses in an all-hit batch", misses-warmMisses)
 	}
+	// Binary batches over retained trees: the hit batch through a binary
+	// Client and a server's handler joined in memory, no sockets, with the
+	// server's cache warm and the four trees retained. An op is the
+	// client's encode (four references), the server's decode and cache
+	// keys and hits, and the framed rows back.
+	refCache := schedule.NewCached(schedule.Local{}, nil)
+	refServer := service.NewServerWith(service.ServerOptions{Backend: refCache}).Handler()
+	refClient := service.NewClient("http://in-process", &http.Client{Transport: handlerTransport{refServer}})
+	refClient.Binary = true
+	for i := 0; i < 2; i++ { // ship the trees and fill the cache, then reference them
+		if _, err := refClient.Run(context.Background(), hitJobs, schedule.BatchOptions{}); err != nil {
+			return err
+		}
+	}
+	_, refMisses := refCache.Counters()
+	add(record("batch-binary-refs/64x4", 0, float64(len(hitJobs)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := refClient.Run(context.Background(), hitJobs, schedule.BatchOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	if _, misses := refCache.Counters(); misses != refMisses {
+		return fmt.Errorf("batch-binary-refs/64x4: %d misses in an all-hit batch", misses-refMisses)
+	}
+	metrics := httptest.NewRecorder()
+	refServer.ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if m := metrics.Body.String(); !strings.Contains(m, `scheduled_tree_refs_total{result="unknown"} 0`+"\n") ||
+		strings.Contains(m, `scheduled_tree_refs_total{result="resolved"} 0`+"\n") {
+		return fmt.Errorf("batch-binary-refs/64x4 did not reference the retained trees")
+	}
 	// The tree digest, which keys every cache entry, on a 1,000-node tree.
+	// A tree caches its digest, so each op hashes a fresh decode of the
+	// tree, made outside the timer.
 	digestTree, err := tree.Random(rand.New(rand.NewSource(2011)), tree.RandomOptions{Nodes: 1000, MaxF: 100, MaxN: 40})
 	if err != nil {
 		return err
 	}
+	digestDoc := digestTree.AppendBinary(nil)
 	add(record("digest/tree-1k", digestTree.Len(), float64(digestTree.Len()), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			digestTree.Digest()
+			b.StopTimer()
+			fresh, _, err := tree.DecodeBinary(digestDoc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			fresh.Digest()
 		}
 	}))
 	// Remote throughput over the same warmed cache, JSON vs binary: the

@@ -29,16 +29,13 @@ func CacheKey(j Job) string {
 }
 
 // keyMemo derives the CacheKeys of one call's jobs, hashing each distinct
-// tree and each distinct order once. Trees are memoized by pointer (a
-// *tree.Tree is immutable, and a grid reuses one tree across many jobs).
+// order once. Tree digests need no memo: a *tree.Tree caches its own.
 // Orders are memoized by the address of their first element and their
 // length, the identity encodeBatchBinary dedupes on and decodeBatchBinary
 // preserves, so the jobs a policy grid derives from one traversal share a
 // single hash. Orders are mutable []int, so a keyMemo must not outlive the
-// call that made it; its tree map may, see Shard.warmEntries. The zero
-// value is ready to use.
+// call that made it. The zero value is ready to use.
 type keyMemo struct {
-	trees  map[*tree.Tree]tree.Digest
 	orders map[orderID][sha256.Size]byte
 }
 
@@ -50,14 +47,7 @@ type orderID struct {
 }
 
 func (km *keyMemo) key(j Job) string {
-	td, ok := km.trees[j.Tree]
-	if !ok {
-		td = j.Tree.Digest()
-		if km.trees == nil {
-			km.trees = map[*tree.Tree]tree.Digest{}
-		}
-		km.trees[j.Tree] = td
-	}
+	td := j.Tree.Digest()
 	if j.Order == nil {
 		return cacheKey(j, td, nil)
 	}

@@ -76,9 +76,10 @@ func (s *keyLog) Put(key string, row Row) error {
 	return s.MemStore.Put(key, row)
 }
 
-// Every memoized key path — Cached.Run's lookups and stores,
-// NewWarmEntries and Shard.warmEntries — must give CacheKey(j) for every
-// job, however the batch's order slices alias one another.
+// Every memoized key path — Cached.Run's lookups and stores and
+// NewWarmEntries, which also keys a Shard's sibling warming — must give
+// CacheKey(j) for every job, however the batch's order slices alias one
+// another.
 func TestMemoizedKeysMatchCacheKey(t *testing.T) {
 	jobs, _ := keyedBatch(t)
 	want := make([]string, len(jobs))
@@ -121,26 +122,14 @@ func TestMemoizedKeysMatchCacheKey(t *testing.T) {
 		return out
 	}
 	check("NewWarmEntries", keysOf(NewWarmEntries(jobs, rows)))
-	sh, err := NewShard(rowBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("Shard.warmEntries, no stream", keysOf(sh.warmEntries(jobs, rows)))
-	// Within a stream the tree digests carry over from chunk to chunk.
-	sh.acquireDigests()
-	for pass := 0; pass < 2; pass++ {
-		chunked := keysOf(sh.warmEntries(jobs[:32], rows[:32]))
-		chunked = append(chunked, keysOf(sh.warmEntries(jobs[32:], rows[32:]))...)
-		check("Shard.warmEntries, chunked stream", chunked)
-	}
-	if len(sh.digests) != 2 {
-		t.Fatalf("shard memo holds %d tree digests during a stream, want 2", len(sh.digests))
-	}
-	sh.releaseDigests()
+	// A Shard keys each chunk it warms siblings with on its own.
+	chunked := keysOf(NewWarmEntries(jobs[:32], rows[:32]))
+	chunked = append(chunked, keysOf(NewWarmEntries(jobs[32:], rows[32:]))...)
+	check("NewWarmEntries, chunked", chunked)
 }
 
 // One call hashes each distinct order slice once, however many jobs
-// replay it, and each distinct tree once.
+// replay it.
 func TestKeyMemoHashesEachOrderOnce(t *testing.T) {
 	jobs, distinct := keyedBatch(t)
 	var km keyMemo
@@ -150,8 +139,5 @@ func TestKeyMemoHashesEachOrderOnce(t *testing.T) {
 	// The empty order is memoized too, under the zero head.
 	if got := len(km.orders); got != distinct+1 {
 		t.Fatalf("memo holds %d order digests, want %d slices + the empty order", got, distinct)
-	}
-	if got := len(km.trees); got != 2 {
-		t.Fatalf("memo holds %d tree digests, want 2", got)
 	}
 }

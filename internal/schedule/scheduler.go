@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // ShardPolicy names a chunk-dispatch policy of the Shard backend.
@@ -176,7 +174,7 @@ type RowWarmer interface {
 }
 
 // NewWarmEntries keys a batch's rows by CacheKey for cache warming,
-// hashing each distinct tree and order of the batch once (see keyMemo).
+// hashing each distinct order of the batch once (see keyMemo).
 // jobs and rows must be parallel slices, as returned by a successful
 // Backend.Run. Servers use it to build push-gossip payloads without a
 // shard in the loop.
@@ -627,7 +625,7 @@ func (s *Shard) warmSiblings(ctx context.Context, from int, jobs []Job, rows []R
 	if len(warmers) == 0 {
 		return
 	}
-	entries := s.warmEntries(jobs, rows)
+	entries := NewWarmEntries(jobs, rows)
 	wctx, cancel := context.WithTimeout(ctx, warmTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -644,45 +642,6 @@ func (s *Shard) warmSiblings(ctx context.Context, from int, jobs []Job, rows []R
 		}(w)
 	}
 	wg.Wait()
-}
-
-// warmEntries keys a chunk's rows by CacheKey. Tree digests are memoized
-// across chunks (a grid reuses the same *tree.Tree for many jobs) for the
-// duration of the active streams (see releaseDigests), so a long-lived
-// Shard does not pin every tree it ever warmed; order digests, like any
-// keyMemo's, only within the chunk.
-func (s *Shard) warmEntries(jobs []Job, rows []Row) []WarmEntry {
-	entries := make([]WarmEntry, len(jobs))
-	s.digestMu.Lock()
-	defer s.digestMu.Unlock()
-	km := keyMemo{trees: s.digests}
-	if s.activeStreams == 0 {
-		// A straggler chunk landed after the last stream released the
-		// memo: key it with a private map so the cleared one stays empty.
-		km.trees = nil
-	}
-	for i, j := range jobs {
-		entries[i] = WarmEntry{Key: km.key(j), Row: rows[i]}
-	}
-	return entries
-}
-
-// acquireDigests and releaseDigests scope the digest memo to the active
-// Stream calls: when the last stream finishes, the memo is dropped so the
-// trees it references can be collected.
-func (s *Shard) acquireDigests() {
-	s.digestMu.Lock()
-	s.activeStreams++
-	s.digestMu.Unlock()
-}
-
-func (s *Shard) releaseDigests() {
-	s.digestMu.Lock()
-	s.activeStreams--
-	if s.activeStreams == 0 {
-		s.digests = map[*tree.Tree]tree.Digest{}
-	}
-	s.digestMu.Unlock()
 }
 
 func minDuration(a, b time.Duration) time.Duration {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // Shard fans one job stream out across several child backends — typically
@@ -64,10 +62,6 @@ type Shard struct {
 	sheds        atomic.Int64
 	hedges       atomic.Int64
 	hedgeWins    atomic.Int64
-
-	digestMu      sync.Mutex
-	digests       map[*tree.Tree]tree.Digest
-	activeStreams int
 }
 
 // NewShard builds a shard over the child backends with default options:
@@ -88,7 +82,7 @@ func NewShardWith(opt ShardOptions, children ...Backend) (*Shard, error) {
 	default:
 		return nil, fmt.Errorf("schedule: unknown shard policy %q", opt.Policy)
 	}
-	s := &Shard{opt: opt.withDefaults(), digests: map[*tree.Tree]tree.Digest{}}
+	s := &Shard{opt: opt.withDefaults()}
 	for i, c := range children {
 		if c == nil {
 			return nil, fmt.Errorf("schedule: shard child %d is nil", i)
@@ -215,8 +209,6 @@ func (s *Shard) Stream(ctx context.Context, src JobSource, sink RowSink, opt Str
 		opt.ChunkSize = s.opt.ChunkSize
 	}
 	chunkSize, inFlight := opt.chunking(2 * len(s.children))
-	s.acquireDigests()
-	defer s.releaseDigests()
 	return streamChunks(ctx, src, sink, chunkSize, inFlight, func(ctx context.Context, start int, jobs []Job) ([]Row, error) {
 		return s.runChunk(ctx, start, jobs, opt.Workers)
 	})

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bufio"
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"mime"
 	"strings"
+	"sync"
 
 	"repro/internal/schedule"
 	"repro/internal/tree"
@@ -25,7 +27,10 @@ import (
 // Request ('B', version 1):
 //
 //	uvarint workers
-//	uvarint tree count, then each tree in tree.AppendBinary form
+//	uvarint tree count, then each tree entry: either a tree inline in
+//	    tree.AppendBinary form (it opens with tree.BinaryMagic, 0xA9) or a
+//	    reference, the byte treeRefMarker (0x00) then the tree's 32-byte
+//	    tree.Digest
 //	uvarint order count, then each order as uvarint length + varint nodes
 //	uvarint job count, then per job: uvarint tree index,
 //	    uvarint order index + 1 (0 = no order), instance and algorithm as
@@ -34,6 +39,25 @@ import (
 // Orders are deduplicated by slice identity, so the thousands of jobs a
 // minimum-IO grid derives from one traversal share a single order table
 // entry — and the decoded jobs share a single []int, like the originals.
+// Orders always travel inline.
+//
+// A reference names a tree the server already holds, so a tree crosses
+// the wire, is decoded and is hashed once per server, not once per batch.
+// Every server retains the inline trees it decodes, per tenant and by
+// digest, in a cache bounded by retainNodes tree nodes with least-recently-
+// used eviction. A reference resolves against that cache first, then
+// against the tenant's /v1/trees corpus; one that resolves nowhere is
+// answered 409 before the response stream commits, with a JSON body
+// (unknownTreesBody) listing the missing digests. Every response to a
+// binary request carries TreeRefsHeader, and a client references trees
+// only on a server that sent it, so servers predating references keep
+// receiving inline trees. A client references only the trees it shipped
+// inline in a batch that completed (it read the done frame), remembered
+// under the same node bound; on a 409 it forgets the listed digests and
+// resends the batch once with every tree inline, outside its Retries
+// budget. A server restart or an eviction thus costs one resend, never a
+// failed batch. Client.ByDigest instead sends every tree as a reference to
+// the tenant's corpus, and a 409 fails that batch.
 //
 // Response ('b', version 1): a stream of uvarint-length-prefixed frames,
 // each opening with a type byte —
@@ -74,9 +98,24 @@ const (
 // maxResponseFrame bounds one response frame; a longer prefix is corruption.
 const maxResponseFrame = 1 << 20
 
+// treeRefMarker opens a reference entry in a binary batch's tree table. An
+// inline entry opens with tree.BinaryMagic instead.
+const treeRefMarker = 0x00
+
+// TreeRefsHeader is set on every response to a binary batch request by a
+// server that resolves tree references. A Client references trees only on
+// a server whose last binary response carried it.
+const TreeRefsHeader = "X-Schedule-Tree-Refs"
+
+// retainNodes bounds, in tree nodes, both the trees a server retains and
+// the digests a client remembers shipping to one server.
+const retainNodes = 1 << 20
+
 // encodeBatchBinary serializes a batch in the binary request form: each
-// distinct tree once, each distinct order slice once.
-func encodeBatchBinary(jobs []schedule.Job, workers int) ([]byte, error) {
+// distinct tree once, each distinct order slice once. A tree for which ref
+// reports true travels as a reference entry, every other tree inline; a
+// nil ref inlines every tree. It returns the body and the inlined trees.
+func encodeBatchBinary(jobs []schedule.Job, workers int, ref func(*tree.Tree) bool) ([]byte, []*tree.Tree, error) {
 	if workers < 0 {
 		workers = 0
 	}
@@ -93,7 +132,7 @@ func encodeBatchBinary(jobs []schedule.Job, workers int) ([]byte, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		if j.Tree == nil {
-			return nil, fmt.Errorf("service: job %d has a nil tree", i)
+			return nil, nil, fmt.Errorf("service: job %d has a nil tree", i)
 		}
 		if _, ok := treeIdx[j.Tree]; !ok {
 			treeIdx[j.Tree] = len(trees)
@@ -108,8 +147,15 @@ func encodeBatchBinary(jobs []schedule.Job, workers int) ([]byte, error) {
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(trees)))
+	var inline []*tree.Tree
 	for _, t := range trees {
+		if ref != nil && ref(t) {
+			d := t.Digest()
+			buf = append(append(buf, treeRefMarker), d[:]...)
+			continue
+		}
 		buf = t.AppendBinary(buf)
+		inline = append(inline, t)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(orders)))
 	for _, o := range orders {
@@ -134,12 +180,53 @@ func encodeBatchBinary(jobs []schedule.Job, workers int) ([]byte, error) {
 		buf = binary.AppendVarint(buf, j.Memory)
 		buf = binary.AppendVarint(buf, int64(j.Window))
 	}
-	return buf, nil
+	return buf, inline, nil
+}
+
+// treeResolver serves the tree table of a binary batch: resolve looks up a
+// reference entry's digest, and adopt receives each decoded inline tree
+// and returns the tree the batch's jobs share, an equal one already held
+// or the tree itself.
+type treeResolver interface {
+	resolve(d tree.Digest) (*tree.Tree, bool)
+	adopt(t *tree.Tree) *tree.Tree
+}
+
+// unknownTreesError reports the reference entries of a binary batch that
+// resolved nowhere, each digest once.
+type unknownTreesError struct {
+	digests []tree.Digest
+	seen    map[tree.Digest]bool
+}
+
+func (e *unknownTreesError) add(d tree.Digest) {
+	if e.seen == nil {
+		e.seen = map[tree.Digest]bool{}
+	}
+	if !e.seen[d] {
+		e.seen[d] = true
+		e.digests = append(e.digests, d)
+	}
+}
+
+func (e *unknownTreesError) Error() string {
+	return fmt.Sprintf("service: binary batch references %d trees the server does not hold (first %s)", len(e.digests), e.digests[0])
+}
+
+// unknownTreesBody is the JSON body of the 409 answer to a binary batch
+// with unknown references.
+type unknownTreesBody struct {
+	Error   string   `json:"error"`
+	Missing []string `json:"missing"`
 }
 
 // decodeBatchBinary parses a binary batch request body into jobs sharing
 // one *tree.Tree per table entry and one []int per order table entry.
-func decodeBatchBinary(data []byte) (jobs []schedule.Job, workers int, err error) {
+// Reference entries resolve through trees and inline trees are adopted by
+// it; a nil trees resolves no reference. When references resolve nowhere,
+// the error is an *unknownTreesError listing them, and the rest of the
+// body is not read.
+func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, workers int, err error) {
 	if len(data) < 3 {
 		return nil, 0, fmt.Errorf("service: binary batch request too short")
 	}
@@ -198,14 +285,40 @@ func decodeBatchBinary(data []byte) (jobs []schedule.Job, workers int, err error
 	if treeCount > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("service: binary batch claims %d trees in %d bytes", treeCount, len(data))
 	}
-	trees := make([]*tree.Tree, treeCount)
-	for i := range trees {
+	table := make([]*tree.Tree, treeCount)
+	var unknown *unknownTreesError
+	for i := range table {
+		if len(data) > 0 && data[0] == treeRefMarker {
+			var d tree.Digest
+			if len(data) < 1+len(d) {
+				return nil, 0, fmt.Errorf("service: binary batch tree %d has a truncated reference", i)
+			}
+			copy(d[:], data[1:])
+			data = data[1+len(d):]
+			var ok bool
+			if trees != nil {
+				table[i], ok = trees.resolve(d)
+			}
+			if !ok {
+				if unknown == nil {
+					unknown = &unknownTreesError{}
+				}
+				unknown.add(d)
+			}
+			continue
+		}
 		var t *tree.Tree
 		t, data, err = tree.DecodeBinary(data)
 		if err != nil {
 			return nil, 0, fmt.Errorf("service: binary batch tree %d: %w", i, err)
 		}
-		trees[i] = t
+		if trees != nil {
+			t = trees.adopt(t)
+		}
+		table[i] = t
+	}
+	if unknown != nil {
+		return nil, 0, unknown
 	}
 	orderCount := uv("order count")
 	if err != nil {
@@ -250,8 +363,8 @@ func decodeBatchBinary(data []byte) (jobs []schedule.Job, workers int, err error
 		if err != nil {
 			return nil, 0, err
 		}
-		if ti >= uint64(len(trees)) {
-			return nil, 0, fmt.Errorf("service: job %d references tree %d of %d", i, ti, len(trees))
+		if ti >= uint64(len(table)) {
+			return nil, 0, fmt.Errorf("service: job %d references tree %d of %d", i, ti, len(table))
 		}
 		var order []int
 		if oi > 0 {
@@ -262,7 +375,7 @@ func decodeBatchBinary(data []byte) (jobs []schedule.Job, workers int, err error
 		}
 		jobs[i] = schedule.Job{
 			Instance:  inst,
-			Tree:      trees[ti],
+			Tree:      table[ti],
 			Algorithm: alg,
 			Order:     order,
 			Memory:    mem,
@@ -455,4 +568,88 @@ func readBinaryResponse(body io.Reader, jobs []schedule.Job, opt schedule.BatchO
 			return fmt.Errorf("service: unrecognized binary response frame type %d", buf[0])
 		}
 	}
+}
+
+// nodeLRU is a least-recently-used map bounded by the total node count of
+// its entries rather than by their number: a server's retained trees and a
+// client's record of the trees it shipped. It is safe for concurrent use,
+// and the zero value is ready, bounded by retainNodes.
+type nodeLRU[K comparable, V any] struct {
+	mu     sync.Mutex
+	budget int // ≤ 0: retainNodes
+	nodes  int
+	m      map[K]*list.Element
+	lru    list.List // of *lruEntry, front = most recently used
+}
+
+type lruEntry[K comparable, V any] struct {
+	key   K
+	val   V
+	nodes int
+}
+
+// get returns the value under k and marks it used.
+func (c *nodeLRU[K, V]) get(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.lru.MoveToFront(e)
+	return e.Value.(*lruEntry[K, V]).val, true
+}
+
+// add stores v under k, an entry of the given node count, evicting the
+// least recently used entries past the budget, and returns the value now
+// under k: the one already there, if any, or v. An entry larger than the
+// whole budget is not stored.
+func (c *nodeLRU[K, V]) add(k K, v V, nodes int) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.m[k]; ok {
+		c.lru.MoveToFront(e)
+		return e.Value.(*lruEntry[K, V]).val
+	}
+	budget := c.budget
+	if budget <= 0 {
+		budget = retainNodes
+	}
+	if nodes > budget {
+		return v
+	}
+	if c.m == nil {
+		c.m = map[K]*list.Element{}
+	}
+	c.m[k] = c.lru.PushFront(&lruEntry[K, V]{key: k, val: v, nodes: nodes})
+	c.nodes += nodes
+	for c.nodes > budget {
+		c.drop(c.lru.Back())
+	}
+	return v
+}
+
+// remove drops the entries under keys, where present.
+func (c *nodeLRU[K, V]) remove(keys ...K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if e, ok := c.m[k]; ok {
+			c.drop(e)
+		}
+	}
+}
+
+func (c *nodeLRU[K, V]) drop(e *list.Element) {
+	ent := c.lru.Remove(e).(*lruEntry[K, V])
+	delete(c.m, ent.key)
+	c.nodes -= ent.nodes
+}
+
+// size returns the number of entries and their total node count.
+func (c *nodeLRU[K, V]) size() (entries, nodes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m), c.nodes
 }

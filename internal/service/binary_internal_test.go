@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -46,11 +47,11 @@ func binaryFixtureJobs(t testing.TB) []schedule.Job {
 // after decoding too.
 func TestBatchBinaryRoundTrip(t *testing.T) {
 	jobs := binaryFixtureJobs(t)
-	data, err := encodeBatchBinary(jobs, 3)
+	data, _, err := encodeBatchBinary(jobs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, workers, err := decodeBatchBinary(data)
+	decoded, workers, err := decodeBatchBinary(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestBatchBinaryRoundTrip(t *testing.T) {
 	}
 	// Deterministic encoding: re-encoding the decoded jobs reproduces the
 	// bytes (tree and order tables rebuild in first-reference order).
-	again, err := encodeBatchBinary(decoded, 3)
+	again, _, err := encodeBatchBinary(decoded, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestBatchBinaryRoundTrip(t *testing.T) {
 // silent partial batch.
 func TestBatchBinaryRejectsCorruption(t *testing.T) {
 	jobs := binaryFixtureJobs(t)
-	data, err := encodeBatchBinary(jobs, 0)
+	data, _, err := encodeBatchBinary(jobs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,22 +120,51 @@ func TestBatchBinaryRejectsCorruption(t *testing.T) {
 		cases["truncated@"+string(rune('0'+i%10))] = data[:i]
 	}
 	for name, c := range cases {
-		if _, _, err := decodeBatchBinary(c); err == nil {
+		if _, _, err := decodeBatchBinary(c, nil); err == nil {
 			t.Errorf("%s: corrupt request decoded without error", name)
 		}
 	}
 }
 
+// fixedTrees resolves the digests of a fixed tree set and retains nothing.
+type fixedTrees map[tree.Digest]*tree.Tree
+
+func (f fixedTrees) resolve(d tree.Digest) (*tree.Tree, bool) {
+	t, ok := f[d]
+	return t, ok
+}
+
+func (f fixedTrees) adopt(t *tree.Tree) *tree.Tree { return t }
+
+// refAll references every tree of a batch.
+func refAll(*tree.Tree) bool { return true }
+
 // The binary request decoder reads bodies straight off the network: it
-// must never panic, and any body it accepts must survive re-encoding — the
-// same workers count and the same jobs come back out.
+// must never panic, any body it accepts must survive re-encoding — the
+// same workers count and the same jobs come back out — and a reference
+// that resolves nowhere must come back as an *unknownTreesError naming
+// exactly the unresolved trees.
 func FuzzBatchBinaryDecode(f *testing.F) {
 	jobs := binaryFixtureJobs(f)
+	known := fixedTrees{}
+	for _, j := range jobs {
+		known[j.Tree.Digest()] = j.Tree
+	}
+	stranger, err := tree.Random(rand.New(rand.NewSource(12)), tree.RandomOptions{Nodes: 10, MaxF: 4, MaxN: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	unknownJobs := append([]schedule.Job{{Instance: "s", Tree: stranger, Algorithm: "postorder"}}, jobs...)
+	refFirst := func(t *tree.Tree) bool { return t == jobs[0].Tree }
 	for _, seed := range []struct {
 		jobs    []schedule.Job
 		workers int
-	}{{jobs, 0}, {jobs, 3}, {jobs[1:2], 1}, {nil, 0}} {
-		data, err := encodeBatchBinary(seed.jobs, seed.workers)
+		ref     func(*tree.Tree) bool
+	}{
+		{jobs, 0, nil}, {jobs, 3, nil}, {jobs[1:2], 1, nil}, {nil, 0, nil},
+		{jobs, 2, refAll}, {jobs, 0, refFirst}, {unknownJobs, 1, refAll}, {unknownJobs, 0, refFirst},
+	} {
+		data, _, err := encodeBatchBinary(seed.jobs, seed.workers, seed.ref)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -142,21 +172,33 @@ func FuzzBatchBinaryDecode(f *testing.F) {
 	}
 	// A workers count past math.MaxInt once decoded to a negative int that
 	// re-encoded as 0.
-	empty, err := encodeBatchBinary(nil, 0)
+	empty, _, err := encodeBatchBinary(nil, 0, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append(binary.AppendUvarint(append([]byte{}, empty[:3]...), 1<<63), empty[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		jobs, workers, err := decodeBatchBinary(data)
+		jobs, workers, err := decodeBatchBinary(data, known)
+		var unknown *unknownTreesError
+		if errors.As(err, &unknown) {
+			if len(unknown.digests) == 0 {
+				t.Fatal("unknown-trees error lists no digest")
+			}
+			for _, d := range unknown.digests {
+				if _, ok := known[d]; ok {
+					t.Fatalf("resolvable digest %s reported unknown", d)
+				}
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
-		again, err := encodeBatchBinary(jobs, workers)
+		again, _, err := encodeBatchBinary(jobs, workers, nil)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
-		back, backWorkers, err := decodeBatchBinary(again)
+		back, backWorkers, err := decodeBatchBinary(again, nil)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -178,6 +220,26 @@ func FuzzBatchBinaryDecode(f *testing.F) {
 			if !bytes.Equal(a.Tree.AppendBinary(nil), b.Tree.AppendBinary(nil)) {
 				t.Fatalf("job %d tree changed", i)
 			}
+		}
+		// Referencing every tree resolves exactly the known ones.
+		refs, _, err := encodeBatchBinary(jobs, workers, refAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[tree.Digest]bool{}
+		for _, j := range jobs {
+			if _, ok := known[j.Tree.Digest()]; !ok {
+				want[j.Tree.Digest()] = true
+			}
+		}
+		_, _, err = decodeBatchBinary(refs, known)
+		switch {
+		case len(want) == 0 && err != nil:
+			t.Fatalf("references to known trees do not decode: %v", err)
+		case len(want) > 0 && !errors.As(err, &unknown):
+			t.Fatalf("references to %d unknown trees: err %v, want an unknown-trees error", len(want), err)
+		case len(want) > 0 && len(unknown.digests) != len(want):
+			t.Fatalf("unknown-trees error lists %d digests, want %d", len(unknown.digests), len(want))
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/schedule"
@@ -47,7 +48,9 @@ type Client struct {
 	// protocol rejects the request with a deterministic 400 (never retried),
 	// so during a rolling upgrade clients stay on JSON until every server
 	// understands both; servers negotiate per request and a shard may mix
-	// JSON and binary children freely.
+	// JSON and binary children freely. Once a server has answered a binary
+	// batch with TreeRefsHeader, later batches reference the trees this
+	// client already shipped to it instead of inlining them again.
 	Binary bool
 	// Tenant names the tenant every request runs as (the X-Tenant header);
 	// empty selects the server's "default" tenant. Quotas, rejection
@@ -55,16 +58,23 @@ type Client struct {
 	Tenant string
 	// ByDigest makes Run reference each job's tree by digest instead of
 	// inlining its .tree text: the trees must have been uploaded to the
-	// tenant's corpus first (UploadTrees), and the batch then carries 64
-	// bytes per distinct tree instead of the full text. Incompatible with
-	// Binary, whose wire form always inlines trees — Run rejects the
-	// combination.
+	// tenant's corpus first (UploadTrees), and the batch then carries one
+	// digest per distinct tree instead of the full text (64 hex characters
+	// in JSON, 32 bytes in binary). A tree the server cannot resolve fails
+	// the batch: 400 on the JSON transport, 409 on the binary one.
 	ByDigest bool
 	// OnThrottle, when set, is called once per 429 (over-quota) response
 	// with the server's Retry-After delay, before any retry sleep — load
 	// harnesses count rejections with it, and operators can log or meter
 	// backpressure. Called from Run's goroutine; keep it fast.
 	OnThrottle func(retryAfter time.Duration)
+
+	// refs records whether the server's last binary batch response
+	// carried TreeRefsHeader.
+	refs atomic.Bool
+	// shipped holds the digests of the trees this client shipped inline in
+	// binary batches that completed: the trees it may reference.
+	shipped nodeLRU[tree.Digest, struct{}]
 }
 
 // StatusError is a non-200 response from the server: the probed path, the
@@ -258,14 +268,19 @@ func (e transientError) Unwrap() error { return e.err }
 // in job order. Rows are exactly what the server computed — the remote grid
 // is bit-identical to a local run up to the Seconds column. Transient
 // submission failures are retried per the Retries/RetryBackoff fields.
+//
+// A binary batch references the trees the server already holds (see
+// Binary). When the server answers 409 because it no longer holds some of
+// them, Run forgets those and resends the batch once with every tree
+// inline; the resend does not count against Retries.
 func (c *Client) Run(ctx context.Context, jobs []schedule.Job, opt schedule.BatchOptions) ([]schedule.Row, error) {
-	var body []byte
+	var (
+		body   []byte
+		inline []*tree.Tree
+	)
 	if c.Binary {
-		if c.ByDigest {
-			return nil, fmt.Errorf("service: ByDigest needs the JSON transport (the binary batch form inlines trees)")
-		}
 		var err error
-		if body, err = encodeBatchBinary(jobs, opt.Workers); err != nil {
+		if body, inline, err = encodeBatchBinary(jobs, opt.Workers, c.refPolicy()); err != nil {
 			return nil, err
 		}
 	} else {
@@ -286,9 +301,24 @@ func (c *Client) Run(ctx context.Context, jobs []schedule.Job, opt schedule.Batc
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
+	resent := false
 	for attempt := 0; ; attempt++ {
 		err := c.runAttempt(ctx, body, jobs, opt, rows, got)
+		var missing *missingTreesError
+		if errors.As(err, &missing) && !c.ByDigest && !resent {
+			c.shipped.remove(missing.digests...)
+			if body, inline, err = encodeBatchBinary(jobs, opt.Workers, nil); err != nil {
+				return nil, err
+			}
+			resent = true
+			err = c.runAttempt(ctx, body, jobs, opt, rows, got)
+		}
 		if err == nil {
+			if c.refs.Load() {
+				for _, t := range inline {
+					c.shipped.add(t.Digest(), struct{}{}, t.Len())
+				}
+			}
 			return rows, nil
 		}
 		_, transient := err.(transientError)
@@ -340,6 +370,12 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 		return transientError{err}
 	}
 	defer resp.Body.Close()
+	if c.Binary {
+		c.refs.Store(resp.Header.Get(TreeRefsHeader) != "")
+	}
+	if resp.StatusCode == http.StatusConflict && c.Binary {
+		return unknownTreesResponse(resp)
+	}
 	if resp.StatusCode != http.StatusOK {
 		err := httpError(resp)
 		if resp.StatusCode == http.StatusTooManyRequests {
@@ -406,6 +442,49 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 		return transientError{fmt.Errorf("service: read response: %w", err)}
 	}
 	return transientError{fmt.Errorf("service: response stream truncated (no done line)")}
+}
+
+// refPolicy picks the trees a binary batch references: every tree with
+// ByDigest, the trees this client shipped to a server that resolves
+// references, or none (a nil policy).
+func (c *Client) refPolicy() func(*tree.Tree) bool {
+	switch {
+	case c.ByDigest:
+		return func(*tree.Tree) bool { return true }
+	case c.refs.Load():
+		return func(t *tree.Tree) bool {
+			_, ok := c.shipped.get(t.Digest())
+			return ok
+		}
+	}
+	return nil
+}
+
+// missingTreesError is a 409 answer to a binary batch: the server holds
+// none of the listed trees. It unwraps to the response's *StatusError.
+type missingTreesError struct {
+	*StatusError
+	digests []tree.Digest
+}
+
+func (e *missingTreesError) Unwrap() error { return e.StatusError }
+
+// unknownTreesResponse reads a 409 answer to a binary batch. A body that
+// does not list the missing digests is returned as a plain *StatusError.
+func unknownTreesResponse(resp *http.Response) error {
+	var body unknownTreesBody
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(&body); err != nil || len(body.Missing) == 0 {
+		return &StatusError{Path: resp.Request.URL.Path, Code: resp.StatusCode, Msg: resp.Status}
+	}
+	e := &missingTreesError{StatusError: &StatusError{Path: resp.Request.URL.Path, Code: resp.StatusCode, Msg: body.Error}}
+	for _, s := range body.Missing {
+		d, err := tree.ParseDigest(s)
+		if err != nil {
+			return e.StatusError
+		}
+		e.digests = append(e.digests, d)
+	}
+	return e
 }
 
 // Stream implements schedule.Backend: the job stream is cut into chunks,

@@ -13,6 +13,8 @@ import (
 //	scheduled_batches_total{outcome="ok"|"failed"|"rejected"}
 //	scheduled_rows_streamed_total
 //	scheduled_trees_uploaded_total{outcome="added"|"deduped"}
+//	scheduled_retained_trees, scheduled_retained_tree_nodes
+//	scheduled_tree_refs_total{result="resolved"|"unknown"}
 //	scheduled_cache_hits_total, scheduled_cache_misses_total
 //	scheduled_store_rows, scheduled_store_evictions_total
 //	scheduled_tenant_accepted_jobs_total{tenant}
@@ -98,6 +100,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.family("scheduled_trees_uploaded_total", "counter", "Corpus uploads by outcome (added, deduped).")
 	p.sample("scheduled_trees_uploaded_total", float64(s.treesAdded.Load()), "outcome", "added")
 	p.sample("scheduled_trees_uploaded_total", float64(s.treesDeduped.Load()), "outcome", "deduped")
+	trees, nodes := s.retained.size()
+	p.family("scheduled_retained_trees", "gauge", "Trees retained from inline binary batch entries, across tenants.")
+	p.sample("scheduled_retained_trees", float64(trees))
+	p.family("scheduled_retained_tree_nodes", "gauge", "Nodes of the retained trees, bounded by the server's node budget.")
+	p.sample("scheduled_retained_tree_nodes", float64(nodes))
+	p.family("scheduled_tree_refs_total", "counter", "Binary batch tree references by result (resolved, unknown).")
+	p.sample("scheduled_tree_refs_total", float64(s.refsResolved.Load()), "result", "resolved")
+	p.sample("scheduled_tree_refs_total", float64(s.refsUnknown.Load()), "result", "unknown")
 
 	if s.cache != nil {
 		hits, misses := s.cache.Counters()

@@ -40,8 +40,12 @@
 // tree.Digest, and a JSON batch job may then reference a corpus tree by
 // its 64-hex digest in the "tree" field instead of an id into the
 // request's inline map (the inline map wins when an id is present in
-// both). The binary batch transport always inlines trees, so digest
-// references are a JSON-transport feature.
+// both). A binary batch references a tree by its 32-byte digest, resolved
+// against the trees the server retained from earlier binary batches of
+// the same tenant and then against the corpus (see binary.go). Retained
+// trees are a cache bounded per server, never a second corpus: eviction
+// costs the owner one inline resend, and a tenant never resolves another
+// tenant's digest.
 //
 // Before a batch commits its response stream the server runs admission
 // control: first the backend's verdict (schedule.Admitter — a shard sheds
@@ -192,6 +196,9 @@ type Server struct {
 	// each spinning up their own worker pool. The wait is context-aware,
 	// so a client that disconnects while queued releases its slot.
 	evalSem chan struct{}
+	// retained holds the trees decoded from inline binary batch entries,
+	// keyed by tenant and digest, so later batches reference them.
+	retained nodeLRU[retainKey, *tree.Tree]
 
 	batchesOK       atomic.Int64
 	batchesFailed   atomic.Int64
@@ -199,6 +206,40 @@ type Server struct {
 	rowsStreamed    atomic.Int64
 	treesAdded      atomic.Int64
 	treesDeduped    atomic.Int64
+	refsResolved    atomic.Int64
+	refsUnknown     atomic.Int64
+}
+
+// retainKey names a retained tree: a tenant never resolves another
+// tenant's digest.
+type retainKey struct {
+	tenant string
+	digest tree.Digest
+}
+
+// batchTrees is the treeResolver of one binary batch: references resolve
+// against the server's retained trees for the tenant, then the tenant's
+// corpus; inline trees are retained.
+type batchTrees struct {
+	s   *Server
+	ten *tenant.Tenant
+}
+
+func (b batchTrees) resolve(d tree.Digest) (*tree.Tree, bool) {
+	t, ok := b.s.retained.get(retainKey{b.ten.Name(), d})
+	if !ok {
+		t, ok = b.ten.LookupTree(d)
+	}
+	if ok {
+		b.s.refsResolved.Add(1)
+	} else {
+		b.s.refsUnknown.Add(1)
+	}
+	return t, ok
+}
+
+func (b batchTrees) adopt(t *tree.Tree) *tree.Tree {
+	return b.s.retained.add(retainKey{b.ten.Name(), t.Digest()}, t, t.Len())
 }
 
 // ServerOptions configures NewServerWith.
@@ -419,17 +460,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
+	ten := s.tenantFor(r)
 	var (
 		jobs       []schedule.Job
 		reqWorkers int
 	)
 	if isBinaryBatch(r.Header.Get("Content-Type")) {
+		w.Header().Set(TreeRefsHeader, "1")
 		data, err := io.ReadAll(body)
 		if err != nil {
 			http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		jobs, reqWorkers, err = decodeBatchBinary(data)
+		jobs, reqWorkers, err = decodeBatchBinary(data, batchTrees{s, ten})
+		var unknown *unknownTreesError
+		if errors.As(err, &unknown) {
+			writeUnknownTrees(w, unknown, ten)
+			return
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -441,7 +489,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		if jobs, err = decodeJobs(req, s.tenantFor(r)); err != nil {
+		if jobs, err = decodeJobs(req, ten); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -461,7 +509,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// costs a status line, not an evaluation. The backend's verdict runs
 	// first — when the whole fleet is backed up, the batch is shed without
 	// charging the tenant's token bucket for work that cannot run.
-	ten := s.tenantFor(r)
 	if a, ok := s.backend.(schedule.Admitter); ok {
 		if err := a.Admit(len(jobs)); err != nil {
 			var oe *schedule.OverloadError
@@ -575,6 +622,19 @@ func decodeJobs(req BatchRequest, ten *tenant.Tenant) ([]schedule.Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// writeUnknownTrees answers a binary batch whose references resolve
+// nowhere: 409 with the missing digests, before any stream commits.
+func writeUnknownTrees(w http.ResponseWriter, e *unknownTreesError, ten *tenant.Tenant) {
+	body := unknownTreesBody{
+		Error:   fmt.Sprintf("%v for tenant %q: resend them inline, or upload them to the corpus via /v1/trees", e, ten.Name()),
+		Missing: make([]string, len(e.digests)),
+	}
+	for i, d := range e.digests {
+		body.Missing[i] = d.String()
+	}
+	writeJSON(w, http.StatusConflict, body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

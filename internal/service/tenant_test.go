@@ -148,14 +148,44 @@ func TestTreeUploadDedupAndByDigestBatch(t *testing.T) {
 	}
 }
 
-// ByDigest rides the JSON transport's id namespace; the binary wire form
-// always inlines trees, so the combination is a client-side error.
-func TestByDigestRequiresJSONTransport(t *testing.T) {
-	client, _ := startServerWith(t, service.ServerOptions{})
+// ByDigest on the binary transport sends every tree as a 32-byte
+// reference that resolves against the tenant's corpus: the rows match a
+// local run, and another tenant's batch over the same digests fails with
+// the server's 409 message, with no inline fallback.
+func TestByDigestBinaryResolvesCorpus(t *testing.T) {
+	jobs := testJobs(t)
+	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, base := startServerWith(t, service.ServerOptions{})
+	client.Tenant = "acme"
+	var trees []*tree.Tree
+	for _, inst := range testInstances(t) {
+		trees = append(trees, inst.Tree)
+	}
+	if _, err := client.UploadTrees(context.Background(), trees); err != nil {
+		t.Fatal(err)
+	}
 	client.Binary = true
 	client.ByDigest = true
-	if _, err := client.Run(context.Background(), testJobs(t)[:1], schedule.BatchOptions{}); err == nil {
-		t.Fatal("Binary+ByDigest batch must be rejected client-side")
+	got, err := client.Run(context.Background(), jobs, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRowsModuloSeconds(t, got, want, "binary by-digest batch")
+
+	stranger := service.NewClient(base, nil)
+	stranger.Tenant = "stranger"
+	stranger.Binary = true
+	stranger.ByDigest = true
+	_, err = stranger.Run(context.Background(), jobs, schedule.BatchOptions{})
+	var se *service.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("foreign tenant's binary digest batch: err %v, want a 409", err)
+	}
+	if !strings.Contains(se.Msg, "corpus") || !strings.Contains(se.Msg, `"stranger"`) {
+		t.Fatalf("409 should name the tenant and point at /v1/trees: %q", se.Msg)
 	}
 }
 
@@ -338,6 +368,42 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if hits := metricValue(t, body, "scheduled_cache_hits_total"); hits != 0 {
 		t.Fatalf("cold cache reported %g hits", hits)
+	}
+	if v := metricValue(t, body, "scheduled_retained_trees"); v != 0 {
+		t.Fatalf("JSON batches retained %g trees", v)
+	}
+
+	// Retained trees and references, on a server of their own: a binary
+	// client ships the trees, references them twice, and another tenant's
+	// by-digest batch references them in vain.
+	bin, binBase := startServerWith(t, service.ServerOptions{})
+	bin.Binary = true
+	for i := 0; i < 3; i++ {
+		if _, err := bin.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stranger := service.NewClient(binBase, nil)
+	stranger.Tenant = "stranger"
+	stranger.Binary = true
+	stranger.ByDigest = true
+	if _, err := stranger.Run(context.Background(), jobs, schedule.BatchOptions{}); err == nil {
+		t.Fatal("another tenant resolved the retained trees")
+	}
+	nodes := 0
+	for _, tr := range trees {
+		nodes += tr.Len()
+	}
+	_, body = httpGet(t, binBase+"/metrics", "")
+	for prefix, want := range map[string]float64{
+		`scheduled_retained_trees`:                     float64(len(trees)),
+		`scheduled_retained_tree_nodes`:                float64(nodes),
+		`scheduled_tree_refs_total{result="resolved"}`: float64(2 * len(trees)),
+		`scheduled_tree_refs_total{result="unknown"}`:  float64(len(trees)),
+	} {
+		if got := metricValue(t, body, prefix); got != want {
+			t.Fatalf("%s = %g, want %g", prefix, got, want)
+		}
 	}
 }
 

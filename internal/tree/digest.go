@@ -38,7 +38,21 @@ func ParseDigest(s string) (Digest, error) {
 // everywhere. Node indices are part of the identity: traversal orders
 // exchanged alongside a tree reference nodes by index, and index-sensitive
 // solvers (natural-postorder) would otherwise alias distinct instances.
+//
+// A tree is immutable, so the first call hashes it and caches the result;
+// later calls return the cached digest without hashing or allocating.
+// Concurrent first calls may each hash, and they agree.
 func (t *Tree) Digest() Digest {
+	if d := t.digest.Load(); d != nil {
+		return *d
+	}
+	d := t.hash()
+	t.digest.Store(&d)
+	return d
+}
+
+// hash computes Digest's content hash.
+func (t *Tree) hash() Digest {
 	h := sha256.New()
 	h.Write([]byte("repro/tree/v1\n"))
 	// The records go to the hash in large writes through one stack buffer;

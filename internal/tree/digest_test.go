@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -63,6 +65,38 @@ func TestDigest(t *testing.T) {
 	relabeled := digestTree(t, []int{-1, 0, 0, 2}, []int64{1, 3, 2, 4}, []int64{5, 7, 6, 8})
 	if relabeled.Digest() == d {
 		t.Fatal("relabeled siblings share the digest")
+	}
+}
+
+// Digest hashes once: a second call returns the cached digest without
+// allocating, and concurrent first calls (run under -race in CI) agree
+// with each other and with the hash itself.
+func TestDigestIsCached(t *testing.T) {
+	tr, err := Random(rand.New(rand.NewSource(7)), RandomOptions{Nodes: 500, MaxF: 50, MaxN: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tr.hash()
+	var wg sync.WaitGroup
+	got := make([]Digest, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tr.Digest()
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != want {
+			t.Fatalf("concurrent first call %d returned %s, want %s", i, d, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.Digest() }); allocs != 0 {
+		t.Fatalf("a cached Digest call allocates %v times", allocs)
+	}
+	if tr.Digest() != want {
+		t.Fatal("cached digest differs from the hash")
 	}
 }
 

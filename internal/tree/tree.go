@@ -27,6 +27,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // NoParent marks the root's parent slot.
@@ -41,6 +42,7 @@ type Tree struct {
 	f         []int64 // input (communication) file sizes
 	n         []int64 // execution file sizes; may be negative for model transforms
 	root      int32
+	digest    atomic.Pointer[Digest] // set by the first Digest call
 }
 
 // New builds a tree from a parent vector: parent[i] is the parent of node i,
