@@ -17,6 +17,7 @@ import (
 //	scheduled_tree_refs_total{result="resolved"|"unknown"}
 //	scheduled_cache_hits_total, scheduled_cache_misses_total
 //	scheduled_store_rows, scheduled_store_evictions_total
+//	scheduled_store_commits_total, scheduled_store_commit_stalls_total
 //	scheduled_tenant_accepted_jobs_total{tenant}
 //	scheduled_tenant_rejected_jobs_total{tenant,reason="rate"|"queue"|"overload"}
 //	scheduled_tenant_queued_jobs{tenant}, scheduled_tenant_trees{tenant}
@@ -121,6 +122,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("scheduled_store_rows", float64(s.rows.Len()))
 		p.family("scheduled_store_evictions_total", "counter", "Rows evicted by the store's MaxEntries bound.")
 		p.sample("scheduled_store_evictions_total", float64(s.rows.Evictions()))
+		st := s.rows.StoreStats()
+		p.family("scheduled_store_commits_total", "counter", "Durable commits of the paged row store.")
+		p.sample("scheduled_store_commits_total", float64(st.Commits))
+		p.family("scheduled_store_commit_stalls_total", "counter", "Row store writes that waited for the previous commit to land.")
+		p.sample("scheduled_store_commit_stalls_total", float64(st.CommitStalls))
 	}
 
 	for _, st := range s.tenants.Snapshot() {

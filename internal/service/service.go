@@ -269,8 +269,9 @@ type ServerOptions struct {
 	// Cache, when non-nil, exposes the cached backend's hit/miss counters
 	// on /metrics; it should be the Cached decorator inside Backend.
 	Cache *schedule.Cached
-	// Rows, when non-nil, exposes the row store's size and eviction count
-	// on /metrics; normally the paged store behind both Store and Cache.
+	// Rows, when non-nil, exposes the row store's size, eviction count and
+	// commit counters on /metrics; normally the paged store behind both
+	// Store and Cache.
 	Rows *schedule.PagedStore
 	// Shard, when non-nil, exposes the shard's scheduling counters and
 	// per-child stats on /metrics; it should be the Shard inside Backend

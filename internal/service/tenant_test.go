@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -400,6 +401,40 @@ func TestMetricsEndpoint(t *testing.T) {
 		`scheduled_retained_tree_nodes`:                float64(nodes),
 		`scheduled_tree_refs_total{result="resolved"}`: float64(2 * len(trees)),
 		`scheduled_tree_refs_total{result="unknown"}`:  float64(len(trees)),
+	} {
+		if got := metricValue(t, body, prefix); got != want {
+			t.Fatalf("%s = %g, want %g", prefix, got, want)
+		}
+	}
+
+	// Store commits and stalls, on a server of its own: rows go into its
+	// paged store until a background commit has landed and been published.
+	// Neither the scrape nor StoreStats publishes a later one, so both read
+	// the same counters.
+	rs, err := schedule.OpenPagedStore(filepath.Join(t.TempDir(), "rows.paged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	_, rowsBase := startServerWith(t, service.ServerOptions{Rows: rs})
+	row, err := schedule.Local{}.Run(context.Background(), jobs[:1], schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; rs.StoreStats().Commits == 0; i++ {
+		if i == 1<<20 {
+			t.Fatal("a million rows never committed")
+		}
+		if err := rs.Put(fmt.Sprintf("fill-%d", i), row[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := rs.StoreStats()
+	_, body = httpGet(t, rowsBase+"/metrics", "")
+	for prefix, want := range map[string]float64{
+		`scheduled_store_rows`:                float64(rs.Len()),
+		`scheduled_store_commits_total`:       float64(st.Commits),
+		`scheduled_store_commit_stalls_total`: float64(st.CommitStalls),
 	} {
 		if got := metricValue(t, body, prefix); got != want {
 			t.Fatalf("%s = %g, want %g", prefix, got, want)

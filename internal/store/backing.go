@@ -10,7 +10,10 @@ import (
 // Backing is the I/O surface a paged store runs on: a flat addressable byte
 // array with explicit durability points. The real implementation is a file
 // (Open); tests inject a MemBacking to run the store in memory and to
-// simulate crashes at arbitrary write boundaries.
+// simulate crashes at arbitrary write boundaries. The store's committer
+// calls WriteAt and Sync from its own goroutine while ReadAt may run on the
+// caller's, always on pages the committer is not writing, so an
+// implementation must allow ReadAt concurrently with the other two.
 type Backing interface {
 	io.ReaderAt
 	io.WriterAt

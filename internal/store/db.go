@@ -17,10 +17,15 @@ type Options struct {
 	// of the index and of recently read records. 0 selects 512 pages
 	// (2 MiB at the default page size).
 	MaxCachedPages int
-	// AutoCommitPages bounds the open transaction: beyond this many dirty
-	// pages the store commits on its own, so an unbounded ingest keeps a
-	// bounded memory footprint and a bounded crash-rollback window. 0
-	// selects 512 pages.
+	// AutoCommitPages bounds the open transaction: at this many dirty
+	// pages the write that reaches it seals the transaction and hands it
+	// to the background committer, so an unbounded ingest keeps a bounded
+	// memory footprint and a bounded crash-rollback window. Such an
+	// automatic commit is durable once it lands, not when the write
+	// returns. A write that reaches the bound again while the previous
+	// commit is still in flight waits for it (a stall, counted in Stats),
+	// so at most twice this many pages await the disk. 0 selects 512
+	// pages.
 	AutoCommitPages int
 }
 
@@ -41,8 +46,13 @@ type Stats struct {
 	PagesRead int64
 	// PagesWritten counts pages written out by commits.
 	PagesWritten int64
-	// Commits counts durable commit records written.
+	// Commits counts durable commit records written. A background commit
+	// counts once a DB call publishes it: the first Put, Get, Delete,
+	// Scan, Sync or Close after it lands.
 	Commits int64
+	// CommitStalls counts writes that reached AutoCommitPages while the
+	// previous commit was still in flight and waited for it.
+	CommitStalls int64
 	// CachedPages is the current clean-page cache population.
 	CachedPages int
 	// DirtyPages is the open transaction's page count.
@@ -56,7 +66,9 @@ type Stats struct {
 }
 
 // DB is a paged key→value store. It is not safe for concurrent use;
-// callers serialize (the schedule adapter holds a mutex).
+// callers serialize (the schedule adapter holds a mutex). Commits run on a
+// background committer, at most one at a time (see Options.AutoCommitPages
+// and Sync).
 type DB struct {
 	pg        *pager
 	opt       Options
@@ -90,10 +102,13 @@ func OpenBacking(b Backing, opt Options) (*DB, error) {
 	return &DB{pg: pg, opt: opt}, nil
 }
 
+// usable publishes a commit that landed since the last call and reports
+// whether the store may be used.
 func (db *DB) usable() error {
 	if db.closed {
 		return fmt.Errorf("store: use of closed store")
 	}
+	db.pg.poll()
 	return db.pg.err
 }
 
@@ -124,7 +139,8 @@ func decodeRecord(rec []byte) (key, val []byte, err error) {
 }
 
 // Put maps key to val, replacing any previous value. The write is durable
-// after the next Sync, Close, or automatic commit.
+// once Sync or Close returns, or once the automatic commit that carries it
+// lands — not when Put returns.
 func (db *DB) Put(key, val []byte) error {
 	if err := db.usable(); err != nil {
 		return err
@@ -151,10 +167,7 @@ func (db *DB) Put(key, val []byte) error {
 	} else {
 		db.pg.cur.entryCount++
 	}
-	if len(db.pg.dirty) >= db.opt.AutoCommitPages {
-		return db.commit()
-	}
-	return nil
+	return db.autoCommit()
 }
 
 // placeInline appends the record to the open shared data page, sealing it
@@ -172,7 +185,7 @@ func (db *DB) placeInline(rec []byte) (loc, error) {
 	copy(p.payload()[off:], rec)
 	db.activeOff += len(rec)
 	p.setCount(db.activeOff)
-	db.pg.live[db.active]++
+	db.pg.setLive(db.active, db.pg.liveAt(db.active)+1)
 	return loc{page: db.active, off: uint16(off), length: uint32(len(rec))}, nil
 }
 
@@ -253,11 +266,11 @@ func (db *DB) freeRecord(l loc) {
 		}
 		return
 	}
-	if n := db.pg.live[l.page]; n > 1 {
-		db.pg.live[l.page] = n - 1
+	if n := db.pg.liveAt(l.page); n > 1 {
+		db.pg.setLive(l.page, n-1)
 		return
 	}
-	delete(db.pg.live, l.page)
+	db.pg.setLive(l.page, 0)
 	if l.page == db.active {
 		db.active, db.activeOff = 0, 0
 	}
@@ -301,10 +314,7 @@ func (db *DB) Delete(key []byte) (bool, error) {
 	}
 	db.freeRecord(old)
 	db.pg.cur.entryCount--
-	if len(db.pg.dirty) >= db.opt.AutoCommitPages {
-		return true, db.commit()
-	}
-	return true, nil
+	return true, db.autoCommit()
 }
 
 // Scan visits every record in index (hash) order. The key and value slices
@@ -336,40 +346,75 @@ func (db *DB) UserMeta() uint64 { return db.pg.cur.userMeta }
 // SetUserMeta updates the caller-owned slot; durable at the next commit.
 func (db *DB) SetUserMeta(v uint64) { db.pg.cur.userMeta = v }
 
-// commit seals the open data page and makes the transaction durable.
-func (db *DB) commit() error {
-	db.active, db.activeOff = 0, 0
-	return db.pg.commit()
+// testHookStall, when set, runs as a write starts to wait for the
+// in-flight commit.
+var testHookStall func()
+
+// autoCommit hands the open transaction to the committer once it reaches
+// AutoCommitPages. A commit still in flight is waited for first — the
+// stall that bounds the backlog.
+func (db *DB) autoCommit() error {
+	if len(db.pg.dirty) < db.opt.AutoCommitPages {
+		return nil
+	}
+	if !db.pg.landed() {
+		db.pg.stats.CommitStalls++
+		if testHookStall != nil {
+			testHookStall()
+		}
+	}
+	if err := db.pg.wait(); err != nil {
+		return err
+	}
+	db.seal()
+	return nil
 }
 
-// Sync commits the open transaction; after it returns, every completed Put
-// and Delete is durable.
+// seal closes the open data page and hands the transaction to the
+// committer.
+func (db *DB) seal() {
+	db.active, db.activeOff = 0, 0
+	db.pg.seal()
+}
+
+// Sync waits for the in-flight commit, then commits the open transaction
+// and waits for that too; after it returns, every completed Put and Delete
+// is durable.
 func (db *DB) Sync() error {
 	if err := db.usable(); err != nil {
 		return err
 	}
-	return db.commit()
+	return db.sync()
 }
 
-// Close commits and releases the backing. Closing twice is an error-free
-// no-op only for the backing state; use Sync for mid-life durability.
+func (db *DB) sync() error {
+	if err := db.pg.wait(); err != nil {
+		return err
+	}
+	if !db.pg.mutated() {
+		return nil
+	}
+	db.seal()
+	return db.pg.wait()
+}
+
+// Close commits like Sync and releases the backing. Closing twice is an
+// error-free no-op only for the backing state; use Sync for mid-life
+// durability.
 func (db *DB) Close() error {
 	if db.closed {
 		return nil
 	}
 	db.closed = true
-	if err := db.pg.err; err != nil {
-		db.pg.b.Close()
-		return err
+	err := db.sync()
+	if cerr := db.pg.b.Close(); err == nil {
+		err = cerr
 	}
-	if err := db.commit(); err != nil {
-		db.pg.b.Close()
-		return err
-	}
-	return db.pg.b.Close()
+	return err
 }
 
-// Stats snapshots the engine counters.
+// Stats snapshots the engine counters. It does not publish a commit that
+// landed since the last call, so a scrape never changes the store.
 func (db *DB) Stats() Stats {
 	s := db.pg.stats
 	s.CachedPages = len(db.pg.clean)

@@ -15,7 +15,10 @@
 // byte rolls the file back to the previous commit; pages freed by a
 // transaction re-enter circulation through the free list only after that
 // transaction's commit record is durable, so the rollback state is always
-// intact. Deleting a record never rewrites the file: the record's bytes are
+// intact. Commits run off the request path: the write that fills the open
+// transaction seals it and returns, and a background committer does the
+// page writes and both fsyncs, one commit at a time, while reads see the
+// sealed pages and new writes shadow them like committed ones. Deleting a record never rewrites the file: the record's bytes are
 // accounted dead in the space map and its data page returns to the free
 // list once every record on it has died.
 //

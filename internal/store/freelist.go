@@ -17,53 +17,47 @@ func (pg *pager) chainPages(entrySize, n int) int {
 	return (n + per - 1) / per
 }
 
-// allocChain takes a chain page from the reusable set when possible —
-// pages free as of the previous durable commit are safe to overwrite, the
-// surviving commit record lists them only as free — and extends the file
-// otherwise. Pending pages are never taken: the previous commit record
-// still references their contents.
-func (pg *pager) allocChain(typ byte) *page {
+// allocChain picks a chain page number, from the reusable set when
+// possible — pages free as of the previous durable commit are safe to
+// overwrite, the surviving commit record lists them only as free — and by
+// extending the file otherwise. Pending pages are never taken: the previous
+// commit record still references their contents. Chain pages are never in
+// the dirty set: the committer builds their images from the sealed state.
+func (pg *pager) allocChain() uint32 {
 	if n := len(pg.reusable); n > 0 {
 		no := pg.reusable[n-1]
 		pg.reusable = pg.reusable[:n-1]
 		pg.cacheDrop(no)
-		p := newPage(no, pg.pageSize)
-		p.setTyp(typ)
-		pg.txNew[no] = true
-		return p
+		return no
 	}
-	return pg.allocExtend(typ)
+	no := pg.cur.pageCount
+	pg.cur.pageCount++
+	return no
 }
 
-// fillChain serializes n fixed-size entries into the pre-allocated pages,
-// linking them in order, and returns the head page number (zero for an
-// empty pool). Surplus pages ride the chain tail empty — the pool is sized
-// from an upper bound — and are retired with the rest of the chain at the
-// next commit, so nothing leaks.
-func (pg *pager) fillChain(pages []*page, entrySize, n int, fill func(i int, dst []byte)) uint32 {
-	if len(pages) == 0 {
-		return 0
-	}
+// fillChain serializes n fixed-size entries into fresh pages of the given
+// type at the pre-allocated numbers, linking them in order, calling fill
+// once per entry in order. Surplus pages ride the chain tail empty — the
+// pool is sized from an upper bound — and are retired with the rest of the
+// chain at the next commit, so nothing leaks.
+func (pg *pager) fillChain(nos []uint32, typ byte, entrySize, n int, fill func(dst []byte)) []*page {
 	per := pg.chainCap(entrySize)
-	for pi, p := range pages {
-		start := pi * per
-		count := n - start
-		if count < 0 {
-			count = 0
-		}
-		if count > per {
-			count = per
-		}
+	pages := make([]*page, len(nos))
+	for pi, no := range nos {
+		p := newPage(no, pg.pageSize)
+		p.setTyp(typ)
+		count := min(max(n-pi*per, 0), per)
 		p.setCount(count)
 		pl := p.payload()
 		for i := 0; i < count; i++ {
-			fill(start+i, pl[i*entrySize:(i+1)*entrySize])
+			fill(pl[i*entrySize : (i+1)*entrySize])
 		}
 		if pi > 0 {
-			pages[pi-1].setNext(p.no)
+			pages[pi-1].setNext(no)
 		}
+		pages[pi] = p
 	}
-	return pages[0].no
+	return pages
 }
 
 // readChain walks a chain from head, returning the concatenated entry

@@ -66,7 +66,9 @@ func decodeMeta(p *page) (meta, int, error) {
 // pager owns the page-level machinery: the backing, the bounded clean-page
 // cache, the dirty set of the open transaction, allocation (free-list reuse
 // plus file extension), the copy-on-write discipline and the dual-meta
-// commit protocol. It is not safe for concurrent use; DB serializes.
+// commit protocol. It is not safe for concurrent use; DB serializes. The
+// one exception is the committer (runCommit): it runs a sealed commit on
+// its own goroutine and touches only that commit and the backing.
 type pager struct {
 	b        Backing
 	pageSize int
@@ -78,19 +80,26 @@ type pager struct {
 	dirty map[uint32]*page // pages written by the open transaction
 	txNew map[uint32]bool  // page numbers allocated by the open transaction
 
-	committed meta // state of the last durable commit
+	// inflight is the sealed commit the committer is writing (nil when
+	// none). Its pages stay readable, and count as committed, until it is
+	// published.
+	inflight *commitJob
+
+	committed meta // state of the last published durable commit
 	cur       meta // working state (root, pageCount, entryCount, userMeta)
 
 	reusable []uint32 // free pages that may be allocated this transaction
-	pending  []uint32 // pages freed this transaction (reusable next one)
+	pending  []uint32 // pages freed this transaction (reusable once sealed)
 
-	// live tracks surviving records per shared data page; a page drops to
-	// the free list when its count reaches zero. Persisted as the space-map
-	// chain at each commit.
-	live map[uint32]uint16
+	// live counts the surviving records on each shared data page, indexed
+	// by page number; a page drops to the free list when its count reaches
+	// zero. liveCount is the number of non-zero entries. Persisted as the
+	// space-map chain at each commit.
+	live      []uint16
+	liveCount int
 
-	freeChain  []uint32 // pages of the currently committed free-list chain
-	spaceChain []uint32 // pages of the currently committed space-map chain
+	freeChain  []uint32 // pages of the committed free-list chain
+	spaceChain []uint32 // pages of the committed space-map chain
 
 	stats Stats
 	err   error // sticky: a failed commit poisons the pager
@@ -114,7 +123,6 @@ func openPager(b Backing, opt Options) (*pager, error) {
 		order:    list.New(),
 		dirty:    map[uint32]*page{},
 		txNew:    map[uint32]bool{},
-		live:     map[uint32]uint16{},
 	}
 	size, err := b.Size()
 	if err != nil {
@@ -213,17 +221,48 @@ func (pg *pager) loadChains() {
 	if raw, pages, err := pg.readChain(pg.committed.spaceHead, pageSpace, 6); err == nil {
 		pg.spaceChain = pages
 		for off := 0; off+6 <= len(raw); off += 6 {
-			pg.live[binary.LittleEndian.Uint32(raw[off:])] = binary.LittleEndian.Uint16(raw[off+4:])
+			if no := binary.LittleEndian.Uint32(raw[off:]); no < pg.committed.pageCount {
+				pg.setLive(no, binary.LittleEndian.Uint16(raw[off+4:]))
+			}
 		}
 	}
 }
 
-// read returns a page, preferring the transaction's dirty copy, then the
-// clean cache, then the backing (checksum-verified). want, when non-zero,
-// asserts the page type — a mismatch is corruption, not a value.
+// liveAt returns the surviving record count of data page no.
+func (pg *pager) liveAt(no uint32) uint16 {
+	if int(no) < len(pg.live) {
+		return pg.live[no]
+	}
+	return 0
+}
+
+// setLive records the surviving record count of data page no, growing the
+// dense array to cover it.
+func (pg *pager) setLive(no uint32, n uint16) {
+	if int(no) >= len(pg.live) {
+		pg.live = append(pg.live, make([]uint16, int(no)+1-len(pg.live))...)
+	}
+	switch old := pg.live[no]; {
+	case old == 0 && n != 0:
+		pg.liveCount++
+	case old != 0 && n == 0:
+		pg.liveCount--
+	}
+	pg.live[no] = n
+}
+
+// read returns a page, preferring the open transaction's dirty copy, then
+// the sealed in-flight commit's, then the clean cache, then the backing
+// (checksum-verified). want, when non-zero, asserts the page type — a
+// mismatch is corruption, not a value.
 func (pg *pager) read(no uint32, want byte) (*page, error) {
 	if p, ok := pg.dirty[no]; ok {
 		return pg.checkTyp(p, want)
+	}
+	if j := pg.inflight; j != nil {
+		if p, ok := j.pages[no]; ok {
+			return pg.checkTyp(p, want)
+		}
 	}
 	if e, ok := pg.clean[no]; ok {
 		pg.order.MoveToFront(e)
@@ -291,23 +330,12 @@ func (pg *pager) alloc(typ byte) *page {
 	return p
 }
 
-// allocExtend allocates strictly by extending the file — used for the
-// free-list and space-map chains, whose contents must not change while they
-// are being serialized.
-func (pg *pager) allocExtend(typ byte) *page {
-	no := pg.cur.pageCount
-	pg.cur.pageCount++
-	p := newPage(no, pg.pageSize)
-	p.setTyp(typ)
-	pg.txNew[no] = true
-	return p
-}
-
 // free retires a page. A page allocated by this very transaction was never
-// committed, so it can be reused immediately; a committed page enters the
-// pending set and becomes reusable only after the next commit record is
-// durable — before that, a crash rolls back to a state that still
-// references it.
+// committed, so it can be reused immediately; a committed or sealed page
+// enters the pending set, because a crash before this transaction's commit
+// record is durable rolls back to a state that still references it. The
+// seal makes pending pages reusable: later transactions write them only
+// after that commit has landed.
 func (pg *pager) free(no uint32) {
 	if pg.txNew[no] {
 		delete(pg.txNew, no)
@@ -320,7 +348,8 @@ func (pg *pager) free(no uint32) {
 }
 
 // shadow applies copy-on-write: it returns a writable copy of the page,
-// relocated to a freshly allocated number when the original is committed.
+// relocated to a freshly allocated number when the original is committed
+// or sealed.
 // The caller must re-point every reference at the returned page's number.
 func (pg *pager) shadow(no uint32, want byte) (*page, error) {
 	if pg.txNew[no] {
@@ -337,24 +366,46 @@ func (pg *pager) shadow(no uint32, want byte) (*page, error) {
 }
 
 // mutated reports whether the open transaction changed anything worth a
-// commit record.
+// commit record. Only meaningful with no commit in flight, when cur and
+// committed share the sequence number and chain heads.
 func (pg *pager) mutated() bool {
 	return len(pg.dirty) > 0 || len(pg.pending) > 0 || pg.cur != pg.committed
 }
 
-// commit makes the open transaction durable: data and overflow pages are
-// written first, then the B-tree pages, then the free-list and space-map
-// chains, then one fsync; only then is the commit record written to the
-// alternate meta slot and fsynced. A crash at any byte boundary leaves the
-// previous commit record intact and pointing exclusively at pages this
-// transaction never touched.
-func (pg *pager) commit() error {
-	if pg.err != nil {
-		return pg.err
-	}
-	if !pg.mutated() {
-		return nil
-	}
+// A commit runs in two halves. The seal, on the request path, freezes the
+// open transaction into a commitJob without touching its pages — it hands
+// over the dirty map and takes flat copies of the space map and the free
+// set — and starts a fresh transaction. The committer, on its own goroutine, does everything else:
+// serializing the chains, checksums, page writes, the first fsync, the
+// commit record and the second fsync. At most one commit is in flight, so
+// commits land in sequence order, and the committer never writes a page
+// the last durable commit or the in-flight one references: sealed pages are
+// read-only from then on, freeing one puts it in pending like any committed
+// page, and the open transaction's pages reach the disk only in the next
+// commit, after this one has landed. The landed commit is published
+// lazily, by the next DB call that sees it done, so the pager itself stays
+// single-threaded.
+
+// commitJob is one sealed commit. The request path reads pages and done;
+// the committer reads the rest and writes err and written, then closes
+// done.
+type commitJob struct {
+	pages      map[uint32]*page // the sealed transaction's dirty set
+	meta       meta             // the commit record to write
+	live       []uint16         // space map as of the seal
+	liveN      int              // non-zero entries in live
+	free       []uint32         // free set as of the seal, unsorted
+	spaceChain []uint32         // pre-allocated space-map chain pages
+	freeChain  []uint32         // pre-allocated free-list chain pages
+
+	done    chan struct{}
+	err     error
+	written int64
+}
+
+// seal freezes the open transaction and hands it to the committer. It must
+// be called with no commit in flight and only when mutated() holds.
+func (pg *pager) seal() {
 	// Retire the previous commit's chains; their pages join the free set
 	// being published by this commit.
 	for _, no := range pg.freeChain {
@@ -365,126 +416,165 @@ func (pg *pager) commit() error {
 	}
 	pg.freeChain, pg.spaceChain = nil, nil
 
-	// Size and allocate the chain pages before computing the published
-	// free set, taking them out of the reusable set first so steady-state
-	// churn cycles a constant set of pages instead of compounding the file
+	// Size and allocate the chain pages before taking the published free
+	// set, taking them out of the reusable set first so steady-state churn
+	// cycles a constant set of pages instead of compounding the file
 	// extent and the free list at every commit. The free-list page count
 	// is an upper bound — allocation can only shrink the set it records.
-	spaceN := pg.chainPages(6, len(pg.live))
+	spaceN := pg.chainPages(6, pg.liveCount)
 	freeN := pg.chainPages(4, len(pg.reusable)+len(pg.pending))
-	pool := make([]*page, spaceN+freeN)
-	for i := range pool {
-		typ := byte(pageSpace)
-		if i >= spaceN {
-			typ = pageFree
-		}
-		pool[i] = pg.allocChain(typ)
+	chain := make([]uint32, spaceN+freeN)
+	for i := range chain {
+		chain[i] = pg.allocChain()
 	}
-	spacePages, freePages := pool[:spaceN], pool[spaceN:]
+	free := make([]uint32, 0, len(pg.reusable)+len(pg.pending))
+	j := &commitJob{
+		pages:      pg.dirty,
+		live:       append([]uint16(nil), pg.live...),
+		liveN:      pg.liveCount,
+		free:       append(append(free, pg.reusable...), pg.pending...),
+		spaceChain: chain[:spaceN],
+		freeChain:  chain[spaceN:],
+		done:       make(chan struct{}),
+	}
+	pg.cur.seq = pg.committed.seq + 1
+	pg.cur.spaceHead, pg.cur.freeHead = chainHead(j.spaceChain), chainHead(j.freeChain)
+	j.meta = pg.cur
 
-	// The free set as of this commit: everything still reusable plus
-	// everything freed during the transaction, deduplicated and sorted so
-	// the chain (and therefore reuse order) is deterministic.
-	seen := make(map[uint32]bool, len(pg.reusable)+len(pg.pending))
-	newFree := make([]uint32, 0, len(pg.reusable)+len(pg.pending))
-	for _, s := range [][]uint32{pg.reusable, pg.pending} {
-		for _, no := range s {
-			if !seen[no] {
-				seen[no] = true
-				newFree = append(newFree, no)
-			}
-		}
-	}
-	sort.Slice(newFree, func(i, j int) bool { return newFree[i] < newFree[j] })
-
-	// Serialize the space map (sorted for determinism) and the free list.
-	livePages := make([]uint32, 0, len(pg.live))
-	for no := range pg.live {
-		livePages = append(livePages, no)
-	}
-	sort.Slice(livePages, func(i, j int) bool { return livePages[i] < livePages[j] })
-	spaceHead := pg.fillChain(spacePages, 6, len(livePages), func(i int, dst []byte) {
-		binary.LittleEndian.PutUint32(dst, livePages[i])
-		binary.LittleEndian.PutUint16(dst[4:], pg.live[livePages[i]])
-	})
-	freeHead := pg.fillChain(freePages, 4, len(newFree), func(i int, dst []byte) {
-		binary.LittleEndian.PutUint32(dst, newFree[i])
-	})
-
-	// Write order: records before index before chains, one durability
-	// point, then the commit record.
-	fail := func(err error) error {
-		pg.err = fmt.Errorf("store: commit failed, store is read-back-only: %w", err)
-		return pg.err
-	}
-	for _, pass := range [][]byte{{pageData, pageOverflow}, {pageLeaf, pageBranch}} {
-		for no, p := range pg.dirty {
-			match := false
-			for _, t := range pass {
-				match = match || p.typ() == t
-			}
-			if !match {
-				continue
-			}
-			p.seal()
-			if _, err := pg.b.WriteAt(p.buf, int64(no)*int64(pg.pageSize)); err != nil {
-				return fail(err)
-			}
-			pg.stats.PagesWritten++
-		}
-	}
-	for _, p := range spacePages {
-		p.seal()
-		if _, err := pg.b.WriteAt(p.buf, int64(p.no)*int64(pg.pageSize)); err != nil {
-			return fail(err)
-		}
-		pg.stats.PagesWritten++
-	}
-	for _, p := range freePages {
-		p.seal()
-		if _, err := pg.b.WriteAt(p.buf, int64(p.no)*int64(pg.pageSize)); err != nil {
-			return fail(err)
-		}
-		pg.stats.PagesWritten++
-	}
-	if err := pg.b.Sync(); err != nil {
-		return fail(err)
-	}
-	next := pg.cur
-	next.seq = pg.committed.seq + 1
-	next.freeHead, next.spaceHead = freeHead, spaceHead
-	if err := pg.writeMetaSlot(next); err != nil {
-		return fail(err)
-	}
-	if err := pg.b.Sync(); err != nil {
-		return fail(err)
-	}
-
-	// The transaction is durable: publish it in memory.
-	pg.committed, pg.cur = next, next
-	for _, p := range spacePages {
-		pg.cacheInsert(p)
-	}
-	for _, p := range freePages {
-		pg.cacheInsert(p)
-	}
-	for _, p := range pg.dirty {
-		pg.cacheInsert(p)
-	}
+	// Every page free in the sealed commit is reusable from now on, those
+	// its transaction freed included: the open transaction writes nothing
+	// to disk until its own commit, which starts only after this one has
+	// landed, when the last durable commit no longer references them.
+	pg.reusable = append(pg.reusable, pg.pending...)
 	pg.dirty = map[uint32]*page{}
 	pg.txNew = map[uint32]bool{}
-	pg.reusable = newFree
 	pg.pending = nil
-	pg.freeChain = pageNos(freePages)
-	pg.spaceChain = pageNos(spacePages)
-	pg.stats.Commits++
-	return nil
+	pg.inflight = j
+	go pg.runCommit(j)
 }
 
-func pageNos(pages []*page) []uint32 {
-	nos := make([]uint32, len(pages))
-	for i, p := range pages {
-		nos[i] = p.no
+func chainHead(nos []uint32) uint32 {
+	if len(nos) == 0 {
+		return 0
 	}
-	return nos
+	return nos[0]
+}
+
+// runCommit is the committer: it makes a sealed commit durable. Data and
+// overflow pages are written first, then the B-tree pages, then the
+// space-map and free-list chains, then one fsync; only then is the commit
+// record written to the alternate meta slot and fsynced. A crash at any
+// byte boundary leaves the previous commit record intact and pointing
+// exclusively at pages this commit never touched.
+func (pg *pager) runCommit(j *commitJob) {
+	defer close(j.done)
+	// The free set as of this commit, deduplicated and sorted so the
+	// chain (and therefore reuse order after a reopen) is deterministic.
+	sort.Slice(j.free, func(a, b int) bool { return j.free[a] < j.free[b] })
+	free := j.free[:0]
+	for i, no := range j.free {
+		if i == 0 || no != free[len(free)-1] {
+			free = append(free, no)
+		}
+	}
+	// The space map walks the dense array in page order: no sort.
+	next := uint32(0)
+	spacePages := pg.fillChain(j.spaceChain, pageSpace, 6, j.liveN, func(dst []byte) {
+		for j.live[next] == 0 {
+			next++
+		}
+		binary.LittleEndian.PutUint32(dst, next)
+		binary.LittleEndian.PutUint16(dst[4:], j.live[next])
+		next++
+	})
+	i := 0
+	freePages := pg.fillChain(j.freeChain, pageFree, 4, len(free), func(dst []byte) {
+		binary.LittleEndian.PutUint32(dst, free[i])
+		i++
+	})
+
+	// Sealed pages are shared with readers on the request path, so each
+	// is checksummed in a private copy rather than in place.
+	out := newPage(0, pg.pageSize)
+	write := func(p *page) error {
+		out.no = p.no
+		copy(out.buf, p.buf)
+		out.seal()
+		if _, err := pg.b.WriteAt(out.buf, int64(p.no)*int64(pg.pageSize)); err != nil {
+			return err
+		}
+		j.written++
+		return nil
+	}
+	for _, pass := range [][2]byte{{pageData, pageOverflow}, {pageLeaf, pageBranch}} {
+		for _, p := range j.pages {
+			if t := p.typ(); t != pass[0] && t != pass[1] {
+				continue
+			}
+			if j.err = write(p); j.err != nil {
+				return
+			}
+		}
+	}
+	for _, p := range append(spacePages, freePages...) {
+		if j.err = write(p); j.err != nil {
+			return
+		}
+	}
+	if j.err = pg.b.Sync(); j.err != nil {
+		return
+	}
+	if j.err = pg.writeMetaSlot(j.meta); j.err != nil {
+		return
+	}
+	j.err = pg.b.Sync()
+}
+
+// landed reports whether the in-flight commit, if any, has finished.
+func (pg *pager) landed() bool {
+	if pg.inflight == nil {
+		return true
+	}
+	select {
+	case <-pg.inflight.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// poll publishes the in-flight commit if it has finished, without waiting.
+func (pg *pager) poll() {
+	if pg.inflight != nil && pg.landed() {
+		pg.publish()
+	}
+}
+
+// wait blocks until no commit is in flight, publishing the one that was,
+// and returns the pager's sticky error.
+func (pg *pager) wait() error {
+	if j := pg.inflight; j != nil {
+		<-j.done
+		pg.publish()
+	}
+	return pg.err
+}
+
+// publish applies a finished commit: on success its record becomes the
+// committed state and its pages enter the clean cache; a failure poisons
+// the pager.
+func (pg *pager) publish() {
+	j := pg.inflight
+	pg.inflight = nil
+	if j.err != nil {
+		pg.err = fmt.Errorf("store: commit failed, store is read-back-only: %w", j.err)
+		return
+	}
+	pg.committed = j.meta
+	pg.freeChain, pg.spaceChain = j.freeChain, j.spaceChain
+	for _, p := range j.pages {
+		pg.cacheInsert(p)
+	}
+	pg.stats.PagesWritten += j.written
+	pg.stats.Commits++
 }
