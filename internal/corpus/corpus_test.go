@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/sparse"
+	"repro/internal/symbolic"
 )
 
 // TestManifestGeneratorsWork exercises every fallback generator in both
@@ -165,5 +169,84 @@ func TestPipelineLatchesError(t *testing.T) {
 	}
 	if _, ok, err := p.Next(); ok || err == nil {
 		t.Fatal("error must stay latched")
+	}
+}
+
+// unrecorded copies a pattern through sparse.New, which does not record
+// symmetry, so Permute on the copy scatters and then transposes.
+func unrecorded(t *testing.T, m *sparse.Matrix) *sparse.Matrix {
+	t.Helper()
+	cols := make([][]int, m.N())
+	for j := range cols {
+		for _, i := range m.Col(j) {
+			cols[j] = append(cols[j], int(i))
+		}
+	}
+	u, err := sparse.New(m.N(), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// The pipeline's trees — one symbolic analysis per ordering, amalgamated
+// per relax, from a Permute that skips its transpose for the symmetrized
+// pattern — equal, digest for digest, the trees of the full path:
+// scatter-plus-transpose Permute, then symbolic.AssemblyTree per relax.
+// Every corpus matrix × ordering × relax {0, 1, 4, 16}.
+func TestPipelineTreesMatchAssemblyTree(t *testing.T) {
+	relax := []int{0, 1, 4, 16}
+	entries := append(DefaultManifest(), SmokeManifest()...)
+	p, err := NewPipeline(entries, PipelineOptions{Relax: relax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, e := range entries {
+		m, _, err := e.Load("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := m.Symmetrize()
+		u := unrecorded(t, s)
+		for _, ord := range OrderingNames() {
+			perm, err := applyOrdering(ord, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, err := s.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := u.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pm.NNZ() != want.NNZ() {
+				t.Fatalf("%s/%s: Permute has %d entries, scatter plus transpose %d", e.Name, ord, pm.NNZ(), want.NNZ())
+			}
+			for j := 0; j < pm.N(); j++ {
+				if !reflect.DeepEqual(pm.Col(j), want.Col(j)) {
+					t.Fatalf("%s/%s: Permute column %d is %v, scatter plus transpose %v", e.Name, ord, j, pm.Col(j), want.Col(j))
+				}
+			}
+			for _, r := range relax {
+				inst, ok, err := p.Next()
+				if err != nil || !ok {
+					t.Fatalf("pipeline ended early: ok=%v err=%v", ok, err)
+				}
+				name := fmt.Sprintf("%s/%s/r%d", e.Name, ord, r)
+				res, err := symbolic.AssemblyTree(want, symbolic.AssemblyOptions{Relax: r})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inst.Name != name || inst.Tree.Digest() != res.Tree.Digest() {
+					t.Fatalf("%s: pipeline tree %s (%s) differs from AssemblyTree's (%s)", name, inst.Name, inst.Tree.Digest(), res.Tree.Digest())
+				}
+			}
+		}
+	}
+	if _, ok, err := p.Next(); ok || err != nil {
+		t.Fatalf("want clean exhaustion, got ok=%v err=%v", ok, err)
 	}
 }

@@ -157,18 +157,15 @@ func buildEntry(e Entry, dir string, ords []string, relax []int) ([]Instance, er
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
 		}
-		// The elimination tree and column counts do not depend on relax:
-		// compute them once per ordering, amalgamate once per relax.
-		parent, err := symbolic.EliminationTree(pm)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
-		}
-		counts, err := symbolic.ColumnCounts(pm, parent)
+		// The elimination tree, its postorder and the column counts do not
+		// depend on relax: analyse once per ordering, amalgamate once per
+		// relax, keeping only the tree.
+		an, err := symbolic.Analyze(pm)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %s/%s: %w", e.Name, ord, err)
 		}
 		for _, r := range relax {
-			res, err := symbolic.Amalgamate(parent, counts, symbolic.AssemblyOptions{Relax: r})
+			t, err := an.Tree(symbolic.AssemblyOptions{Relax: r})
 			if err != nil {
 				return nil, fmt.Errorf("corpus: %s/%s/r%d: %w", e.Name, ord, r, err)
 			}
@@ -179,7 +176,7 @@ func buildEntry(e Entry, dir string, ords []string, relax []int) ([]Instance, er
 				Source:   source,
 				Ordering: ord,
 				Relax:    r,
-				Tree:     res.Tree,
+				Tree:     t,
 			})
 		}
 	}

@@ -128,18 +128,14 @@ func AssemblySuite(scale Scale) ([]Instance, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
 			}
-			// Elimination tree and column counts once per ordering; only
-			// the amalgamation depends on relax.
-			parent, err := symbolic.EliminationTree(pm)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
-			}
-			counts, err := symbolic.ColumnCounts(pm, parent)
+			// One symbolic analysis per ordering; only the amalgamation
+			// depends on relax.
+			an, err := symbolic.Analyze(pm)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: %s/%s: %w", spec.name, ord.name, err)
 			}
 			for _, relax := range RelaxLevels {
-				res, err := symbolic.Amalgamate(parent, counts, symbolic.AssemblyOptions{Relax: relax})
+				t, err := an.Tree(symbolic.AssemblyOptions{Relax: relax})
 				if err != nil {
 					return nil, fmt.Errorf("dataset: %s/%s/r%d: %w", spec.name, ord.name, relax, err)
 				}
@@ -149,7 +145,7 @@ func AssemblySuite(scale Scale) ([]Instance, error) {
 					N:          m.N(),
 					Ordering:   ord.name,
 					Relax:      relax,
-					Tree:       res.Tree,
+					Tree:       t,
 				})
 			}
 		}

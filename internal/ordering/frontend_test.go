@@ -118,7 +118,8 @@ func sameAssembly(t testing.TB, what string, got, want *symbolic.AssemblyResult)
 
 // checkFrontEnd runs the pipeline stages after an ordering — Permute, then
 // Amalgamate at relax 0..16 on the etree and column counts — against their
-// references.
+// references, and the once-per-ordering symbolic.Analysis against
+// Amalgamate at every relax.
 func checkFrontEnd(t testing.TB, name string, m *sparse.Matrix, perm []int) {
 	t.Helper()
 	pm, err := m.Permute(perm)
@@ -138,11 +139,22 @@ func checkFrontEnd(t testing.TB, name string, m *sparse.Matrix, perm []int) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	an, err := symbolic.Analyze(pm)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	for relax := 0; relax <= 16; relax++ {
 		opt := symbolic.AssemblyOptions{Relax: relax}
 		got, err := symbolic.Amalgamate(parent, counts, opt)
 		if err != nil {
 			t.Fatalf("%s/r%d: %v", name, relax, err)
+		}
+		tr, err := an.Tree(opt)
+		if err != nil {
+			t.Fatalf("%s/r%d: Analysis.Tree: %v", name, relax, err)
+		}
+		if tr.Digest() != got.Tree.Digest() {
+			t.Fatalf("%s/r%d: Analysis.Tree differs from Amalgamate's tree", name, relax)
 		}
 		want, err := refAmalgamate(parent, counts, opt)
 		if err != nil {

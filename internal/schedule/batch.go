@@ -28,6 +28,19 @@ type Job struct {
 	Order  []int
 	Memory int64
 	Window int
+	// solved is this job's outcome when the source that built the job has
+	// already computed it: GridSource solves each instance's orderBy job
+	// to derive its policy jobs. Local evaluation reports it instead of
+	// solving again. It never goes on the wire, so remote and sharded
+	// backends recompute.
+	solved *solvedJob
+}
+
+// solvedJob is an outcome computed ahead of evaluation, with the seconds
+// the solve took.
+type solvedJob struct {
+	out     Outcome
+	seconds float64
 }
 
 // Row is the structured result of one job, ready for CSV or JSON streaming.
@@ -64,11 +77,19 @@ func runJob(j Job) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
+	if s := j.solved; s != nil {
+		return jobRow(j, alg, s.out, s.seconds), nil
+	}
 	start := time.Now()
 	out, err := alg.Run(Request{Tree: j.Tree, Order: j.Order, Memory: j.Memory, Window: j.Window})
 	if err != nil {
 		return Row{}, err
 	}
+	return jobRow(j, alg, out, time.Since(start).Seconds()), nil
+}
+
+// jobRow is the row reporting j's outcome under alg.
+func jobRow(j Job, alg Algorithm, out Outcome, seconds float64) Row {
 	return Row{
 		Instance:  j.Instance,
 		Algorithm: j.Algorithm,
@@ -77,8 +98,8 @@ func runJob(j Job) (Row, error) {
 		Memory:    out.Memory,
 		IO:        out.IO,
 		Writes:    len(out.Writes),
-		Seconds:   time.Since(start).Seconds(),
-	}, nil
+		Seconds:   seconds,
+	}
 }
 
 // MinMemoryGrid expands instances × MinMemory algorithm names into jobs,

@@ -212,8 +212,11 @@ func simulateTopDown(t *tree.Tree, order []int, mem int64, cfg Config, scr *simS
 		}
 		// Memory while executing j: the other resident files plus
 		// MemReq(j) = f(j) + n(j) + Σ children files (a previously evicted
-		// input is staged back first, which needs the same room).
-		need := residentSum + t.MemReq(j)
+		// input is staged back first, which needs the same room). The
+		// children's file sum is walked once per step and reused below.
+		childFiles := t.ChildFileSum(j)
+		req := t.F(j) + t.N(j) + childFiles
+		need := residentSum + req
 		if need > mem {
 			if !evicting {
 				return out, fmt.Errorf("schedule: step %d (node %d): needs %d, budget %d", step, j, need, mem)
@@ -239,11 +242,11 @@ func simulateTopDown(t *tree.Tree, order []int, mem int64, cfg Config, scr *simS
 				out.IO += t.F(v)
 				scr.writes = append(scr.writes, WriteEvent{Step: step, Node: v, Size: t.F(v)})
 			}
-			if residentSum+t.MemReq(j) > mem {
+			if residentSum+req > mem {
 				return out, fmt.Errorf("schedule: step %d (node %d): policy %s freed too little", step, j, cfg.Evict.Name())
 			}
 		}
-		used := residentSum + t.MemReq(j)
+		used := residentSum + req
 		if used > out.Peak {
 			out.Peak = used
 		}
@@ -251,7 +254,7 @@ func simulateTopDown(t *tree.Tree, order []int, mem int64, cfg Config, scr *simS
 			onDisk[j] = false // read back, then consumed by executing j
 		}
 		// Execute j: n(j) and f(j) vanish, children files appear.
-		residentSum += t.ChildFileSum(j)
+		residentSum += childFiles
 		if evicting {
 			for k := 0; k < t.NumChildren(j); k++ {
 				set.Add(t.Child(j, k))

@@ -8,9 +8,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/tree"
 )
@@ -367,9 +369,15 @@ func (f instanceSourceFunc) NextInstance() (Instance, bool, error) { return f() 
 // outcome, so sweeps anchored on the solver's memory need not re-run it).
 // Within an instance, policy jobs are budget-major, then policy. Instances
 // are pulled one at a time, so a corpus pipeline can overlap tree
-// construction with evaluation. The orderBy name is validated eagerly;
-// instances are prepared lazily, so an orderBy that proves a value but
-// returns no traversal fails on the first Next that reaches its replay.
+// construction with evaluation.
+//
+// The orderBy solver runs once per instance, when the instance is pulled,
+// if there are policies to replay or orderBy is among the algorithms. Its
+// outcome, with the seconds it took, rides on the instance's orderBy job,
+// and Local evaluation reports it instead of solving the tree again;
+// remote and sharded backends recompute it. The orderBy name is validated
+// eagerly; an orderBy that proves a value but returns no traversal to
+// replay fails at the instance's first Next.
 func GridSource(src InstanceSource, algorithms []string, orderBy string, policies []string, memories func(*tree.Tree, Outcome) ([]int64, error)) (JobSource, error) {
 	orderAlg, err := Lookup(orderBy)
 	if err != nil {
@@ -378,53 +386,74 @@ func GridSource(src InstanceSource, algorithms []string, orderBy string, policie
 	if orderAlg.Kind() != KindMinMemory {
 		return nil, fmt.Errorf("schedule: orderBy algorithm %q is not a MinMemory solver", orderBy)
 	}
+	solve := len(policies) > 0 || slices.Contains(algorithms, orderBy)
 	var (
-		cur     Instance
-		have    bool
-		ai      int
-		order   []int
-		mems    []int64
-		mi, ki  int
-		prepped bool
+		cur    Instance
+		have   bool
+		ai     int
+		solved *solvedJob
+		order  []int
+		mems   []int64
+		mi, ki int
 	)
+	// pull takes the next instance and solves orderBy on it.
+	pull := func() (bool, error) {
+		inst, ok, err := src.NextInstance()
+		if err != nil || !ok {
+			return false, err
+		}
+		cur, ai, mi, ki = inst, 0, 0, 0
+		solved, order, mems = nil, nil, nil
+		if !solve {
+			return true, nil
+		}
+		start := time.Now()
+		out, err := orderAlg.Run(Request{Tree: cur.Tree})
+		secs := time.Since(start).Seconds()
+		if len(policies) > 0 {
+			if err != nil {
+				return false, fmt.Errorf("schedule: %s: %s: %w", cur.Name, orderBy, err)
+			}
+			if out.Order == nil {
+				return false, fmt.Errorf("schedule: %s returns no traversal to replay", orderBy)
+			}
+			if mems, err = memories(cur.Tree, out); err != nil {
+				return false, fmt.Errorf("schedule: %s: %w", cur.Name, err)
+			}
+			order = out.Order
+		}
+		// A failed solve attaches nothing: the orderBy job then fails on
+		// evaluation, as any other job does.
+		if err == nil {
+			solved = &solvedJob{out: out, seconds: secs}
+		}
+		return true, nil
+	}
 	return SourceFunc(func() (Job, bool, error) {
 		for {
 			if !have {
-				inst, ok, err := src.NextInstance()
+				ok, err := pull()
 				if err != nil || !ok {
 					return Job{}, false, err
 				}
-				cur, have, ai, prepped = inst, true, 0, false
+				have = true
 			}
 			if ai < len(algorithms) {
 				j := Job{Instance: cur.Name, Tree: cur.Tree, Algorithm: algorithms[ai]}
+				if algorithms[ai] == orderBy {
+					j.solved = solved
+				}
 				ai++
 				return j, true, nil
 			}
-			if len(policies) > 0 {
-				if !prepped {
-					out, err := orderAlg.Run(Request{Tree: cur.Tree})
-					if err != nil {
-						return Job{}, false, fmt.Errorf("schedule: %s: %s: %w", cur.Name, orderBy, err)
-					}
-					if out.Order == nil {
-						return Job{}, false, fmt.Errorf("schedule: %s returns no traversal to replay", orderBy)
-					}
-					mems, err = memories(cur.Tree, out)
-					if err != nil {
-						return Job{}, false, fmt.Errorf("schedule: %s: %w", cur.Name, err)
-					}
-					order, mi, ki, prepped = out.Order, 0, 0, true
+			if mi < len(mems) {
+				if ki < len(policies) {
+					j := Job{Instance: cur.Name, Tree: cur.Tree, Algorithm: policies[ki], Order: order, Memory: mems[mi]}
+					ki++
+					return j, true, nil
 				}
-				if mi < len(mems) {
-					if ki < len(policies) {
-						j := Job{Instance: cur.Name, Tree: cur.Tree, Algorithm: policies[ki], Order: order, Memory: mems[mi]}
-						ki++
-						return j, true, nil
-					}
-					mi, ki = mi+1, 0
-					continue
-				}
+				mi, ki = mi+1, 0
+				continue
 			}
 			have = false
 		}

@@ -447,7 +447,7 @@ func TestGridSource(t *testing.T) {
 	}
 	sameJobs(t, drain(t, src), want, "GridSource")
 
-	// No policies → pure MinMemory grid, orderBy never run.
+	// No policies → pure MinMemory grid.
 	src, err = schedule.GridSource(schedule.InstanceSliceSource(insts), algs, "minmem", nil, memories)
 	if err != nil {
 		t.Fatal(err)
@@ -459,5 +459,64 @@ func TestGridSource(t *testing.T) {
 	}
 	if _, err := schedule.GridSource(schedule.InstanceSliceSource(insts), algs, "lsnf", policies, memories); err == nil {
 		t.Fatal("MinIO orderBy accepted")
+	}
+}
+
+// GridSource solves each instance's orderBy tree once, when it pulls the
+// instance, and attaches that outcome to the instance's orderBy job alone:
+// it equals a direct solve, its order is the one the policy jobs replay,
+// and Local reports an attached outcome as it stands instead of solving
+// the tree again.
+func TestGridSourceAttachesOrderByOutcome(t *testing.T) {
+	insts := batchInstances(t)
+	algs := []string{"postorder", "minmem", "liu"}
+	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
+		return []int64{tr.MaxMemReq(), (tr.MaxMemReq() + out.Memory) / 2}, nil
+	}
+	minmem, err := schedule.Lookup("minmem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policies := range [][]string{schedule.EvictionPolicyNames(), nil} {
+		src, err := schedule.GridSource(schedule.InstanceSliceSource(insts), algs, "minmem", policies, memories)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []int
+		attached := 0
+		for _, j := range drain(t, src) {
+			out, secs, ok := schedule.SolvedOutcome(j)
+			if ok != (j.Algorithm == "minmem") {
+				t.Fatalf("%s/%s: attached outcome %v, want one on the orderBy job alone", j.Instance, j.Algorithm, ok)
+			}
+			if j.Order != nil && fmt.Sprint(j.Order) != fmt.Sprint(order) {
+				t.Fatalf("%s/%s replays an order other than the attached outcome's", j.Instance, j.Algorithm)
+			}
+			if !ok {
+				continue
+			}
+			attached++
+			want, err := minmem.Run(schedule.Request{Tree: j.Tree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Memory != want.Memory || fmt.Sprint(out.Order) != fmt.Sprint(want.Order) || secs < 0 {
+				t.Fatalf("%s: attached outcome (%d, %.3gs) differs from a direct solve (%d)", j.Instance, out.Memory, secs, want.Memory)
+			}
+			order = out.Order
+		}
+		if attached != len(insts) {
+			t.Fatalf("%d attached outcomes for %d instances", attached, len(insts))
+		}
+	}
+
+	j := schedule.WithSolved(schedule.Job{Instance: "x", Tree: insts[0].Tree, Algorithm: "minmem"},
+		schedule.Outcome{Memory: -7}, 0.5)
+	rows, err := schedule.Local{}.Run(context.Background(), []schedule.Job{j}, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rows[0]; r.Memory != -7 || r.Seconds != 0.5 || r.Kind != "minmemory" {
+		t.Fatalf("Local solved again instead of reporting the attached outcome: %+v", r)
 	}
 }

@@ -350,6 +350,20 @@ func (c *Client) Run(ctx context.Context, jobs []schedule.Job, opt schedule.Batc
 	}
 }
 
+// maxResponseDrain bounds what drainResponse reads past the end of a
+// response's rows; a server sends nothing there, so only a misbehaving
+// one can exceed it, and then the connection closes.
+const maxResponseDrain = 64 << 10
+
+// drainResponse reads a complete response body to EOF, up to
+// maxResponseDrain, so the transport keeps the connection for the next
+// batch: closing a body before its EOF was read drops the connection, and
+// whether the end of a chunked body arrived with the last rows depends on
+// timing.
+func drainResponse(body io.Reader) {
+	io.CopyN(io.Discard, body, maxResponseDrain)
+}
+
 // runAttempt posts the encoded batch once, filling rows/got for every index
 // streamed back. A batch is complete when the done line arrives and every
 // index was received (this attempt or an earlier one).
@@ -397,7 +411,11 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 	// The response form follows the server's Content-Type, so a JSON Lines
 	// answer to a binary-accepting client still parses.
 	if isBinaryRows(resp.Header.Get("Content-Type")) {
-		return readBinaryResponse(resp.Body, jobs, opt, rows, got)
+		if err := readBinaryResponse(resp.Body, jobs, opt, rows, got); err != nil {
+			return err
+		}
+		drainResponse(resp.Body)
+		return nil
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -418,6 +436,7 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 					return fmt.Errorf("service: no row received for job %d", i)
 				}
 			}
+			drainResponse(resp.Body)
 			return nil
 		case line.Row != nil:
 			if line.Index < 0 || line.Index >= len(jobs) {

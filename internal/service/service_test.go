@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -105,6 +106,93 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		a.Seconds, b.Seconds = 0, 0
 		if a != b {
 			t.Fatalf("row %d differs remote vs local: %+v vs %+v", i, remote[i], local[i])
+		}
+	}
+}
+
+// GridSource hands each instance's orderBy outcome to its orderBy job, and
+// Local reports it without solving again. Those rows must equal, Seconds
+// zeroed, a fresh Local run of the same jobs without the outcome and a
+// two-server shard, whose servers recompute it.
+func TestGridSourceReusedOutcomeMatchesRecompute(t *testing.T) {
+	insts := testInstances(t)
+	memories := func(tr *tree.Tree, out schedule.Outcome) ([]int64, error) {
+		return []int64{tr.MaxMemReq(), (tr.MaxMemReq() + out.Memory) / 2}, nil
+	}
+	src, err := schedule.GridSource(schedule.InstanceSliceSource(insts), []string{"postorder", "liu", "minmem"}, "minmem", schedule.EvictionPolicyNames(), memories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		jobs  []schedule.Job
+		fresh []schedule.Job
+	)
+	for {
+		j, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		jobs = append(jobs, j)
+		fresh = append(fresh, schedule.Job{Instance: j.Instance, Tree: j.Tree, Algorithm: j.Algorithm, Order: j.Order, Memory: j.Memory, Window: j.Window})
+	}
+	ctx := context.Background()
+	reused, err := schedule.Local{}.Run(ctx, jobs, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := schedule.Local{}.Run(ctx, fresh, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := schedule.NewShard(startServer(t, nil), startServer(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := shard.Run(ctx, jobs, schedule.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rows := range map[string][]schedule.Row{"fresh local": local, "two-server shard": sharded} {
+		if len(rows) != len(reused) {
+			t.Fatalf("%s: %d rows, want %d", name, len(rows), len(reused))
+		}
+		for i := range reused {
+			a, b := reused[i], rows[i]
+			a.Seconds, b.Seconds = 0, 0
+			if a != b {
+				t.Fatalf("row %d: reused outcome %+v, %s %+v", i, reused[i], name, rows[i])
+			}
+		}
+	}
+}
+
+// A client reads each response to EOF, so 20 sequential batches to one
+// server reuse a single TCP connection, in the JSON and the binary form.
+func TestJSONClientReusesConnection(t *testing.T) {
+	jobs := testJobs(t)[:8]
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(service.NewServer(nil, 0).Handler())
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	for _, binary := range []bool{false, true} {
+		conns.Store(0)
+		client := service.NewClient(srv.URL, &http.Client{Transport: &http.Transport{}})
+		client.Binary = binary
+		for i := 0; i < 20; i++ {
+			if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := conns.Load(); n != 1 {
+			t.Fatalf("binary=%v: 20 sequential batches opened %d connections, want 1", binary, n)
 		}
 	}
 }

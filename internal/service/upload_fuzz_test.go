@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,4 +87,30 @@ func FuzzTreeUpload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A .tree text that declares a huge node count and carries no node line
+// must be refused with a 4xx, on both endpoints that decode tree text,
+// without allocating for the count it declares.
+func TestHeaderOnlyTreeTextRefusedCheaply(t *testing.T) {
+	for _, c := range []struct{ path, body string }{
+		{"/v1/trees", `{"trees":["p 7000000000\n"]}`},
+		{"/v1/trees", `{"trees":["p 10000000\n0 -1 1 1\n"]}`},
+		{"/v1/batch", `{"trees":{"t":"p 7000000000\n"},"jobs":[{"instance":"x","tree":"t","algorithm":"minmem"}]}`},
+	} {
+		h := service.NewServer(nil, 1).Handler()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body))
+		req.Header.Set("Content-Type", "application/json")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("%s %q answered %d, want 4xx: %s", c.path, c.body, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s %q allocated %d bytes, want under 1 MB", c.path, c.body, alloc)
+		}
+	}
 }

@@ -20,6 +20,10 @@ type Matrix struct {
 	n      int
 	colPtr []int32
 	rowIdx []int32
+	// symmetric records that the pattern is symmetric by construction: set
+	// by Symmetrize and kept by Permute, which relies on it to skip its
+	// transpose. It is never inferred, so IsSymmetric still checks.
+	symmetric bool
 }
 
 // New builds a CSC pattern from per-column row indices. Duplicate entries
@@ -109,7 +113,7 @@ func (m *Matrix) transpose(next []int32) *Matrix {
 // merge — no per-column scratch, no re-sort.
 func (m *Matrix) Symmetrize() *Matrix {
 	at := m.Transpose()
-	out := &Matrix{n: m.n, colPtr: make([]int32, m.n+1)}
+	out := &Matrix{n: m.n, colPtr: make([]int32, m.n+1), symmetric: true}
 	out.rowIdx = make([]int32, 0, len(m.rowIdx)+len(at.rowIdx)+m.n)
 	for j := 0; j < m.n; j++ {
 		a, b := m.Col(j), at.Col(j)
@@ -189,8 +193,10 @@ func (m *Matrix) HasFullDiagonal() bool {
 // It builds the result without comparisons: a counting pass sizes the rows
 // of PAPᵀ, one scatter of inv[Col(perm[k])] over the new columns k in
 // increasing order fills (PAPᵀ)ᵀ with sorted columns, and transposing that
-// yields PAPᵀ with sorted columns. A fixed number of allocations, whatever
-// n.
+// yields PAPᵀ with sorted columns. When m is symmetric by construction (a
+// Symmetrize result, or a Permute of one), (PAPᵀ)ᵀ = PAPᵀ, so the scatter
+// is the result and the transpose is skipped; the result is recorded as
+// symmetric in turn. A fixed number of allocations, whatever n.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
 	n := m.n
 	if len(perm) != n {
@@ -225,6 +231,10 @@ func (m *Matrix) Permute(perm []int) (*Matrix, error) {
 			t.rowIdx[next[r]] = int32(k)
 			next[r]++
 		}
+	}
+	if m.symmetric {
+		t.symmetric = true
+		return &t, nil
 	}
 	return t.transpose(inv), nil
 }

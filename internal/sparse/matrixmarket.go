@@ -146,6 +146,11 @@ func (p *Parser) ParseBytes(data []byte) (*Matrix, error) {
 		p.next = p.next[:n]
 		clear(p.colPtr)
 	}
+	// The header's entry count sizes the pair buffer up front; the guard
+	// above bounds it by the input length.
+	if cap(p.pairs) < int(2*nnz) {
+		p.pairs = make([]int32, 0, 2*nnz)
+	}
 	p.pairs = p.pairs[:0]
 	var read int64
 	for read < nnz {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -457,5 +458,81 @@ func TestPermuteAllocationsConstant(t *testing.T) {
 	small, large := allocs(10), allocs(100)
 	if small > 8 || large > 8 {
 		t.Fatalf("Permute: %.0f allocs on 100 columns, %.0f on 10,000; want at most 8 at any size", small, large)
+	}
+}
+
+// Permute of a pattern Symmetrize recorded as symmetric skips the
+// transpose. On random patterns, and on a second permutation of the
+// result, it must equal the scatter-plus-transpose path taken for the
+// same pattern unrecorded, and record its own result as symmetric.
+func TestPermuteRecordedSymmetricMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(what string, a, b *Matrix) {
+		t.Helper()
+		if a.n != b.n || !reflect.DeepEqual(a.colPtr, b.colPtr) || !reflect.DeepEqual(a.rowIdx, b.rowIdx) {
+			t.Fatalf("%s: recorded-symmetric Permute differs from scatter plus transpose", what)
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(120)
+		var (
+			m   *Matrix
+			err error
+		)
+		if trial%2 == 0 {
+			m, err = RandomSymmetric(rng, n, float64(1+rng.Intn(4)))
+		} else {
+			// A general pattern, symmetric only once symmetrized.
+			cols := make([][]int, n)
+			for e := rng.Intn(3 * n); e > 0; e-- {
+				j := rng.Intn(n)
+				cols[j] = append(cols[j], rng.Intn(n))
+			}
+			m, err = New(n, cols)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := m.Symmetrize()
+		if !s.symmetric || !s.IsSymmetric() {
+			t.Fatalf("trial %d: Symmetrize result not recorded or not symmetric", trial)
+		}
+		u := *s
+		u.symmetric = false
+		perm := rng.Perm(s.n)
+		got, err := s.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := u.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("trial %d", trial), got, want)
+		if !got.symmetric || want.symmetric || !got.IsSymmetric() {
+			t.Fatalf("trial %d: Permute recorded symmetry %v (unrecorded input: %v)", trial, got.symmetric, want.symmetric)
+		}
+		perm2 := rng.Perm(s.n)
+		got2, err := got.Permute(perm2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want2, err := want.Permute(perm2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("trial %d, second permutation", trial), got2, want2)
+	}
+	// A general pattern is never recorded, so it still transposes.
+	g, err := New(3, [][]int{{0, 2}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := g.Permute([]int{2, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.symmetric || !pg.Has(0, 2) || pg.Has(2, 0) {
+		t.Fatal("Permute of a general pattern lost its orientation")
 	}
 }

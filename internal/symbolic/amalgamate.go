@@ -49,15 +49,59 @@ type AssemblyResult struct {
 // and weight assignment per Section VI-B. Disconnected matrices get a
 // zero-weight virtual root joining the forest.
 func AssemblyTree(m *sparse.Matrix, opt AssemblyOptions) (*AssemblyResult, error) {
+	a, err := Analyze(m)
+	if err != nil {
+		return nil, err
+	}
+	return a.amalgamate(opt, true)
+}
+
+// Analysis is the relax-independent half of the symbolic stage for one
+// permuted pattern: the elimination forest, its child lists and
+// postorder, and the column counts of L. Analyze computes it once; Tree
+// amalgamates it at each relax level, so a caller that builds several
+// assembly trees per ordering walks the elimination tree once. It keeps
+// its amalgamation scratch between Tree calls, so drop it once its trees
+// are built.
+type Analysis struct {
+	parent          []int
+	counts          []int64
+	childPtr, child []int32
+	post            []int
+	// Scratch reused by every amalgamation of this analysis.
+	work      []int32
+	asmParent []int
+	f, nw     []int64
+}
+
+// Analyze computes the elimination forest of a symmetric pattern with full
+// diagonal, the forest's child lists and postorder, and the column counts.
+func Analyze(m *sparse.Matrix) (*Analysis, error) {
 	parent, err := EliminationTree(m)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := ColumnCounts(m, parent)
+	a := newAnalysis(parent)
+	a.counts = columnCounts(m, parent, a.post)
+	return a, nil
+}
+
+// newAnalysis buckets the child lists of a valid parent vector and
+// postorders the forest; the caller fills in the column counts.
+func newAnalysis(parent []int) *Analysis {
+	childPtr, child := etreeChildren(parent)
+	return &Analysis{parent: parent, childPtr: childPtr, child: child, post: etreePostorder(parent, childPtr, child)}
+}
+
+// Tree amalgamates the analysis at opt's relax level and returns the
+// weighted assembly tree alone: the Tree of AssemblyTree's result, without
+// building its Nodes and Columns.
+func (a *Analysis) Tree(opt AssemblyOptions) (*tree.Tree, error) {
+	res, err := a.amalgamate(opt, false)
 	if err != nil {
 		return nil, err
 	}
-	return Amalgamate(parent, counts, opt)
+	return res.Tree, nil
 }
 
 // Amalgamate builds the weighted assembly tree from an elimination forest
@@ -84,8 +128,25 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 			return nil, fmt.Errorf("symbolic: bad parent %d of %d", p, j)
 		}
 	}
+	a := newAnalysis(parent)
+	a.counts = counts
+	return a.amalgamate(opt, true)
+}
+
+// amalgamate is the one amalgamation loop behind Amalgamate, AssemblyTree
+// and Analysis.Tree. full also builds the result's Nodes and Columns; the
+// Tree alone needs neither.
+func (a *Analysis) amalgamate(opt AssemblyOptions, full bool) (*AssemblyResult, error) {
+	if opt.Relax < 0 {
+		return nil, fmt.Errorf("symbolic: negative relax %d", opt.Relax)
+	}
+	parent, counts := a.parent, a.counts
+	n := len(parent)
 	// Assembly state per representative column (the top column of a node).
-	work := make([]int32, 5*n)
+	if a.work == nil {
+		a.work = make([]int32, 5*n)
+	}
+	work := a.work
 	eta := work[:n]      // columns amalgamated, at reps
 	rep := work[n : 2*n] // union-find: etree column → assembly rep
 	kids := kidLists{head: work[2*n : 3*n], tail: work[3*n : 4*n], next: work[4*n:]}
@@ -106,8 +167,8 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 		eta[p] += eta[c]
 		kids.absorb(p, prev, c)
 	}
-	childPtr, child := etreeChildren(parent)
-	for _, pi := range etreePostorder(parent, childPtr, child) {
+	childPtr, child := a.childPtr, a.child
+	for _, pi := range a.post {
 		p := int32(pi)
 		etreeKids := child[childPtr[p]:childPtr[p+1]]
 		// Children assembly nodes of p (already final).
@@ -158,29 +219,32 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 		}
 	}
 	// Parents in the assembly tree; roots get a virtual root if several.
-	size := nreps
-	if nroots > 1 {
-		size++
+	// tree.New copies the vectors, so they live in the analysis's scratch,
+	// grown only when a relax level keeps more nodes than an earlier one.
+	if cap(a.asmParent) < nreps+1 {
+		a.asmParent = make([]int, nreps+1)
+		a.f = make([]int64, nreps+1)
+		a.nw = make([]int64, nreps+1)
 	}
-	asmParent := make([]int, nreps, size)
-	nodes := make([]AssemblyNode, nreps, size)
-	columns := make([][]int, nreps, size)
-	f := make([]int64, nreps, size)
-	nw := make([]int64, nreps, size)
-	// Columns are carved from one n-entry buffer, each node's η-entry
-	// segment filled in increasing column order.
-	colBuf := make([]int, n)
-	fill := kids.tail // free after the loop
-	off := int32(0)
+	asmParent, f, nw := a.asmParent[:nreps], a.f[:nreps], a.nw[:nreps]
+	var (
+		nodes   []AssemblyNode
+		columns [][]int
+	)
+	if full {
+		size := nreps
+		if nroots > 1 {
+			size++
+		}
+		nodes = make([]AssemblyNode, nreps, size)
+		columns = make([][]int, nreps, size)
+	}
 	for j := 0; j < n; j++ {
 		r := rep[j]
 		if r != int32(j) {
 			continue
 		}
 		k := index[j]
-		fill[k] = off
-		columns[k] = colBuf[off : off+eta[r] : off+eta[r]]
-		off += eta[r]
 		if p := parent[j]; p == NoParent {
 			asmParent[k] = tree.NoParent
 		} else {
@@ -188,14 +252,28 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 		}
 		mu := counts[r]
 		h := int64(eta[r])
-		nodes[k] = AssemblyNode{Top: j, Eta: int(eta[r]), Mu: mu}
 		f[k] = (mu - 1) * (mu - 1)
 		nw[k] = h*h + 2*h*(mu-1)
+		if full {
+			nodes[k] = AssemblyNode{Top: j, Eta: int(eta[r]), Mu: mu}
+		}
 	}
-	for j := 0; j < n; j++ {
-		k := index[rep[j]]
-		colBuf[fill[k]] = j
-		fill[k]++
+	if full {
+		// Columns are carved from one n-entry buffer, each node's η-entry
+		// segment filled in increasing column order.
+		colBuf := make([]int, n)
+		fill := kids.tail // free after the loop
+		off := int32(0)
+		for k, nd := range nodes {
+			fill[k] = off
+			columns[k] = colBuf[off : off+int32(nd.Eta) : off+int32(nd.Eta)]
+			off += int32(nd.Eta)
+		}
+		for j := 0; j < n; j++ {
+			k := index[rep[j]]
+			colBuf[fill[k]] = j
+			fill[k]++
+		}
 	}
 	// A root's contribution block leaves the system: it carries no file to
 	// a parent. Several roots are joined by a virtual zero-weight root.
@@ -208,8 +286,10 @@ func Amalgamate(parent []int, counts []int64, opt AssemblyOptions) (*AssemblyRes
 		}
 	}
 	if nroots > 1 {
-		nodes = append(nodes, AssemblyNode{Top: -1})
-		columns = append(columns, nil)
+		if full {
+			nodes = append(nodes, AssemblyNode{Top: -1})
+			columns = append(columns, nil)
+		}
 		f = append(f, 0)
 		nw = append(nw, 0)
 		asmParent = append(asmParent, tree.NoParent)

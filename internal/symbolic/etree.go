@@ -77,7 +77,13 @@ func ColumnCounts(m *sparse.Matrix, parent []int) ([]int64, error) {
 			return nil, fmt.Errorf("symbolic: parent[%d] = %d is not a valid etree parent", j, p)
 		}
 	}
-	post := EtreePostorder(parent)
+	return columnCounts(m, parent, EtreePostorder(parent)), nil
+}
+
+// columnCounts is ColumnCounts over a validated parent vector and its
+// postorder.
+func columnCounts(m *sparse.Matrix, parent, post []int) []int64 {
+	n := len(parent)
 	counts := make([]int64, n)
 	work := make([]int32, 4*n)
 	first, maxfirst, prevleaf, ancestor := work[:n], work[n:2*n], work[2*n:3*n], work[3*n:]
@@ -122,7 +128,7 @@ func ColumnCounts(m *sparse.Matrix, parent []int) ([]int64, error) {
 			counts[p] += counts[j]
 		}
 	}
-	return counts, nil
+	return counts
 }
 
 // skeletonLeaf decides whether column j is a leaf of row i's subtree. kind

@@ -10,16 +10,13 @@ import "repro/internal/tree"
 // ablation benchmark quantifies how much the frontier reuse of the
 // published algorithm saves.
 func MinMemNoReuse(t *tree.Tree) Result {
-	var (
-		avail int64
-		st    = exploreState{t: t}
-		out   exploreResult
-	)
+	st := getExploreState(t)
+	defer putExploreState(st)
+	var avail int64
 	peak := t.MaxMemReq()
 	for peak != Infinite {
 		avail = peak
-		out = st.fromRoot(avail, nil)
-		peak = out.peak
+		peak = st.fromRoot(avail, false).peak
 	}
 	return Result{Memory: avail, Order: st.order()}
 }
@@ -28,16 +25,12 @@ func MinMemNoReuse(t *tree.Tree) Result {
 // MinMem run, the cost measure behind the O(p²) analysis. reuse selects the
 // published algorithm (true) or the restart ablation (false).
 func ExploreCalls(t *tree.Tree, reuse bool) int64 {
-	st := exploreState{t: t, countCalls: true}
-	var out exploreResult
+	st := getExploreState(t)
+	defer putExploreState(st)
+	st.countCalls = true
 	peak := t.MaxMemReq()
 	for peak != Infinite {
-		if reuse {
-			out = st.fromRoot(peak, out.cut)
-		} else {
-			out = st.fromRoot(peak, nil)
-		}
-		peak = out.peak
+		peak = st.fromRoot(peak, reuse).peak
 	}
 	return st.calls
 }

@@ -2,6 +2,7 @@ package traversal
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/tree"
 )
@@ -20,16 +21,13 @@ import (
 // subtree's traversal into its parent's. In practice only a few sweeps are
 // needed.
 func MinMem(t *tree.Tree) Result {
-	var (
-		avail int64
-		st    = exploreState{t: t}
-		out   exploreResult
-	)
+	st := getExploreState(t)
+	defer putExploreState(st)
+	var avail int64
 	peak := t.MaxMemReq()
 	for peak != Infinite {
 		avail = peak
-		out = st.fromRoot(avail, out.cut)
-		peak = out.peak
+		peak = st.fromRoot(avail, true).peak
 	}
 	return Result{Memory: avail, Order: st.order()}
 }
@@ -54,10 +52,11 @@ func TraversalWithin(t *tree.Tree, m int64) ([]int, error) {
 // itself, a traversal reaching it, and the minimal memory needed to visit
 // one more node (Infinite if the whole tree was processed).
 func Explore(t *tree.Tree, avail int64) (minMemory int64, frontier []int, order []int, peak int64) {
-	st := exploreState{t: t}
-	out := st.fromRoot(avail, nil)
-	frontier = make([]int, len(out.cut))
-	for i, e := range out.cut {
+	st := getExploreState(t)
+	defer putExploreState(st)
+	out := st.fromRoot(avail, false)
+	frontier = make([]int, len(st.cut))
+	for i, e := range st.cut {
 		frontier[i] = int(e.node)
 	}
 	return out.min, frontier, st.order(), out.peak
@@ -72,12 +71,11 @@ type cutEntry struct {
 }
 
 // exploreResult mirrors the tuple ⟨M_i, L_i, Tr_i, M_i^peak⟩ of Algorithm 3.
-// The traversal Tr_i is not carried here: it is the tail of the state's
-// shared buffer that the call appended.
+// Neither the frontier L_i nor the traversal Tr_i is carried here: both are
+// the tails of the state's shared buffers that the call left behind.
 type exploreResult struct {
-	min  int64      // Σ files on the frontier at the reached state
-	cut  []cutEntry // the frontier itself
-	peak int64      // minimal memory to visit one more node (Infinite if done)
+	min  int64 // Σ files on the frontier at the reached state
+	peak int64 // minimal memory to visit one more node (Infinite if done)
 }
 
 type exploreState struct {
@@ -87,19 +85,47 @@ type exploreState struct {
 	// length mark at its entry; a caller that does not commit a
 	// sub-exploration truncates ord back to that mark.
 	ord []int32
+	// cut is the one frontier buffer of a run, a stack of segments: a
+	// call's frontier is cut[base:] for the length base at its entry, and
+	// every call below it pushes its own frontier on top. So when a child
+	// returns, its frontier sits right above its parent's segment. A
+	// caller that commits it swap-removes the child's entry, moving its
+	// segment's last entry into the slot, and shifts the child's frontier
+	// down by one onto the freed slot; one that does not truncates cut back
+	// to its own segment. After fromRoot, cut is the root's frontier.
+	cut []cutEntry
 	// countCalls enables the instrumentation used by ExploreCalls.
 	countCalls bool
 	calls      int64
 }
 
-// fromRoot runs explore at the tree root with the given budget. A
-// non-empty init resumes from that saved frontier, whose traversal is
-// already in ord; otherwise the run starts afresh with an empty traversal.
-func (st *exploreState) fromRoot(avail int64, init []cutEntry) exploreResult {
-	if len(init) == 0 {
-		st.ord = st.ord[:0]
+// exploreStates pools the explore buffers across runs, the way simScratch
+// pools the simulator's, so a run on a deep path allocates no frontier.
+var exploreStates = sync.Pool{New: func() any { return new(exploreState) }}
+
+func getExploreState(t *tree.Tree) *exploreState {
+	st := exploreStates.Get().(*exploreState)
+	st.t = t
+	return st
+}
+
+// putExploreState drops the tree and the counters and returns st's
+// buffers to the pool.
+func putExploreState(st *exploreState) {
+	*st = exploreState{ord: st.ord[:0], cut: st.cut[:0]}
+	exploreStates.Put(st)
+}
+
+// fromRoot runs explore at the tree root with the given budget. With
+// resume and a non-empty saved frontier in cut (the previous run's), the
+// run resumes from it, its traversal already in ord; otherwise the run
+// starts afresh with an empty frontier and traversal.
+func (st *exploreState) fromRoot(avail int64, resume bool) exploreResult {
+	resume = resume && len(st.cut) > 0
+	if !resume {
+		st.ord, st.cut = st.ord[:0], st.cut[:0]
 	}
-	return st.explore(st.t.Root(), avail, init)
+	return st.explore(st.t.Root(), avail, resume)
 }
 
 // order copies the traversal out of the shared buffer.
@@ -112,16 +138,27 @@ func (st *exploreState) order() []int {
 }
 
 // explore is Algorithm 3. The budget avail accounts for the whole subtree
-// rooted at i, input file included. When init is non-empty, exploration
-// resumes from that saved frontier (only used at the tree root by MinMem),
-// extending the traversal that reached it at the end of ord.
-func (st *exploreState) explore(i int, avail int64, init []cutEntry) exploreResult {
+// rooted at i, input file included. With resume (only used at the tree
+// root by MinMem), exploration resumes from the saved frontier, the whole
+// of cut, extending the traversal that reached it at the end of ord. The
+// call's frontier is left in cut[base:], base being len(cut) at entry (0
+// when resuming).
+func (st *exploreState) explore(i int, avail int64, resume bool) exploreResult {
 	if st.countCalls {
 		st.calls++
 	}
 	t := st.t
-	fi, ni := t.F(i), t.N(i)
-	if len(init) == 0 {
+	base := len(st.cut)
+	if resume {
+		base = 0
+	}
+	var sumL int64
+	if resume {
+		for _, e := range st.cut {
+			sumL += t.F(int(e.node))
+		}
+	} else {
+		fi, ni := t.F(i), t.N(i)
 		if t.IsLeaf(i) {
 			if ni+fi <= avail {
 				st.ord = append(st.ord, int32(i))
@@ -132,23 +169,11 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry) exploreResu
 		if req := t.MemReq(i); req > avail {
 			return exploreResult{min: Infinite, peak: req}
 		}
-	}
-	var (
-		cut  []cutEntry
-		sumL int64
-	)
-	if len(init) > 0 {
-		cut = init
-		for _, e := range cut {
-			sumL += t.F(int(e.node))
-		}
-	} else {
 		nc := t.NumChildren(i)
-		cut = make([]cutEntry, nc)
 		for k := 0; k < nc; k++ {
 			c := t.Child(i, k)
 			// Never explored: peak −1 marks it as an immediate candidate.
-			cut[k] = cutEntry{node: int32(c), peak: -1}
+			st.cut = append(st.cut, cutEntry{node: int32(c), peak: -1})
 			sumL += t.F(c)
 		}
 		st.ord = append(st.ord, int32(i))
@@ -157,43 +182,44 @@ func (st *exploreState) explore(i int, avail int64, init []cutEntry) exploreResu
 	// which can turn other entries back into candidates.
 	for {
 		progressed := false
-		for k := 0; k < len(cut); k++ {
-			e := cut[k]
+		for k := base; k < len(st.cut); k++ {
+			e := st.cut[k]
 			budget := avail - (sumL - t.F(int(e.node)))
 			if e.peak >= 0 && budget < e.peak {
 				continue // not a candidate: re-exploring cannot reach a new node
 			}
-			mark := len(st.ord)
-			sub := st.explore(int(e.node), budget, nil)
+			mark, top := len(st.ord), len(st.cut)
+			sub := st.explore(int(e.node), budget, false)
 			if sub.min <= t.F(int(e.node)) {
 				// Process e.node: replace it by the cut found in its subtree
 				// (line 17); its traversal, already at the end of ord, is the
 				// appended sub-traversal (line 18). The cut is a set, so a
-				// swap-remove plus append keeps the commit O(|sub-cut|)
-				// instead of O(|cut|).
+				// swap-remove plus the sub-cut's shift onto the freed slot
+				// keeps the commit O(|sub-cut|) instead of O(|cut|).
 				sumL += sub.min - t.F(int(e.node))
-				cut[k] = cut[len(cut)-1]
-				cut = cut[:len(cut)-1]
-				cut = append(cut, sub.cut...)
+				st.cut[k] = st.cut[top-1]
+				copy(st.cut[top-1:], st.cut[top:])
+				st.cut = st.cut[:len(st.cut)-1]
 				k-- // revisit the slot that now holds the swapped-in entry
 				progressed = true
 			} else {
 				st.ord = st.ord[:mark]
-				cut[k].peak = sub.peak
+				st.cut = st.cut[:top]
+				st.cut[k].peak = sub.peak
 			}
 		}
 		if !progressed {
 			break
 		}
 	}
-	if len(cut) == 0 {
-		return exploreResult{min: 0, cut: nil, peak: Infinite}
+	if len(st.cut) == base {
+		return exploreResult{min: 0, peak: Infinite}
 	}
 	peak := int64(Infinite)
-	for _, e := range cut {
+	for _, e := range st.cut[base:] {
 		if cand := e.peak + (sumL - t.F(int(e.node))); cand < peak {
 			peak = cand
 		}
 	}
-	return exploreResult{min: sumL, cut: cut, peak: peak}
+	return exploreResult{min: sumL, peak: peak}
 }

@@ -192,3 +192,132 @@ func (st *refExploreState) explore(i int, avail int64, init []cutEntry, initOrde
 	}
 	return refExploreResult{min: sumL, cut: cut, order: order, peak: peak}
 }
+
+// The rest of this file preserves the explore that preceded the frontier
+// arena verbatim: one shared traversal buffer, but a fresh frontier slice
+// per internal node, with a commit appending the sub-frontier to its
+// parent's. The arena explore must match it order for order.
+
+// sliceExploreResult is ⟨M_i, L_i, M_i^peak⟩ with the frontier as its own
+// slice.
+type sliceExploreResult struct {
+	min  int64
+	cut  []cutEntry
+	peak int64
+}
+
+type sliceExploreState struct {
+	t   *tree.Tree
+	ord []int32
+}
+
+// sliceMinMem is MinMem over the per-node-slice explore.
+func sliceMinMem(t *tree.Tree) Result {
+	var (
+		avail int64
+		st    = sliceExploreState{t: t}
+		out   sliceExploreResult
+	)
+	peak := t.MaxMemReq()
+	for peak != Infinite {
+		avail = peak
+		out = st.fromRoot(avail, out.cut)
+		peak = out.peak
+	}
+	order := make([]int, len(st.ord))
+	for i, v := range st.ord {
+		order[i] = int(v)
+	}
+	return Result{Memory: avail, Order: order}
+}
+
+// sliceExploreFrontier is Explore's frontier over the per-node-slice
+// explore.
+func sliceExploreFrontier(t *tree.Tree, avail int64) []int {
+	st := sliceExploreState{t: t}
+	out := st.fromRoot(avail, nil)
+	frontier := make([]int, len(out.cut))
+	for i, e := range out.cut {
+		frontier[i] = int(e.node)
+	}
+	return frontier
+}
+
+func (st *sliceExploreState) fromRoot(avail int64, init []cutEntry) sliceExploreResult {
+	if len(init) == 0 {
+		st.ord = st.ord[:0]
+	}
+	return st.explore(st.t.Root(), avail, init)
+}
+
+func (st *sliceExploreState) explore(i int, avail int64, init []cutEntry) sliceExploreResult {
+	t := st.t
+	fi, ni := t.F(i), t.N(i)
+	if len(init) == 0 {
+		if t.IsLeaf(i) {
+			if ni+fi <= avail {
+				st.ord = append(st.ord, int32(i))
+				return sliceExploreResult{min: 0, peak: Infinite}
+			}
+			return sliceExploreResult{min: Infinite, peak: ni + fi}
+		}
+		if req := t.MemReq(i); req > avail {
+			return sliceExploreResult{min: Infinite, peak: req}
+		}
+	}
+	var (
+		cut  []cutEntry
+		sumL int64
+	)
+	if len(init) > 0 {
+		cut = init
+		for _, e := range cut {
+			sumL += t.F(int(e.node))
+		}
+	} else {
+		nc := t.NumChildren(i)
+		cut = make([]cutEntry, nc)
+		for k := 0; k < nc; k++ {
+			c := t.Child(i, k)
+			cut[k] = cutEntry{node: int32(c), peak: -1}
+			sumL += t.F(c)
+		}
+		st.ord = append(st.ord, int32(i))
+	}
+	for {
+		progressed := false
+		for k := 0; k < len(cut); k++ {
+			e := cut[k]
+			budget := avail - (sumL - t.F(int(e.node)))
+			if e.peak >= 0 && budget < e.peak {
+				continue
+			}
+			mark := len(st.ord)
+			sub := st.explore(int(e.node), budget, nil)
+			if sub.min <= t.F(int(e.node)) {
+				sumL += sub.min - t.F(int(e.node))
+				cut[k] = cut[len(cut)-1]
+				cut = cut[:len(cut)-1]
+				cut = append(cut, sub.cut...)
+				k--
+				progressed = true
+			} else {
+				st.ord = st.ord[:mark]
+				cut[k].peak = sub.peak
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	if len(cut) == 0 {
+		return sliceExploreResult{min: 0, cut: nil, peak: Infinite}
+	}
+	peak := int64(Infinite)
+	for _, e := range cut {
+		if cand := e.peak + (sumL - t.F(int(e.node))); cand < peak {
+			peak = cand
+		}
+	}
+	return sliceExploreResult{min: sumL, cut: cut, peak: peak}
+}

@@ -61,12 +61,17 @@ func randomCaterpillar(rng *rand.Rand, spine int) *tree.Tree {
 
 // minMemDisagreement compares MinMem, MinMemNoReuse, Explore,
 // TraversalWithin and ExploreCalls with the preserved per-level-slice
-// reference on tr, and describes the first difference found ("" if none).
-// Explore and TraversalWithin run at budgets below, at and above the
-// optimum, so partial frontiers and error reports are compared too.
+// reference on tr, and MinMem and Explore's frontier with the preserved
+// per-node-frontier explore, and describes the first difference found (""
+// if none). Explore and TraversalWithin run at budgets below, at and above
+// the optimum, so partial frontiers and error reports are compared too.
 func minMemDisagreement(tr *tree.Tree) string {
-	if got, want := MinMem(tr), refMinMem(tr); !reflect.DeepEqual(got, want) {
+	got := MinMem(tr)
+	if want := refMinMem(tr); !reflect.DeepEqual(got, want) {
 		return fmt.Sprintf("MinMem %+v != reference %+v", got, want)
+	}
+	if want := sliceMinMem(tr); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("MinMem %+v != per-node-frontier explore %+v", got, want)
 	}
 	if got, want := MinMemNoReuse(tr), refMinMemNoReuse(tr); !reflect.DeepEqual(got, want) {
 		return fmt.Sprintf("MinMemNoReuse %+v != reference %+v", got, want)
@@ -79,6 +84,9 @@ func minMemDisagreement(tr *tree.Tree) string {
 	lo, opt := tr.MaxMemReq(), refMinMem(tr).Memory
 	for _, m := range []int64{0, lo - 1, lo, (lo + opt) / 2, opt - 1, opt, opt + 1} {
 		gMin, gFront, gOrder, gPeak := Explore(tr, m)
+		if want := sliceExploreFrontier(tr, m); !reflect.DeepEqual(gFront, want) {
+			return fmt.Sprintf("Explore(%d) frontier %v != per-node-frontier explore %v", m, gFront, want)
+		}
 		wMin, wFront, wOrder, wPeak := refExplore(tr, m)
 		if gMin != wMin || gPeak != wPeak || !reflect.DeepEqual(gFront, wFront) || !reflect.DeepEqual(gOrder, wOrder) {
 			return fmt.Sprintf("Explore(%d) = (%d, %v, %v, %d), reference (%d, %v, %v, %d)",

@@ -49,13 +49,16 @@ func NewDecoder(r io.Reader) *Decoder {
 // Decode parses the next document of the stream. At the clean end of the
 // stream it returns io.EOF; a document cut off mid-way is an error, not
 // EOF.
+//
+// Node lines are kept in arrival order and placed by id only once the
+// header's count of them has arrived, so memory follows the lines read,
+// never the count a header declares: "p 10000000" alone allocates
+// nothing.
 func (d *Decoder) Decode() (*Tree, error) {
 	var (
-		parent []int
-		f, n   []int64
-		seen   []bool
-		p      = -1
-		nodes  = 0
+		ids, parent []int
+		f, n        []int64
+		p           = -1
 	)
 	for d.sc.Scan() {
 		d.line++
@@ -76,10 +79,6 @@ func (d *Decoder) Decode() (*Tree, error) {
 				return nil, fmt.Errorf("tree: line %d: bad node count %q", d.line, fields[1])
 			}
 			p = v
-			parent = make([]int, p)
-			f = make([]int64, p)
-			n = make([]int64, p)
-			seen = make([]bool, p)
 			continue
 		}
 		if p == -1 {
@@ -92,22 +91,23 @@ func (d *Decoder) Decode() (*Tree, error) {
 		if err != nil || id < 0 || id >= p {
 			return nil, fmt.Errorf("tree: line %d: bad node id %q", d.line, fields[0])
 		}
-		if seen[id] {
-			return nil, fmt.Errorf("tree: line %d: duplicate node %d", d.line, id)
-		}
-		seen[id] = true
-		if parent[id], err = strconv.Atoi(fields[1]); err != nil {
+		par, err := strconv.Atoi(fields[1])
+		if err != nil {
 			return nil, fmt.Errorf("tree: line %d: bad parent %q", d.line, fields[1])
 		}
-		if f[id], err = strconv.ParseInt(fields[2], 10, 64); err != nil {
+		fi, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("tree: line %d: bad f %q", d.line, fields[2])
 		}
-		if n[id], err = strconv.ParseInt(fields[3], 10, 64); err != nil {
+		ni, err := strconv.ParseInt(fields[3], 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("tree: line %d: bad n %q", d.line, fields[3])
 		}
-		if nodes++; nodes == p {
+		ids, parent = append(ids, id), append(parent, par)
+		f, n = append(f, fi), append(n, ni)
+		if len(ids) == p {
 			// Document complete: the next Decode starts a fresh header.
-			return New(parent, f, n)
+			return placeNodes(ids, parent, f, n)
 		}
 	}
 	if err := d.sc.Err(); err != nil {
@@ -116,12 +116,34 @@ func (d *Decoder) Decode() (*Tree, error) {
 	if p == -1 {
 		return nil, io.EOF
 	}
-	for id, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("tree: node %d missing", id)
+	return nil, fmt.Errorf("tree: document ends after %d of %d nodes", len(ids), p)
+}
+
+// placeNodes builds the tree of a complete document whose node lines
+// arrived in the order ids lists, moving each line to its id's slot unless
+// the lines already came in id order.
+func placeNodes(ids, parent []int, f, n []int64) (*Tree, error) {
+	inOrder := true
+	for k, id := range ids {
+		if id != k {
+			inOrder = false
+			break
 		}
 	}
-	return New(parent, f, n) // unreachable: nodes == p returns above
+	if inOrder {
+		return New(parent, f, n)
+	}
+	p := len(ids)
+	byID, fByID, nByID := make([]int, p), make([]int64, p), make([]int64, p)
+	seen := make([]bool, p)
+	for k, id := range ids {
+		if seen[id] {
+			return nil, fmt.Errorf("tree: duplicate node %d", id)
+		}
+		seen[id] = true
+		byID[id], fByID[id], nByID[id] = parent[k], f[k], n[k]
+	}
+	return New(byID, fByID, nByID)
 }
 
 // Read parses a single tree in the .tree text format, rejecting an empty
