@@ -155,7 +155,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-{json,binary} contrast the two transports over one warmed server; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), batch-binary-refs/64x4 sends the same batch as a binary Client to a server handler joined in memory that retains its four trees, so the batch carries references and every job hits the server's cache (rows_per_sec = jobs), digest/tree-1k hashes a fresh 1,000-node tree, its first Digest call (rows_per_sec = nodes), all three at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ of the symmetrized grid under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-binary runs it through the binary transport to one warmed server over loopback; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), batch-binary-refs/64x4 sends the same batch as a binary Client to a server handler joined in memory that retains its four trees, so the batch carries references and every job hits the server's cache (rows_per_sec = jobs), digest/tree-1k hashes a fresh 1,000-node tree, its first Digest call (rows_per_sec = nodes), all three at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ of the symmetrized grid under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -357,7 +357,6 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 	refCache := schedule.NewCached(schedule.Local{}, nil)
 	refServer := service.NewServerWith(service.ServerOptions{Backend: refCache}).Handler()
 	refClient := service.NewClient("http://in-process", &http.Client{Transport: handlerTransport{refServer}})
-	refClient.Binary = true
 	for i := 0; i < 2; i++ { // ship the trees and fill the cache, then reference them
 		if _, err := refClient.Run(context.Background(), hitJobs, schedule.BatchOptions{}); err != nil {
 			return err
@@ -401,25 +400,19 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 			fresh.Digest()
 		}
 	}))
-	// Remote throughput over the same warmed cache, JSON vs binary: the
-	// contrast is pure transport (encoding, HTTP framing, decoding).
+	// Remote throughput over the same warmed cache: the batch's encoding,
+	// HTTP framing and decoding over a loopback socket.
 	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: cached}).Handler())
 	defer srv.Close()
-	for _, mode := range []struct {
-		name   string
-		binary bool
-	}{{"batch-remote-json/minmemory-grid", false}, {"batch-remote-binary/minmemory-grid", true}} {
-		client := service.NewClient(srv.URL, nil)
-		client.Binary = mode.binary
-		add(record(mode.name, 0, float64(len(jobs)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
-					b.Fatal(err)
-				}
+	client := service.NewClient(srv.URL, nil)
+	add(record("batch-remote-binary/minmemory-grid", 0, float64(len(jobs)), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+				b.Fatal(err)
 			}
-		}))
-	}
+		}
+	}))
 	// Real-matrix front end, fixed problem sizes (independent of -bench-nodes
 	// so the CI gate compares like with like): the zero-alloc MatrixMarket
 	// parser (rows/sec = coordinate entries), AMD, nested dissection,

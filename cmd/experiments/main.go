@@ -77,7 +77,6 @@ func run(args []string, w io.Writer) error {
 	backendSpec := fs.String("backend", "local", "grid evaluation backend: local | cached | scheduled-server URL(s); a comma-separated URL list shards the grid across the servers")
 	cachePath := fs.String("cache", "", "paged row-store path for -backend cached (empty = in-memory)")
 	retries := fs.Int("retries", 2, "per-chunk submission retries for remote backends (transient errors only)")
-	binary := fs.Bool("binary", false, "use the binary batch transport for remote backends (all servers must understand it)")
 	shardPolicy := fs.String("shard-policy", "adaptive", "chunk dispatch policy for sharded backends: adaptive | roundrobin")
 	warm := fs.Bool("warm", false, "forward computed rows to sibling server caches (sharded backends)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge straggler chunks after this floor delay (0 = no hedging; sharded backends)")
@@ -109,7 +108,7 @@ func run(args []string, w io.Writer) error {
 			grid: gridConfig{
 				algos: *algos, workers: *workers, csvDir: *csvDir,
 				backend: *backendSpec, cachePath: *cachePath, retries: *retries,
-				binary: *binary, shardPolicy: *shardPolicy, warm: *warm,
+				shardPolicy: *shardPolicy, warm: *warm,
 				hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
 				progress: *progress, noTime: *noTime,
 			},
@@ -279,7 +278,7 @@ func run(args []string, w io.Writer) error {
 		cfg := gridConfig{
 			algos: *algos, workers: *workers, csvDir: *csvDir,
 			backend: *backendSpec, cachePath: *cachePath, retries: *retries,
-			binary: *binary, shardPolicy: *shardPolicy, warm: *warm,
+			shardPolicy: *shardPolicy, warm: *warm,
 			hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
 			progress: *progress, noTime: *noTime,
 		}
@@ -298,7 +297,6 @@ type gridConfig struct {
 	backend       string
 	cachePath     string
 	retries       int
-	binary        bool
 	shardPolicy   string
 	warm          bool
 	hedgeAfter    time.Duration
@@ -322,7 +320,6 @@ func newBackend(cfg gridConfig) (schedule.Backend, func() error, error) {
 		}
 		c := service.NewClient(url, nil)
 		c.Retries = cfg.retries
-		c.Binary = cfg.binary
 		return c, nil
 	}
 	spec := cfg.backend

@@ -177,13 +177,6 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 		t.Fatal("round-robin warmed shard exports differ from local")
 	}
 
-	// The binary transport across the same shard is byte-identical too.
-	binCSV, binJSONL := gridFiles("binary", "-backend", srv1.URL+","+srv2.URL,
-		"-retries", "0", "-binary")
-	if binCSV != localCSV || binJSONL != localJSONL {
-		t.Fatal("binary-transport shard exports differ from local")
-	}
-
 	// Malformed lists and unknown policies are rejected.
 	var sb strings.Builder
 	if err := run([]string{"-exp", "grid", "-scale", "small", "-backend", srv1.URL + ",bogus"}, &sb); err == nil {

@@ -1,5 +1,5 @@
 // Command scheduled is the long-running evaluation service: it serves the
-// schedule algorithm registry over the HTTP/JSON protocol of
+// schedule algorithm registry over the HTTP protocol of
 // internal/service, so remote clients (cmd/experiments -backend http://…,
 // or service.Client embedded anywhere) can list algorithms and run job
 // batches without linking the solvers.

@@ -131,8 +131,8 @@ func TestServeWithCache(t *testing.T) {
 	}
 }
 
-// A binary-transport client reads the rows served from the paged store
-// bit-identically to a JSON client, and the store keeps them on disk.
+// A second client reads the rows the first one computed back from the
+// paged store bit-identically, and the store keeps them on disk.
 func TestServeWithBinaryCacheAndTransport(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t, "-cache", cache)
@@ -144,14 +144,11 @@ func TestServeWithBinaryCacheAndTransport(t *testing.T) {
 		{Instance: "h", Tree: h, Algorithm: "postorder"},
 		{Instance: "h", Tree: h, Algorithm: "minmem"},
 	}
-	jsonClient := service.NewClient(base, nil)
-	first, err := jsonClient.Run(context.Background(), jobs, schedule.BatchOptions{})
+	first, err := service.NewClient(base, nil).Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binClient := service.NewClient(base, nil)
-	binClient.Binary = true
-	second, err := binClient.Run(context.Background(), jobs, schedule.BatchOptions{})
+	second, err := service.NewClient(base, nil).Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +156,7 @@ func TestServeWithBinaryCacheAndTransport(t *testing.T) {
 		a, b := first[i], second[i]
 		a.Seconds, b.Seconds = 0, 0
 		if a != b {
-			t.Fatalf("binary replay of row %d not bit-identical: %+v vs %+v", i, first[i], second[i])
+			t.Fatalf("cached replay of row %d not bit-identical: %+v vs %+v", i, first[i], second[i])
 		}
 	}
 	out := shutdown()
@@ -271,6 +268,8 @@ func TestServeWithQuotasAndMetrics(t *testing.T) {
 
 // -children turns the server into a front door: batches fan out over the
 // child servers, results match, and the shard counters reach /metrics.
+// The front door speaks the binary transport to its children, so once a
+// child has a tree, later batches over it send only its reference.
 func TestServeFrontDoorShard(t *testing.T) {
 	childA, shutdownA := startScheduled(t)
 	childB, shutdownB := startScheduled(t)
@@ -291,6 +290,33 @@ func TestServeFrontDoorShard(t *testing.T) {
 	}
 	if rows[0].Memory != 71 || rows[1].Memory != 35 {
 		t.Fatalf("wrong fanned-out results: %+v", rows)
+	}
+	// Two more batches over the same tree: of three, some child serves at
+	// least two, and it resolves the tree by reference in all but the first.
+	for i := 0; i < 2; i++ {
+		again, err := client.Run(context.Background(), jobs, schedule.BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again[0].Memory != 71 || again[1].Memory != 35 {
+			t.Fatalf("wrong fanned-out results on batch %d: %+v", i+2, again)
+		}
+	}
+	resolvedRE := regexp.MustCompile(`scheduled_tree_refs_total\{result="resolved"\} (\d+)`)
+	resolved := false
+	for _, child := range []string{childA, childB} {
+		resp, err := http.Get(child + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrape, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if m := resolvedRE.FindStringSubmatch(string(scrape)); m != nil && m[1] != "0" {
+			resolved = true
+		}
+	}
+	if !resolved {
+		t.Fatal("no child resolved a tree reference: the front door did not reference the trees it shipped")
 	}
 	resp, err := http.Get(front + "/metrics")
 	if err != nil {

@@ -8,21 +8,16 @@ import (
 	"io"
 	"math"
 	"mime"
-	"strings"
 	"sync"
 
 	"repro/internal/schedule"
 	"repro/internal/tree"
 )
 
-// The binary batch transport is the allocation-light sibling of the JSON
-// protocol: the same POST /v1/batch endpoint, negotiated per side by media
-// type. The request body replaces the JSON envelope (Content-Type
-// ContentTypeBinaryBatch) and the response stream replaces JSON Lines
-// (Accept ContentTypeBinaryRows); the two are independent, so a shard may
-// mix JSON and binary children mid-upgrade. Both bodies open with
-// schedule.WireMagic, a kind byte and a version byte, like every other
-// binary schedule stream.
+// POST /v1/batch speaks one transport, binary both ways: the request body
+// is Content-Type ContentTypeBinaryBatch and the response stream
+// ContentTypeBinaryRows. Both bodies open with schedule.WireMagic, a kind
+// byte and a version byte, like every other binary schedule stream.
 //
 // Request ('B', version 1):
 //
@@ -31,7 +26,8 @@ import (
 //	    tree.AppendBinary form (it opens with tree.BinaryMagic, 0xA9) or a
 //	    reference, the byte treeRefMarker (0x00) then the tree's 32-byte
 //	    tree.Digest
-//	uvarint order count, then each order as uvarint length + varint nodes
+//	uvarint order count, then each order as uvarint length (at least 1)
+//	    + varint nodes
 //	uvarint job count, then per job: uvarint tree index,
 //	    uvarint order index + 1 (0 = no order), instance and algorithm as
 //	    uvarint length + bytes, memory and window as varints
@@ -49,7 +45,7 @@ import (
 // against the tenant's /v1/trees corpus; one that resolves nowhere is
 // answered 409 before the response stream commits, with a JSON body
 // (unknownTreesBody) listing the missing digests. Every response to a
-// binary request carries TreeRefsHeader, and a client references trees
+// batch request carries TreeRefsHeader, and a client references trees
 // only on a server that sent it, so servers predating references keep
 // receiving inline trees. A client references only the trees it shipped
 // inline in a batch that completed (it read the done frame), remembered
@@ -66,20 +62,20 @@ import (
 //	2 (done):  uvarint row count; terminates a successful stream
 //	3 (error): the error message bytes; terminates a failed stream
 //
-// mirroring the JSON Lines contract: rows stream in completion order and a
-// stream without a terminator frame is truncated, not short.
+// Rows stream in completion order, and a stream without a terminator frame
+// is truncated, not short.
 //
-// Both response forms flush at three points only: once when the 200
-// status commits (the batch may still be queued), whenever the HTTP
-// server's write buffer fills, and at the terminator. Rows are not
-// flushed one by one, so a long batch still streams in buffer-sized
-// pieces while a short one travels in a single write.
+// The response flushes at three points only: once when the 200 status
+// commits (the batch may still be queued), whenever the HTTP server's
+// write buffer fills, and at the terminator. Rows are not flushed one by
+// one, so a long batch still streams in buffer-sized pieces while a short
+// one travels in a single write.
 
 // ContentTypeBinaryBatch is the media type of a binary batch request body.
 const ContentTypeBinaryBatch = "application/x-schedule-batch"
 
 // ContentTypeBinaryRows is the media type of a binary batch response
-// stream, requested via the Accept header.
+// stream.
 const ContentTypeBinaryRows = "application/x-schedule-rows"
 
 const (
@@ -102,9 +98,9 @@ const maxResponseFrame = 1 << 20
 // inline entry opens with tree.BinaryMagic instead.
 const treeRefMarker = 0x00
 
-// TreeRefsHeader is set on every response to a binary batch request by a
-// server that resolves tree references. A Client references trees only on
-// a server whose last binary response carried it.
+// TreeRefsHeader is set on every response to a batch request by a server
+// that resolves tree references. A Client references trees only on a
+// server whose last batch response carried it.
 const TreeRefsHeader = "X-Schedule-Tree-Refs"
 
 // retainNodes bounds, in tree nodes, both the trees a server retains and
@@ -220,6 +216,11 @@ type unknownTreesBody struct {
 	Missing []string `json:"missing"`
 }
 
+// maxTablePrealloc bounds the entries a 'B' table reserves for the count
+// its header claims. Past it the table grows as its entries decode, so a
+// count the body cannot back costs no memory.
+const maxTablePrealloc = 1024
+
 // decodeBatchBinary parses a binary batch request body into jobs sharing
 // one *tree.Tree per table entry and one []int per order table entry.
 // Reference entries resolve through trees and inline trees are adopted by
@@ -285,9 +286,10 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 	if treeCount > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("service: binary batch claims %d trees in %d bytes", treeCount, len(data))
 	}
-	table := make([]*tree.Tree, treeCount)
+	table := make([]*tree.Tree, 0, min(treeCount, maxTablePrealloc))
 	var unknown *unknownTreesError
-	for i := range table {
+	for i := uint64(0); i < treeCount; i++ {
+		var t *tree.Tree
 		if len(data) > 0 && data[0] == treeRefMarker {
 			var d tree.Digest
 			if len(data) < 1+len(d) {
@@ -297,7 +299,7 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 			data = data[1+len(d):]
 			var ok bool
 			if trees != nil {
-				table[i], ok = trees.resolve(d)
+				t, ok = trees.resolve(d)
 			}
 			if !ok {
 				if unknown == nil {
@@ -305,17 +307,20 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 				}
 				unknown.add(d)
 			}
-			continue
+		} else {
+			t, data, err = tree.DecodeBinary(data)
+			if err != nil {
+				return nil, 0, fmt.Errorf("service: binary batch tree %d: %w", i, err)
+			}
+			if trees != nil {
+				t = trees.adopt(t)
+			}
 		}
-		var t *tree.Tree
-		t, data, err = tree.DecodeBinary(data)
-		if err != nil {
-			return nil, 0, fmt.Errorf("service: binary batch tree %d: %w", i, err)
+		// A batch with an unknown reference never runs: past the first,
+		// only the missing digests are collected.
+		if unknown == nil {
+			table = append(table, t)
 		}
-		if trees != nil {
-			t = trees.adopt(t)
-		}
-		table[i] = t
 	}
 	if unknown != nil {
 		return nil, 0, unknown
@@ -327,11 +332,14 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 	if orderCount > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("service: binary batch claims %d orders in %d bytes", orderCount, len(data))
 	}
-	orders := make([][]int, orderCount)
-	for i := range orders {
+	orders := make([][]int, 0, min(orderCount, maxTablePrealloc))
+	for i := uint64(0); i < orderCount; i++ {
 		n := uv("order length")
 		if err != nil {
 			return nil, 0, err
+		}
+		if n == 0 {
+			return nil, 0, fmt.Errorf("service: binary batch order %d is empty", i)
 		}
 		if n > uint64(len(data)) {
 			return nil, 0, fmt.Errorf("service: binary batch order %d claims %d nodes in %d bytes", i, n, len(data))
@@ -343,7 +351,7 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 		if err != nil {
 			return nil, 0, err
 		}
-		orders[i] = o
+		orders = append(orders, o)
 	}
 	jobCount := uv("job count")
 	if err != nil {
@@ -352,8 +360,8 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 	if jobCount > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("service: binary batch claims %d jobs in %d bytes", jobCount, len(data))
 	}
-	jobs = make([]schedule.Job, jobCount)
-	for i := range jobs {
+	jobs = make([]schedule.Job, 0, min(jobCount, maxTablePrealloc))
+	for i := uint64(0); i < jobCount; i++ {
 		ti := uv("tree index")
 		oi := uv("order index")
 		inst := str("instance")
@@ -373,14 +381,14 @@ func decodeBatchBinary(data []byte, trees treeResolver) (jobs []schedule.Job, wo
 			}
 			order = orders[oi-1]
 		}
-		jobs[i] = schedule.Job{
+		jobs = append(jobs, schedule.Job{
 			Instance:  inst,
 			Tree:      table[ti],
 			Algorithm: alg,
 			Order:     order,
 			Memory:    mem,
 			Window:    int(win),
-		}
+		})
 	}
 	if len(data) != 0 {
 		return nil, 0, fmt.Errorf("service: binary batch has %d trailing bytes", len(data))
@@ -400,46 +408,6 @@ func isBinaryBatch(contentType string) bool {
 func isBinaryRows(contentType string) bool {
 	mt, _, err := mime.ParseMediaType(contentType)
 	return err == nil && mt == ContentTypeBinaryRows
-}
-
-// acceptsBinaryRows reports whether an Accept header asks for the binary
-// response stream. Absent or wildcard Accept keeps the JSON Lines default.
-func acceptsBinaryRows(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt, _, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err == nil && mt == ContentTypeBinaryRows {
-			return true
-		}
-	}
-	return false
-}
-
-// batchResponder abstracts the two response stream forms so handleBatch
-// evaluates once regardless of negotiation.
-type batchResponder interface {
-	row(i int, r schedule.Row)
-	fail(msg string)
-	done(count int)
-}
-
-// jsonResponder streams the JSON Lines response form.
-type jsonResponder struct {
-	enc     interface{ Encode(any) error }
-	flusher interface{ Flush() }
-}
-
-func (j *jsonResponder) row(i int, r schedule.Row) { j.enc.Encode(BatchLine{Index: i, Row: &r}) }
-
-func (j *jsonResponder) fail(msg string) { j.end(BatchLine{Error: msg}) }
-
-func (j *jsonResponder) done(count int) { j.end(BatchLine{Done: true, Count: count}) }
-
-// end writes the terminator line and flushes the stream.
-func (j *jsonResponder) end(line BatchLine) {
-	j.enc.Encode(line)
-	if j.flusher != nil {
-		j.flusher.Flush()
-	}
 }
 
 // binaryResponder streams the framed binary response form, reusing one
@@ -490,9 +458,9 @@ func (b *binaryResponder) done(count int) {
 }
 
 // readBinaryResponse consumes a binary batch response stream, filling
-// rows/got exactly like the JSON Lines reader: duplicate indices (replays
-// from an earlier attempt) are dropped, an error frame is a deterministic
-// failure, and a stream that ends without a terminator frame is transient.
+// rows/got: duplicate indices (replays from an earlier attempt) are
+// dropped, an error frame is a deterministic failure, and a stream that
+// ends without a terminator frame is transient.
 func readBinaryResponse(body io.Reader, jobs []schedule.Job, opt schedule.BatchOptions, rows []schedule.Row, got []bool) error {
 	br := bufio.NewReader(body)
 	var hdr [3]byte

@@ -2,15 +2,14 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -244,9 +243,7 @@ func FuzzBatchBinaryDecode(f *testing.F) {
 	})
 }
 
-// Content negotiation is per header and independent: the binary request
-// form and the binary response stream each switch on their own header, and
-// parameters or lists in the header values are tolerated.
+// The request form is recognized by its media type, parameters tolerated.
 func TestContentNegotiation(t *testing.T) {
 	if !isBinaryBatch(ContentTypeBinaryBatch) || !isBinaryBatch(ContentTypeBinaryBatch+"; charset=x") {
 		t.Fatal("binary batch media type not recognized")
@@ -254,62 +251,57 @@ func TestContentNegotiation(t *testing.T) {
 	if isBinaryBatch("application/json") || isBinaryBatch("") {
 		t.Fatal("JSON request misrecognized as binary")
 	}
-	if !acceptsBinaryRows(ContentTypeBinaryRows) || !acceptsBinaryRows("application/jsonl, "+ContentTypeBinaryRows+";q=0.9") {
-		t.Fatal("binary rows Accept not recognized")
-	}
-	if acceptsBinaryRows("") || acceptsBinaryRows("*/*") || acceptsBinaryRows("application/jsonl") {
-		t.Fatal("JSON-only Accept misrecognized as binary")
-	}
 }
 
-// A JSON request that accepts the binary stream gets binary frames back —
-// the reader reassembles rows identical to a JSON Lines exchange.
-func TestBinaryResponseToJSONRequest(t *testing.T) {
-	fixture := binaryFixtureJobs(t)
-	jobs := []schedule.Job{
-		{Instance: "a", Tree: fixture[0].Tree, Algorithm: "postorder"},
-		{Instance: "a", Tree: fixture[0].Tree, Algorithm: "liu"},
+// paddedBatch is a 'B' body whose header claims count entries of one
+// table, followed by count zero bytes. The tables before it are empty.
+func paddedBatch(table string, count int) []byte {
+	data := []byte{schedule.WireMagic, batchRequestKind, binaryBatchVersion, 0} // workers 0
+	for _, t := range []string{"trees", "orders", "jobs"} {
+		if t == table {
+			data = binary.AppendUvarint(data, uint64(count))
+			return append(data, make([]byte, count)...)
+		}
+		data = append(data, 0)
 	}
-	srv := httptest.NewServer(NewServer(nil, 0).Handler())
-	t.Cleanup(srv.Close)
+	panic("unknown table " + table)
+}
 
-	jsonClient := NewClient(srv.URL, srv.Client())
-	want, err := jsonClient.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := encodeBatch(jobs, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequestWithContext(context.Background(), http.MethodPost, srv.URL+"/v1/batch", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("Accept", ContentTypeBinaryRows)
-	resp, err := srv.Client().Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !isBinaryRows(ct) {
-		t.Fatalf("response Content-Type %q, want %q", ct, ContentTypeBinaryRows)
-	}
-	rows := make([]schedule.Row, len(jobs))
-	got := make([]bool, len(jobs))
-	if err := readBinaryResponse(resp.Body, jobs, schedule.BatchOptions{}, rows, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		a, b := rows[i], want[i]
-		a.Seconds, b.Seconds = 0, 0
-		if a != b {
-			t.Fatalf("row %d differs binary vs json: %+v vs %+v", i, rows[i], want[i])
+// A body whose header claims as many table entries as it has bytes is
+// refused, with a 4xx through the handler, without allocating for the
+// count: sized by the count alone, the job table of a 1 MiB body takes
+// 92 MB.
+func TestBatchBinaryPaddedCountRefusedCheaply(t *testing.T) {
+	for _, table := range []string{"trees", "orders", "jobs"} {
+		for _, size := range []int{1 << 20, 8 << 20} {
+			data := paddedBatch(table, size)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := decodeBatchBinary(data, nil)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s padded to %d bytes decoded", table, size)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%s padded to %d bytes: decoding allocated %d bytes, want under 1 MB", table, size, alloc)
+			}
+		}
+		// Through the handler the body is read whole first, so it stays
+		// small enough for its own copy to fit under the bound.
+		h := NewServer(nil, 1).Handler()
+		data := paddedBatch(table, 64<<10)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(data))
+		req.Header.Set("Content-Type", ContentTypeBinaryBatch)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("%s padded: answered %d, want 4xx: %s", table, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s padded: the handler allocated %d bytes, want under 1 MB", table, alloc)
 		}
 	}
 }

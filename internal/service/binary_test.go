@@ -28,39 +28,7 @@ func rowsEqualNoTime(t *testing.T, label string, got, want []schedule.Row) {
 	}
 }
 
-// The binary transport returns the rows of a JSON run bit-identically (the
-// Seconds column aside), with the same streaming callback contract.
-func TestBinaryTransportMatchesJSON(t *testing.T) {
-	jobs := testJobs(t)
-	jsonClient := startServer(t, nil)
-	jsonRows, err := jsonClient.Run(context.Background(), jobs, schedule.BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	binClient := startServer(t, nil)
-	binClient.Binary = true
-	streamed := 0
-	indexed := map[int]bool{}
-	binRows, err := binClient.Run(context.Background(), jobs, schedule.BatchOptions{
-		Workers: 4,
-		OnRow:   func(schedule.Row) { streamed++ },
-		OnRowIndexed: func(i int, r schedule.Row) {
-			if indexed[i] {
-				t.Fatalf("row %d streamed twice", i)
-			}
-			indexed[i] = true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != len(jobs) || len(indexed) != len(jobs) {
-		t.Fatalf("streamed %d rows (%d indexed), want %d", streamed, len(indexed), len(jobs))
-	}
-	rowsEqualNoTime(t, "binary vs json", binRows, jsonRows)
-}
-
-// A server predating the binary protocol answers a binary POST with a
+// A server predating the binary protocol answers a batch with a
 // deterministic 400: the client must fail immediately, not retry.
 func TestBinaryAgainstLegacyServerFailsFast(t *testing.T) {
 	var hits atomic.Int32
@@ -68,7 +36,7 @@ func TestBinaryAgainstLegacyServerFailsFast(t *testing.T) {
 		hits.Add(1)
 		// A pre-binary server JSON-decodes every batch body; the wire magic
 		// is not valid JSON, so the request dies with a 400.
-		var req service.BatchRequest
+		var req json.RawMessage
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
 			return
@@ -77,7 +45,6 @@ func TestBinaryAgainstLegacyServerFailsFast(t *testing.T) {
 	}))
 	t.Cleanup(legacy.Close)
 	client := service.NewClient(legacy.URL, legacy.Client())
-	client.Binary = true
 	client.Retries = 3
 	if _, err := client.Run(context.Background(), testJobs(t)[:2], schedule.BatchOptions{}); err == nil {
 		t.Fatal("binary batch against a legacy server succeeded")
@@ -85,27 +52,4 @@ func TestBinaryAgainstLegacyServerFailsFast(t *testing.T) {
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("legacy server hit %d times, want exactly 1 (400 must not be retried)", n)
 	}
-}
-
-// A shard mixing one JSON child and one binary child returns the rows of a
-// local run bit-identically: transport negotiation is invisible above the
-// Backend interface.
-func TestShardMixesJSONAndBinaryChildren(t *testing.T) {
-	jobs := testJobs(t)
-	local, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonChild := startServer(t, nil)
-	binChild := startServer(t, nil)
-	binChild.Binary = true
-	shard, err := schedule.NewShard(jsonChild, binChild)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := shard.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqualNoTime(t, "mixed shard vs local", rows, local)
 }

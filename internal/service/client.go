@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -19,8 +18,11 @@ import (
 )
 
 // Client is the remote evaluation backend: a schedule.Backend that ships
-// job batches to a service server over HTTP and reassembles the streamed
-// rows in job order. Construct with NewClient.
+// job batches to a service server over HTTP in the binary batch form (see
+// binary.go) and reassembles the streamed rows in job order. Once a server
+// has answered a batch with TreeRefsHeader, later batches reference the
+// trees this client already shipped to it instead of inlining them again.
+// Construct with NewClient.
 //
 // Batch submissions can be retried: with Retries > 0, transient failures —
 // connection errors, 5xx/429 statuses, a response stream cut off before its
@@ -40,28 +42,17 @@ type Client struct {
 	// RetryBackoff is the delay before the first retry, doubling on each
 	// subsequent one; ≤ 0 selects DefaultRetryBackoff.
 	RetryBackoff time.Duration
-	// Binary opts the client into the binary batch transport: requests are
-	// posted in the binary request form (ContentTypeBinaryBatch) and the
-	// framed binary response stream is requested via Accept. The rows are
-	// bit-identical to the JSON transport's — binary additionally preserves
-	// non-finite Seconds values exactly. A server predating the binary
-	// protocol rejects the request with a deterministic 400 (never retried),
-	// so during a rolling upgrade clients stay on JSON until every server
-	// understands both; servers negotiate per request and a shard may mix
-	// JSON and binary children freely. Once a server has answered a binary
-	// batch with TreeRefsHeader, later batches reference the trees this
-	// client already shipped to it instead of inlining them again.
+	// Deprecated: every Client speaks the binary transport; the field is ignored.
 	Binary bool
 	// Tenant names the tenant every request runs as (the X-Tenant header);
 	// empty selects the server's "default" tenant. Quotas, rejection
 	// counters and the uploaded-tree corpus are all per tenant.
 	Tenant string
 	// ByDigest makes Run reference each job's tree by digest instead of
-	// inlining its .tree text: the trees must have been uploaded to the
-	// tenant's corpus first (UploadTrees), and the batch then carries one
-	// digest per distinct tree instead of the full text (64 hex characters
-	// in JSON, 32 bytes in binary). A tree the server cannot resolve fails
-	// the batch: 400 on the JSON transport, 409 on the binary one.
+	// inlining it: the trees must have been uploaded to the tenant's corpus
+	// first (UploadTrees), and the batch then carries one 32-byte digest
+	// per distinct tree instead of the tree. A tree the server cannot
+	// resolve fails the batch with a 409, which is not retried.
 	ByDigest bool
 	// OnThrottle, when set, is called once per 429 (over-quota) response
 	// with the server's Retry-After delay, before any retry sleep — load
@@ -263,34 +254,21 @@ type transientError struct{ err error }
 func (e transientError) Error() string { return e.err.Error() }
 func (e transientError) Unwrap() error { return e.err }
 
-// Run implements schedule.Backend: it serializes each distinct tree once
-// (in .tree wire form), posts the batch, streams rows back and returns them
-// in job order. Rows are exactly what the server computed — the remote grid
-// is bit-identical to a local run up to the Seconds column. Transient
-// submission failures are retried per the Retries/RetryBackoff fields.
+// Run implements schedule.Backend: it encodes the batch in the binary
+// form, each distinct tree and order once, posts it, streams rows back and
+// returns them in job order. Rows are exactly what the server computed —
+// the remote grid is bit-identical to a local run up to the Seconds
+// column. Transient submission failures are retried per the
+// Retries/RetryBackoff fields.
 //
-// A binary batch references the trees the server already holds (see
-// Binary). When the server answers 409 because it no longer holds some of
-// them, Run forgets those and resends the batch once with every tree
-// inline; the resend does not count against Retries.
+// A batch references the trees the server already holds. When the server
+// answers 409 because it no longer holds some of them, Run forgets those
+// and resends the batch once with every tree inline; the resend does not
+// count against Retries.
 func (c *Client) Run(ctx context.Context, jobs []schedule.Job, opt schedule.BatchOptions) ([]schedule.Row, error) {
-	var (
-		body   []byte
-		inline []*tree.Tree
-	)
-	if c.Binary {
-		var err error
-		if body, inline, err = encodeBatchBinary(jobs, opt.Workers, c.refPolicy()); err != nil {
-			return nil, err
-		}
-	} else {
-		req, err := encodeBatch(jobs, opt.Workers, c.ByDigest)
-		if err != nil {
-			return nil, err
-		}
-		if body, err = json.Marshal(req); err != nil {
-			return nil, err
-		}
+	body, inline, err := encodeBatchBinary(jobs, opt.Workers, c.refPolicy())
+	if err != nil {
+		return nil, err
 	}
 	// rows/got persist across attempts: a retry replays the whole batch,
 	// but rows already received keep their first-seen values and do not
@@ -365,29 +343,23 @@ func drainResponse(body io.Reader) {
 }
 
 // runAttempt posts the encoded batch once, filling rows/got for every index
-// streamed back. A batch is complete when the done line arrives and every
+// streamed back. A batch is complete when the done frame arrives and every
 // index was received (this attempt or an earlier one).
 func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Job, opt schedule.BatchOptions, rows []schedule.Row, got []bool) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/batch", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	if c.Binary {
-		hreq.Header.Set("Content-Type", ContentTypeBinaryBatch)
-		hreq.Header.Set("Accept", ContentTypeBinaryRows)
-	} else {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
+	hreq.Header.Set("Content-Type", ContentTypeBinaryBatch)
+	hreq.Header.Set("Accept", ContentTypeBinaryRows)
 	c.setTenant(hreq)
 	resp, err := c.http.Do(hreq)
 	if err != nil {
 		return transientError{err}
 	}
 	defer resp.Body.Close()
-	if c.Binary {
-		c.refs.Store(resp.Header.Get(TreeRefsHeader) != "")
-	}
-	if resp.StatusCode == http.StatusConflict && c.Binary {
+	c.refs.Store(resp.Header.Get(TreeRefsHeader) != "")
+	if resp.StatusCode == http.StatusConflict {
 		return unknownTreesResponse(resp)
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -408,62 +380,17 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 		}
 		return err
 	}
-	// The response form follows the server's Content-Type, so a JSON Lines
-	// answer to a binary-accepting client still parses.
-	if isBinaryRows(resp.Header.Get("Content-Type")) {
-		if err := readBinaryResponse(resp.Body, jobs, opt, rows, got); err != nil {
-			return err
-		}
-		drainResponse(resp.Body)
-		return nil
+	if ct := resp.Header.Get("Content-Type"); !isBinaryRows(ct) {
+		return fmt.Errorf("service: batch response has Content-Type %q, want %q", ct, ContentTypeBinaryRows)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var line BatchLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return fmt.Errorf("service: bad response line %q: %w", sc.Text(), err)
-		}
-		switch {
-		case line.Error != "":
-			return fmt.Errorf("service: remote batch failed: %s", line.Error)
-		case line.Done:
-			if line.Count != len(jobs) {
-				return fmt.Errorf("service: server reports %d rows, want %d", line.Count, len(jobs))
-			}
-			for i, ok := range got {
-				if !ok {
-					return fmt.Errorf("service: no row received for job %d", i)
-				}
-			}
-			drainResponse(resp.Body)
-			return nil
-		case line.Row != nil:
-			if line.Index < 0 || line.Index >= len(jobs) {
-				return fmt.Errorf("service: row index %d out of range [0,%d)", line.Index, len(jobs))
-			}
-			if got[line.Index] {
-				break // replay of a row an earlier attempt delivered
-			}
-			rows[line.Index] = *line.Row
-			got[line.Index] = true
-			if opt.OnRow != nil {
-				opt.OnRow(*line.Row)
-			}
-			if opt.OnRowIndexed != nil {
-				opt.OnRowIndexed(line.Index, *line.Row)
-			}
-		default:
-			return fmt.Errorf("service: unrecognized response line %q", sc.Text())
-		}
+	if err := readBinaryResponse(resp.Body, jobs, opt, rows, got); err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		return transientError{fmt.Errorf("service: read response: %w", err)}
-	}
-	return transientError{fmt.Errorf("service: response stream truncated (no done line)")}
+	drainResponse(resp.Body)
+	return nil
 }
 
-// refPolicy picks the trees a binary batch references: every tree with
+// refPolicy picks the trees a batch references: every tree with
 // ByDigest, the trees this client shipped to a server that resolves
 // references, or none (a nil policy).
 func (c *Client) refPolicy() func(*tree.Tree) bool {
@@ -479,7 +406,7 @@ func (c *Client) refPolicy() func(*tree.Tree) bool {
 	return nil
 }
 
-// missingTreesError is a 409 answer to a binary batch: the server holds
+// missingTreesError is a 409 answer to a batch: the server holds
 // none of the listed trees. It unwraps to the response's *StatusError.
 type missingTreesError struct {
 	*StatusError
@@ -488,7 +415,7 @@ type missingTreesError struct {
 
 func (e *missingTreesError) Unwrap() error { return e.StatusError }
 
-// unknownTreesResponse reads a 409 answer to a binary batch. A body that
+// unknownTreesResponse reads a 409 answer to a batch. A body that
 // does not list the missing digests is returned as a plain *StatusError.
 func unknownTreesResponse(resp *http.Response) error {
 	var body unknownTreesBody
@@ -513,44 +440,6 @@ func unknownTreesResponse(resp *http.Response) error {
 // larger than either process's memory can flow through the service.
 func (c *Client) Stream(ctx context.Context, src schedule.JobSource, sink schedule.RowSink, opt schedule.StreamOptions) error {
 	return schedule.StreamChunked(ctx, c.Run, src, sink, opt)
-}
-
-// encodeBatch builds the wire request: each distinct *tree.Tree serialized
-// once under a generated id — or, with byDigest, referenced by its content
-// digest with no inline text at all (the server resolves digests against
-// the tenant's uploaded corpus).
-func encodeBatch(jobs []schedule.Job, workers int, byDigest bool) (BatchRequest, error) {
-	req := BatchRequest{Trees: map[string]string{}, Jobs: make([]JobSpec, len(jobs)), Workers: workers}
-	ids := map[*tree.Tree]string{}
-	for i, j := range jobs {
-		if j.Tree == nil {
-			return BatchRequest{}, fmt.Errorf("service: job %d has a nil tree", i)
-		}
-		id, ok := ids[j.Tree]
-		if !ok {
-			if byDigest {
-				id = j.Tree.Digest().String()
-				ids[j.Tree] = id
-			} else {
-				id = "t" + strconv.Itoa(len(ids))
-				ids[j.Tree] = id
-				var sb strings.Builder
-				if err := j.Tree.Write(&sb); err != nil {
-					return BatchRequest{}, fmt.Errorf("service: serialize tree of job %d: %w", i, err)
-				}
-				req.Trees[id] = sb.String()
-			}
-		}
-		req.Jobs[i] = JobSpec{
-			Instance:  j.Instance,
-			Tree:      id,
-			Algorithm: j.Algorithm,
-			Order:     j.Order,
-			Memory:    j.Memory,
-			Window:    j.Window,
-		}
-	}
-	return req, nil
 }
 
 // httpError reads a non-200 response into a *StatusError, keeping the

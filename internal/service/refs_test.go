@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -183,17 +181,11 @@ func expectExchanges(t *testing.T, label string, got []exchange, want ...exchang
 	}
 }
 
-func binaryClient(rs *refServer) *Client {
-	c := NewClient(rs.url, nil)
-	c.Binary = true
-	return c
-}
-
 // A client's first batch ships its trees inline; once that batch is done,
 // later batches over the same trees carry references only.
 func TestTreeRefsWarmClientSendsReferencesOnly(t *testing.T) {
 	rs := startRefServer(t, false)
-	c := binaryClient(rs)
+	c := NewClient(rs.url, nil)
 	jobs := flatten(refInstanceJobs(t)...)
 	runMatchesLocal(t, c, jobs)
 	runMatchesLocal(t, c, jobs)
@@ -212,7 +204,7 @@ func TestTreeRefsWarmClientSendsReferencesOnly(t *testing.T) {
 // and the rows still match a local run.
 func TestTreeRefsResendAfterServerRestart(t *testing.T) {
 	rs := startRefServer(t, false)
-	c := binaryClient(rs)
+	c := NewClient(rs.url, nil)
 	jobs := flatten(refInstanceJobs(t)...)
 	runMatchesLocal(t, c, jobs)
 	rs.restart()
@@ -229,11 +221,11 @@ func TestTreeRefsResendAfterServerRestart(t *testing.T) {
 // resolve for tenant b, whose by-digest batch fails with the 409.
 func TestTreeRefsTenantIsolation(t *testing.T) {
 	rs := startRefServer(t, false)
-	a := binaryClient(rs)
+	a := NewClient(rs.url, nil)
 	a.Tenant = "a"
 	jobs := flatten(refInstanceJobs(t)...)
 	runMatchesLocal(t, a, jobs)
-	b := binaryClient(rs)
+	b := NewClient(rs.url, nil)
 	b.Tenant = "b"
 	b.ByDigest = true
 	_, err := b.Run(context.Background(), jobs, schedule.BatchOptions{})
@@ -259,7 +251,7 @@ func TestTreeRefsEvictionCostsOneResend(t *testing.T) {
 	srv := NewServer(nil, 1)
 	srv.retained.budget = budget
 	rs.server.Store(srv)
-	c := binaryClient(rs)
+	c := NewClient(rs.url, nil)
 	runMatchesLocal(t, c, per[0])
 	runMatchesLocal(t, c, per[1]) // evicts the first tree
 	runMatchesLocal(t, c, per[0])
@@ -304,28 +296,17 @@ func TestTreeRefsInlineBodyFromOldClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	n := 0
-	for sc.Scan() {
-		var line BatchLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Row == nil {
-			if !line.Done || line.Count != len(jobs) {
-				t.Fatalf("stream ended with %+v", line)
-			}
-			continue
-		}
-		got, w := *line.Row, want[line.Index]
-		got.Seconds, w.Seconds = 0, 0
-		if got != w {
-			t.Fatalf("row %d differs from local: %+v vs %+v", line.Index, got, w)
-		}
-		n++
+	rows := make([]schedule.Row, len(jobs))
+	got := make([]bool, len(jobs))
+	if err := readBinaryResponse(resp.Body, jobs, schedule.BatchOptions{}, rows, got); err != nil {
+		t.Fatal(err)
 	}
-	if n != len(jobs) {
-		t.Fatalf("%d rows, want %d", n, len(jobs))
+	for i := range want {
+		a, b := rows[i], want[i]
+		a.Seconds, b.Seconds = 0, 0
+		if a != b {
+			t.Fatalf("row %d differs from local: %+v vs %+v", i, rows[i], want[i])
+		}
 	}
 	expectExchanges(t, "old client", rs.take(), exchange{inline: 4, status: http.StatusOK})
 }
@@ -334,7 +315,7 @@ func TestTreeRefsInlineBodyFromOldClient(t *testing.T) {
 // reference, however many batches the client sends it.
 func TestTreeRefsOldServerNeverReceivesReferences(t *testing.T) {
 	rs := startRefServer(t, true)
-	c := binaryClient(rs)
+	c := NewClient(rs.url, nil)
 	jobs := flatten(refInstanceJobs(t)...)
 	for i := 0; i < 3; i++ {
 		runMatchesLocal(t, c, jobs)

@@ -1,6 +1,6 @@
 // Package service exposes the schedule algorithm registry as a long-running
-// HTTP/JSON evaluation service, plus the client that speaks to it. The
-// server side is a plain http.Handler (cmd/scheduled serves it); the Client
+// HTTP evaluation service, plus the client that speaks to it. The server
+// side is a plain http.Handler (cmd/scheduled serves it); the Client
 // implements schedule.Backend, so a remote server slots into any code that
 // evaluates grids through the Backend interface.
 //
@@ -8,14 +8,16 @@
 //
 //	GET  /healthz        → {"status":"ok","algorithms":N}
 //	GET  /v1/algorithms  → JSON array of {name, kind, display}
-//	POST /v1/batch       → request: {"trees": {id: <.tree text>},
-//	                                 "jobs": [{instance, tree, algorithm,
-//	                                           order?, memory?, window?}],
-//	                                 "workers"?: N}
-//	                       response: JSON Lines, one line per completed job
-//	                       in completion order — {"index": i, "row": {…}} —
-//	                       terminated by {"done": true, "count": N} on
-//	                       success or {"error": "…"} on failure.
+//	POST /v1/batch       → request: Content-Type application/x-schedule-batch,
+//	                       the 'B' form — workers, a tree table (each tree
+//	                       inline or as a 32-byte digest reference), an
+//	                       order table, then the jobs indexing both
+//	                       response: application/x-schedule-rows, the 'b'
+//	                       form — one row frame per completed job in
+//	                       completion order, terminated by a done frame
+//	                       (row count) or an error frame (message).
+//	                       Any other request Content-Type gets 415; a
+//	                       reference that resolves nowhere gets 409.
 //	POST /v1/warm        → request: {"entries": [{key, row}, …]}
 //	                       response: {"stored": N}
 //	POST /v1/trees       → request: {"trees": [<.tree text>, …]}
@@ -25,10 +27,11 @@
 //	GET  /metrics        → Prometheus text exposition of the server's
 //	                       counters (see metrics.go)
 //
-// Trees travel in the .tree wire form of internal/tree (text, one node per
-// line) and are referenced by id from jobs, so a grid of J jobs over T
-// trees serializes each tree once, not J times. The trailing done/error
-// line is mandatory: rows stream as they complete, so the HTTP status is
+// binary.go specifies both batch forms byte by byte. A batch carries each
+// distinct tree and each distinct order slice once, so a grid of J jobs
+// over T trees serializes each tree once, not J times, and a tree the
+// server already holds travels as a reference. The trailing done/error
+// frame is mandatory: rows stream as they complete, so the HTTP status is
 // already committed when a late job fails, and a client must treat a stream
 // without a terminator as truncated.
 //
@@ -37,15 +40,12 @@
 // Every request may carry an X-Tenant header naming the caller's tenant
 // (empty means "default"). Each tenant owns an isolated tree corpus:
 // POST /v1/trees uploads .tree instances once, deduplicated by
-// tree.Digest, and a JSON batch job may then reference a corpus tree by
-// its 64-hex digest in the "tree" field instead of an id into the
-// request's inline map (the inline map wins when an id is present in
-// both). A binary batch references a tree by its 32-byte digest, resolved
-// against the trees the server retained from earlier binary batches of
-// the same tenant and then against the corpus (see binary.go). Retained
-// trees are a cache bounded per server, never a second corpus: eviction
-// costs the owner one inline resend, and a tenant never resolves another
-// tenant's digest.
+// tree.Digest. A batch references a tree by its 32-byte digest, resolved
+// against the trees the server retained from earlier batches of the same
+// tenant and then against the corpus (see binary.go). Retained trees are
+// a cache bounded per server, never a second corpus: eviction costs the
+// owner one inline resend, and a tenant never resolves another tenant's
+// digest.
 //
 // Before a batch commits its response stream the server runs admission
 // control: first the backend's verdict (schedule.Admitter — a shard sheds
@@ -102,36 +102,6 @@ type AlgorithmInfo struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
 	Display string `json:"display"`
-}
-
-// JobSpec is one job on the wire: schedule.Job with the tree replaced by a
-// reference — an id into BatchRequest.Trees, or (when absent there) the
-// 64-hex digest of a tree the tenant uploaded to /v1/trees.
-type JobSpec struct {
-	Instance  string `json:"instance"`
-	Tree      string `json:"tree"`
-	Algorithm string `json:"algorithm"`
-	Order     []int  `json:"order,omitempty"`
-	Memory    int64  `json:"memory,omitempty"`
-	Window    int    `json:"window,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch.
-type BatchRequest struct {
-	// Trees maps tree ids to .tree wire-form text.
-	Trees map[string]string `json:"trees"`
-	Jobs  []JobSpec         `json:"jobs"`
-	// Workers bounds the server-side worker pool (≤ 0: server default).
-	Workers int `json:"workers,omitempty"`
-}
-
-// BatchLine is one line of the POST /v1/batch response stream.
-type BatchLine struct {
-	Index int           `json:"index,omitempty"`
-	Row   *schedule.Row `json:"row,omitempty"`
-	Error string        `json:"error,omitempty"`
-	Done  bool          `json:"done,omitempty"`
-	Count int           `json:"count,omitempty"`
 }
 
 // WarmRequest is the body of POST /v1/warm: rows computed elsewhere, keyed
@@ -460,41 +430,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
+	if !isBinaryBatch(r.Header.Get("Content-Type")) {
+		http.Error(w, "batch requests must be Content-Type "+ContentTypeBinaryBatch, http.StatusUnsupportedMediaType)
+		return
+	}
 	ten := s.tenantFor(r)
-	var (
-		jobs       []schedule.Job
-		reqWorkers int
-	)
-	if isBinaryBatch(r.Header.Get("Content-Type")) {
-		w.Header().Set(TreeRefsHeader, "1")
-		data, err := io.ReadAll(body)
-		if err != nil {
-			http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		jobs, reqWorkers, err = decodeBatchBinary(data, batchTrees{s, ten})
-		var unknown *unknownTreesError
-		if errors.As(err, &unknown) {
-			writeUnknownTrees(w, unknown, ten)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		var req BatchRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		var err error
-		if jobs, err = decodeJobs(req, ten); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		reqWorkers = req.Workers
+	w.Header().Set(TreeRefsHeader, "1")
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	if err != nil {
+		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	jobs, reqWorkers, err := decodeBatchBinary(data, batchTrees{s, ten})
+	var unknown *unknownTreesError
+	if errors.As(err, &unknown) {
+		writeUnknownTrees(w, unknown, ten)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	// The request can narrow the server's worker bound, never widen it: a
 	// remote client must not be able to oversubscribe the server.
@@ -537,19 +492,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// From here on the response is a committed 200 stream; failures travel
-	// as a trailing error/terminator frame, not a status code. The stream
-	// form follows the Accept header, independently of the request form.
+	// as a trailing error frame, not a status code.
 	flusher, _ := w.(http.Flusher)
-	var resp batchResponder
-	if acceptsBinaryRows(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", ContentTypeBinaryRows)
-		w.WriteHeader(http.StatusOK)
-		resp = &binaryResponder{w: w, flusher: flusher}
-	} else {
-		w.Header().Set("Content-Type", "application/jsonl")
-		w.WriteHeader(http.StatusOK)
-		resp = &jsonResponder{enc: json.NewEncoder(w), flusher: flusher}
-	}
+	w.Header().Set("Content-Type", ContentTypeBinaryRows)
+	w.WriteHeader(http.StatusOK)
+	resp := &binaryResponder{w: w, flusher: flusher}
 	if flusher != nil {
 		flusher.Flush() // commit the stream while (possibly) queued
 	}
@@ -584,48 +531,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp.done(len(rows))
 }
 
-// decodeJobs parses the request's trees once each and resolves job specs
-// against them. A spec's tree reference resolves first against the
-// request's inline map; a reference absent there that parses as a digest
-// resolves against the tenant's uploaded corpus, so a tenant that has
-// POSTed its trees to /v1/trees batches by digest without re-sending the
-// tree text.
-func decodeJobs(req BatchRequest, ten *tenant.Tenant) ([]schedule.Job, error) {
-	trees := make(map[string]*tree.Tree, len(req.Trees))
-	for id, text := range req.Trees {
-		t, err := tree.Read(strings.NewReader(text))
-		if err != nil {
-			return nil, fmt.Errorf("service: tree %q: %w", id, err)
-		}
-		trees[id] = t
-	}
-	jobs := make([]schedule.Job, len(req.Jobs))
-	for i, spec := range req.Jobs {
-		t, ok := trees[spec.Tree]
-		if !ok {
-			if d, err := tree.ParseDigest(spec.Tree); err == nil {
-				if t, ok = ten.LookupTree(d); ok {
-					trees[spec.Tree] = t // memoize the corpus hit for later jobs
-				} else {
-					return nil, fmt.Errorf("service: job %d references digest %s, not in tenant %q's corpus (upload via /v1/trees first)", i, spec.Tree, ten.Name())
-				}
-			} else {
-				return nil, fmt.Errorf("service: job %d references unknown tree %q", i, spec.Tree)
-			}
-		}
-		jobs[i] = schedule.Job{
-			Instance:  spec.Instance,
-			Tree:      t,
-			Algorithm: spec.Algorithm,
-			Order:     spec.Order,
-			Memory:    spec.Memory,
-			Window:    spec.Window,
-		}
-	}
-	return jobs, nil
-}
-
-// writeUnknownTrees answers a binary batch whose references resolve
+// writeUnknownTrees answers a batch whose references resolve
 // nowhere: 409 with the missing digests, before any stream commits.
 func writeUnknownTrees(w http.ResponseWriter, e *unknownTreesError, ten *tenant.Tenant) {
 	body := unknownTreesBody{

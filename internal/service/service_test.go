@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -170,8 +171,8 @@ func TestGridSourceReusedOutcomeMatchesRecompute(t *testing.T) {
 }
 
 // A client reads each response to EOF, so 20 sequential batches to one
-// server reuse a single TCP connection, in the JSON and the binary form.
-func TestJSONClientReusesConnection(t *testing.T) {
+// server reuse a single TCP connection.
+func TestClientReusesConnection(t *testing.T) {
 	jobs := testJobs(t)[:8]
 	var conns atomic.Int64
 	srv := httptest.NewUnstartedServer(service.NewServer(nil, 0).Handler())
@@ -182,18 +183,14 @@ func TestJSONClientReusesConnection(t *testing.T) {
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
-	for _, binary := range []bool{false, true} {
-		conns.Store(0)
-		client := service.NewClient(srv.URL, &http.Client{Transport: &http.Transport{}})
-		client.Binary = binary
-		for i := 0; i < 20; i++ {
-			if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
-				t.Fatal(err)
-			}
+	client := service.NewClient(srv.URL, &http.Client{Transport: &http.Transport{}})
+	for i := 0; i < 20; i++ {
+		if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		if n := conns.Load(); n != 1 {
-			t.Fatalf("binary=%v: 20 sequential batches opened %d connections, want 1", binary, n)
-		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 sequential batches opened %d connections, want 1", n)
 	}
 }
 
@@ -258,10 +255,10 @@ func TestRemoteErrors(t *testing.T) {
 		t.Fatal("nil tree accepted")
 	}
 
-	// Malformed request bodies and unknown tree references are 400s.
+	// Malformed request bodies and out-of-range tree indices are 400s.
 	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(srv.URL+"/v1/batch", service.ContentTypeBinaryBatch, strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,25 +266,57 @@ func TestRemoteErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
-	resp, err = http.Post(srv.URL+"/v1/batch", "application/json",
-		strings.NewReader(`{"trees":{},"jobs":[{"instance":"x","tree":"missing","algorithm":"minmem"}]}`))
+	// Workers 0, no trees, no orders, then one job on tree 0.
+	noTree := []byte{schedule.WireMagic, 'B', 1, 0, 0, 0, 1, 0, 0, 1, 'x', 6}
+	noTree = append(append(noTree, "minmem"...), 0, 0)
+	resp, err = http.Post(srv.URL+"/v1/batch", service.ContentTypeBinaryBatch, bytes.NewReader(noTree))
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown tree ref: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "references tree 0 of 0") {
+		t.Fatalf("unknown tree index: status %d %q, want 400", resp.StatusCode, body)
 	}
 
-	// A stream that ends without a done line is reported as truncated.
+	// A stream that ends without a terminator frame is reported as
+	// truncated.
 	trunc := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK) // no lines at all
+		w.Header().Set("Content-Type", service.ContentTypeBinaryRows)
+		w.Write([]byte{schedule.WireMagic, 'b', 1}) // the stream header, no frames
 	}))
 	defer trunc.Close()
 	tclient := service.NewClient(trunc.URL, nil)
 	if _, err := tclient.Run(context.Background(), bad[:0], schedule.BatchOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated stream: got %v", err)
+	}
+}
+
+// The batch endpoint speaks only the binary form: a JSON body, or a body
+// with no Content-Type, gets 415 naming the binary media type, before the
+// body is read.
+func TestBatchRejectsNonBinaryContentType(t *testing.T) {
+	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	defer srv.Close()
+	for _, ct := range []string{"application/json", ""} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/batch",
+			strings.NewReader(`{"trees":{"t":"p 1\n-1 1 1\n"},"jobs":[{"instance":"x","tree":"t","algorithm":"minmem"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType || !strings.Contains(string(body), service.ContentTypeBinaryBatch) {
+			t.Fatalf("Content-Type %q: status %d %q, want 415 naming %s", ct, resp.StatusCode, body, service.ContentTypeBinaryBatch)
+		}
 	}
 }
 
@@ -308,7 +337,7 @@ func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if h.failN.Add(-1) >= 0 {
 			if h.truncate {
 				// A committed 200 stream cut off after one genuine row and
-				// before the done line: the client must treat it as
+				// before the done frame: the client must treat it as
 				// truncated, retry, and not re-announce the row it already
 				// delivered.
 				body, _ := io.ReadAll(r.Body)
@@ -316,9 +345,11 @@ func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				replay.Body = io.NopCloser(bytes.NewReader(body))
 				rec := httptest.NewRecorder()
 				h.inner.ServeHTTP(rec, replay)
-				first, _, _ := strings.Cut(rec.Body.String(), "\n")
+				out := rec.Body.Bytes()
+				frame, n := binary.Uvarint(out[3:]) // past the stream header
+				w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
 				w.WriteHeader(http.StatusOK)
-				fmt.Fprintln(w, first)
+				w.Write(out[:3+n+int(frame)])
 				return
 			}
 			http.Error(w, "server warming up", h.status)

@@ -85,7 +85,7 @@ func sameRowsModuloSeconds(t *testing.T, got, want []schedule.Row, label string)
 
 // Uploaded trees land in the caller's corpus, dedup by digest, and a
 // by-digest batch returns rows bit-identical to the inlined batch. The
-// corpus is namespaced: another tenant's digest reference is a 400 miss.
+// corpus is namespaced: another tenant's digest reference is a 409 miss.
 func TestTreeUploadDedupAndByDigestBatch(t *testing.T) {
 	jobs := testJobs(t)
 	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
@@ -141,8 +141,8 @@ func TestTreeUploadDedupAndByDigestBatch(t *testing.T) {
 	stranger.ByDigest = true
 	_, err = stranger.Run(context.Background(), jobs, schedule.BatchOptions{})
 	var se *service.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		t.Fatalf("foreign tenant's digest batch: err %v, want a 400", err)
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("foreign tenant's digest batch: err %v, want a 409", err)
 	}
 	if !strings.Contains(se.Msg, "corpus") {
 		t.Fatalf("corpus miss should point at /v1/trees: %q", se.Msg)
@@ -168,7 +168,6 @@ func TestByDigestBinaryResolvesCorpus(t *testing.T) {
 	if _, err := client.UploadTrees(context.Background(), trees); err != nil {
 		t.Fatal(err)
 	}
-	client.Binary = true
 	client.ByDigest = true
 	got, err := client.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
@@ -178,7 +177,6 @@ func TestByDigestBinaryResolvesCorpus(t *testing.T) {
 
 	stranger := service.NewClient(base, nil)
 	stranger.Tenant = "stranger"
-	stranger.Binary = true
 	stranger.ByDigest = true
 	_, err = stranger.Run(context.Background(), jobs, schedule.BatchOptions{})
 	var se *service.StatusError
@@ -370,15 +368,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	if hits := metricValue(t, body, "scheduled_cache_hits_total"); hits != 0 {
 		t.Fatalf("cold cache reported %g hits", hits)
 	}
-	if v := metricValue(t, body, "scheduled_retained_trees"); v != 0 {
-		t.Fatalf("JSON batches retained %g trees", v)
+	if v := metricValue(t, body, "scheduled_retained_trees"); v != float64(len(trees)) {
+		t.Fatalf("the admitted batch retained %g trees, want %d", v, len(trees))
 	}
 
 	// Retained trees and references, on a server of their own: a binary
 	// client ships the trees, references them twice, and another tenant's
 	// by-digest batch references them in vain.
 	bin, binBase := startServerWith(t, service.ServerOptions{})
-	bin.Binary = true
 	for i := 0; i < 3; i++ {
 		if _, err := bin.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
 			t.Fatal(err)
@@ -386,7 +383,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	stranger := service.NewClient(binBase, nil)
 	stranger.Tenant = "stranger"
-	stranger.Binary = true
 	stranger.ByDigest = true
 	if _, err := stranger.Run(context.Background(), jobs, schedule.BatchOptions{}); err == nil {
 		t.Fatal("another tenant resolved the retained trees")
