@@ -30,15 +30,6 @@
 // (resubmissions, quarantines, readmissions, warmed rows) and per-server
 // dispatch statistics are reported. -progress reports rows/sec and
 // completed/total on stderr, so long sharded sweeps are observable.
-//
-// -exp load is the multi-tenant load harness: N concurrent synthetic
-// tenants (swept over -load-tenants) each upload a private tree corpus
-// and submit by-digest batches closed-loop against an in-process quota'd
-// server (or a running scheduled server via -load-backend URL), retrying
-// 429s per the server's Retry-After. Per tenant count it records p50/p99
-// batch latency, aggregate rows/sec and accepted/rejected job counts into
-// -load-out (BENCH_load.json); -load-require-rejections turns "admission
-// control actually fired" into an exit-status assertion for smoke tests.
 package main
 
 import (
@@ -68,7 +59,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1 | fig5 | fig6 | fig7 | fig8 | table2 | fig9 | theorem1 | theorem2 | ablation | grid | matrices | bench | load | all (matrices, bench and load run only when selected explicitly)")
+	exp := fs.String("exp", "all", "experiment: table1 | fig5 | fig6 | fig7 | fig8 | table2 | fig9 | theorem1 | theorem2 | ablation | grid | matrices | bench | all (matrices and bench run only when selected explicitly)")
 	scaleName := fs.String("scale", "medium", "dataset scale: small | medium | full")
 	csvDir := fs.String("csv", "", "directory for CSV profile exports (optional)")
 	seeds := fs.Int("seeds", 3, "random-weight copies per tree for table2/fig9")
@@ -85,16 +76,6 @@ func run(args []string, w io.Writer) error {
 	noTime := fs.Bool("notime", false, "zero the seconds column of grid exports, making CSV/JSONL byte-identical across backends and reruns")
 	benchOut := fs.String("bench-out", "BENCH_solver.json", "output path for the -exp bench record file")
 	benchNodes := fs.Int("bench-nodes", 20_000, "tree size of the -exp bench corpora")
-	loadOut := fs.String("load-out", "BENCH_load.json", "output path for the -exp load record file")
-	loadBackend := fs.String("load-backend", "local", "-exp load target: local (in-process quota'd server) or a scheduled server URL")
-	loadTenants := fs.String("load-tenants", "1,2,4", "comma-separated concurrent-tenant counts for -exp load")
-	loadBatches := fs.Int("load-batches", 6, "batches each synthetic tenant submits")
-	loadJobs := fs.Int("load-jobs", 24, "jobs per synthetic batch")
-	loadNodes := fs.Int("load-nodes", 400, "tree size of each synthetic tenant's corpus")
-	loadRate := fs.Float64("load-rate", 0, "per-tenant token-bucket refill for the local load server, jobs/sec (0 = no rate limit)")
-	loadBurst := fs.Int("load-burst", 0, "per-tenant token-bucket capacity for the local load server (0 = max(rate, 64))")
-	loadQueue := fs.Int("load-queue", 0, "per-tenant queue-depth quota for the local load server (0 = unbounded)")
-	loadRequireRej := fs.Bool("load-require-rejections", false, "fail unless admission control rejected at least one batch (smoke-test assertion)")
 	corpusName := fs.String("corpus", "smoke", "-exp matrices manifest: smoke (tiny generator-only) or default (real matrices with generator fallbacks)")
 	corpusDir := fs.String("corpus-dir", "", "local MatrixMarket mirror for -exp matrices; missing files fall back to the deterministic generators")
 	if err := fs.Parse(args); err != nil {
@@ -113,14 +94,6 @@ func run(args []string, w io.Writer) error {
 				progress: *progress, noTime: *noTime,
 			},
 			corpus: *corpusName, corpusDir: *corpusDir,
-		})
-	}
-	if *exp == "load" {
-		return runLoad(w, loadConfig{
-			out: *loadOut, backend: *loadBackend, tenantSweep: *loadTenants,
-			batches: *loadBatches, jobsPerReq: *loadJobs, nodes: *loadNodes,
-			rate: *loadRate, burst: *loadBurst, queue: *loadQueue,
-			requireRej: *loadRequireRej,
 		})
 	}
 	var scale dataset.Scale

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/schedule"
 	"repro/internal/service"
 )
 
@@ -61,6 +62,27 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 }
 
+// exportFiles runs -exp exp (at small scale for grid, on the smoke corpus
+// for matrices) with -notime exporting into dir, and returns the CSV and
+// JSON Lines exports and the printed report.
+func exportFiles(t *testing.T, dir, exp string, args ...string) (csv, jsonl, out string) {
+	t.Helper()
+	var sb strings.Builder
+	args = append([]string{"-exp", exp, "-scale", "small", "-corpus", "smoke", "-notime", "-csv", dir}, args...)
+	if err := run(args, &sb); err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	c, err := os.ReadFile(filepath.Join(dir, exp+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := os.ReadFile(filepath.Join(dir, exp+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(c), string(j), sb.String()
+}
+
 // The same grid exported through every backend — local, cached cold, cached
 // warm (across a process-like store reopen) and HTTP — must be byte-identical
 // once -notime zeroes the seconds column.
@@ -72,21 +94,7 @@ func TestGridBackendsByteIdentical(t *testing.T) {
 
 	gridFiles := func(name string, backendArgs ...string) (csv, jsonl string, out string) {
 		t.Helper()
-		sub := filepath.Join(dir, name)
-		var sb strings.Builder
-		args := append([]string{"-exp", "grid", "-scale", "small", "-notime", "-csv", sub}, backendArgs...)
-		if err := run(args, &sb); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c, err := os.ReadFile(filepath.Join(sub, "grid.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := os.ReadFile(filepath.Join(sub, "grid.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(c), string(j), sb.String()
+		return exportFiles(t, filepath.Join(dir, name), "grid", backendArgs...)
 	}
 
 	localCSV, localJSONL, _ := gridFiles("local", "-backend", "local")
@@ -141,21 +149,8 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 
 	gridFiles := func(name string, backendArgs ...string) (csv, jsonl string) {
 		t.Helper()
-		sub := filepath.Join(dir, name)
-		var sb strings.Builder
-		args := append([]string{"-exp", "grid", "-scale", "small", "-notime", "-csv", sub}, backendArgs...)
-		if err := run(args, &sb); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c, err := os.ReadFile(filepath.Join(sub, "grid.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := os.ReadFile(filepath.Join(sub, "grid.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(c), string(j)
+		csv, jsonl, _ = exportFiles(t, filepath.Join(dir, name), "grid", backendArgs...)
+		return csv, jsonl
 	}
 
 	localCSV, localJSONL := gridFiles("local", "-backend", "local")
@@ -177,6 +172,39 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 		t.Fatal("round-robin warmed shard exports differ from local")
 	}
 
+	// A child serving from a paged row store, cold and then reopened as a
+	// restarted server would: the second export is answered from the
+	// on-disk B-tree and is byte-identical again. The cold run warms the
+	// store with the sibling's rows too, so whichever chunks the reopened
+	// child is dispatched, every one is a hit.
+	storePath := filepath.Join(dir, "rows.paged")
+	for _, name := range []string{"paged-cold", "paged-reopened"} {
+		store, err := schedule.OpenPagedStore(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := schedule.NewCached(schedule.Local{}, store)
+		paged := httptest.NewServer(service.NewServerWith(service.ServerOptions{
+			Backend: cached, Cache: cached, Store: store, Rows: store,
+		}).Handler())
+		args := []string{"-backend", srv1.URL + "," + paged.URL}
+		if name == "paged-cold" {
+			args = append(args, "-warm")
+		}
+		csv, jsonl := gridFiles(name, args...)
+		paged.Close()
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if csv != localCSV || jsonl != localJSONL {
+			t.Fatalf("%s shard exports differ from local", name)
+		}
+		hits, misses := cached.Counters()
+		if name == "paged-reopened" && (hits == 0 || misses != 0) {
+			t.Fatalf("reopened paged child: %d hits, %d misses, want every row from the store", hits, misses)
+		}
+	}
+
 	// Malformed lists and unknown policies are rejected.
 	var sb strings.Builder
 	if err := run([]string{"-exp", "grid", "-scale", "small", "-backend", srv1.URL + ",bogus"}, &sb); err == nil {
@@ -185,6 +213,34 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 	if err := run([]string{"-exp", "grid", "-scale", "small",
 		"-backend", srv1.URL + "," + srv2.URL, "-shard-policy", "fastest"}, &sb); err == nil {
 		t.Fatal("unknown shard policy accepted")
+	}
+}
+
+// The smoke corpus streamed through the ordering × amalgamation pipeline
+// exports the same bytes on a two-server shard as locally, and the report
+// ranks the orderings of all four manifest families.
+func TestMatricesShardedByteIdentical(t *testing.T) {
+	srv1 := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	defer srv1.Close()
+	srv2 := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	defer srv2.Close()
+	dir := t.TempDir()
+
+	localCSV, localJSONL, localOut := exportFiles(t, filepath.Join(dir, "local"), "matrices")
+	shardCSV, shardJSONL, shardOut := exportFiles(t, filepath.Join(dir, "shard"), "matrices",
+		"-backend", srv1.URL+","+srv2.URL)
+	if shardCSV != localCSV {
+		t.Fatal("sharded matrices.csv differs from local")
+	}
+	if shardJSONL != localJSONL {
+		t.Fatal("sharded matrices.jsonl differs from local")
+	}
+	for _, out := range []string{localOut, shardOut} {
+		for _, family := range []string{"grid2d", "grid3d", "powerlaw", "banded"} {
+			if !strings.Contains(out, "\n  "+family+" ") {
+				t.Fatalf("family %s missing from the report:\n%s", family, out)
+			}
+		}
 	}
 }
 
@@ -298,68 +354,5 @@ func TestBenchMode(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("benchmark %s missing", name)
 		}
-	}
-}
-
-// -exp load writes a well-formed BENCH_load.json: per tenant count, the
-// latency percentiles and throughput are positive, accepted jobs match the
-// configured volume, and with quotas this tight admission control must
-// have rejected work (-load-require-rejections would exit nonzero
-// otherwise — the CI smoke job leans on exactly that).
-func TestLoadMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load mode backs off for whole seconds on 429s")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_load.json")
-	var sb strings.Builder
-	err := run([]string{"-exp", "load",
-		"-load-tenants", "1,2", "-load-batches", "2", "-load-jobs", "6",
-		"-load-nodes", "120", "-load-rate", "20", "-load-burst", "6",
-		"-load-require-rejections", "-load-out", out}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Backend string `json:"backend"`
-		Runs    []struct {
-			Tenants      int     `json:"tenants"`
-			P50Ms        float64 `json:"p50_ms"`
-			P99Ms        float64 `json:"p99_ms"`
-			RowsPerSec   float64 `json:"rows_per_sec"`
-			AcceptedJobs int64   `json:"accepted_jobs"`
-			RejectedJobs int64   `json:"rejected_jobs"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_load.json is not valid JSON: %v", err)
-	}
-	if len(report.Runs) != 2 {
-		t.Fatalf("recorded %d runs, want 2", len(report.Runs))
-	}
-	for _, r := range report.Runs {
-		if r.P50Ms <= 0 || r.P99Ms < r.P50Ms || r.RowsPerSec <= 0 {
-			t.Errorf("tenants=%d: implausible latency/throughput: %+v", r.Tenants, r)
-		}
-		if want := int64(r.Tenants * 2 * 6); r.AcceptedJobs != want {
-			t.Errorf("tenants=%d: accepted %d jobs, want %d", r.Tenants, r.AcceptedJobs, want)
-		}
-		if r.RejectedJobs == 0 {
-			t.Errorf("tenants=%d: quotas this tight must reject work", r.Tenants)
-		}
-	}
-
-	// A queue quota below the batch size would retry forever: refused up front.
-	if err := run([]string{"-exp", "load", "-load-jobs", "8", "-load-queue", "4"}, io.Discard); err == nil {
-		t.Fatal("-load-queue below -load-jobs accepted")
-	}
-	if err := run([]string{"-exp", "load", "-load-tenants", "zero"}, io.Discard); err == nil {
-		t.Fatal("bad -load-tenants accepted")
-	}
-	if err := run([]string{"-exp", "load", "-load-backend", "ftp://nope"}, io.Discard); err == nil {
-		t.Fatal("bad -load-backend accepted")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/schedule/scheduletest"
 	"repro/internal/service"
 	"repro/internal/tree"
 )
@@ -444,7 +445,7 @@ func TestServeGossipPeers(t *testing.T) {
 // outcome does not hinge on a latency race.
 func TestServeHedgedFrontDoorBeatsSlowChild(t *testing.T) {
 	childA, shutdownA := startScheduled(t)
-	stalled := schedule.NewFaultBackend(schedule.Local{})
+	stalled := scheduletest.NewFaultBackend(schedule.Local{})
 	stalled.SetDelay(time.Hour) // blocks until the front door cancels
 	cancelled := make(chan struct{})
 	var once sync.Once

@@ -77,6 +77,10 @@ func TestGenerateFromMatrixMarket(t *testing.T) {
 	if tr.Len() < 1 {
 		t.Fatal("empty tree from MatrixMarket input")
 	}
+	// -from-mtx is the same input spelled as a file flag; amd aliases md.
+	if from := genTo(t, "-from-mtx", mm, "-order", "amd", "-relax", "1"); from.Digest() != tr.Digest() {
+		t.Fatal("-from-mtx tree differs from -matrix mm: tree")
+	}
 }
 
 func TestGenerateErrors(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/schedule/scheduletest"
 )
 
 // exportNoTime renders rows the way cmd/experiments exports them, with the
@@ -46,9 +47,9 @@ func TestHedgedShardBeatsStraggler(t *testing.T) {
 	// feeding it regardless — the worst case for a straggler, and the
 	// deterministic one: the adaptive policy would instead starve it of
 	// chunks after the first throughput measurement.
-	slow := schedule.NewFaultBackend(schedule.Local{})
+	slow := scheduletest.NewFaultBackend(schedule.Local{})
 	slow.SlowAfter(1, 400*time.Millisecond)
-	fast := schedule.NewFaultBackend(schedule.Local{})
+	fast := scheduletest.NewFaultBackend(schedule.Local{})
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
 		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     20 * time.Millisecond,
@@ -101,7 +102,7 @@ func TestHedgedShardRandomLatencyMatchesLocal(t *testing.T) {
 			rng := rand.New(rand.NewSource(7919*seed + 17))
 			children := make([]schedule.Backend, 3)
 			for i := range children {
-				fb := schedule.NewFaultBackend(schedule.Local{})
+				fb := scheduletest.NewFaultBackend(schedule.Local{})
 				delays := make([]time.Duration, 64)
 				for j := range delays {
 					delays[j] = time.Duration(rng.Intn(15)) * time.Millisecond
@@ -150,13 +151,13 @@ func TestHedgedShardConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := schedule.NewFaultBackend(schedule.Local{})
+	slow := scheduletest.NewFaultBackend(schedule.Local{})
 	slow.SlowAfter(1, 60*time.Millisecond)
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
 		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     10 * time.Millisecond,
 		QuarantineBase: time.Millisecond,
-	}, slow, schedule.NewFaultBackend(schedule.Local{}))
+	}, slow, scheduletest.NewFaultBackend(schedule.Local{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
-// Package runner holds no code of its own: the job-level worker pool it
-// once provided as ForEach and Map is now the loop of schedule.Local.Run.
-// These tests keep pinning that pool's contract — every job runs once,
-// results come back in job order, the first error wins and a cancelled
-// context is reported — against Local.Run.
-package runner
+package schedule_test
+
+// The job-level worker pool is the loop of Local.Run. These tests pin its
+// contract: every job runs once, results come back in job order, the
+// first error wins and a cancelled context is reported.
 
 import (
 	"context"

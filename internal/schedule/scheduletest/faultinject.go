@@ -1,10 +1,15 @@
-package schedule
+// Package scheduletest provides test support for code built on package
+// schedule: FaultBackend, a Backend wrapper that injects scripted latency
+// and failures.
+package scheduletest
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/schedule"
 )
 
 // FaultBackend is a deterministic fault-injection harness around a Backend,
@@ -20,11 +25,11 @@ import (
 // so a script keyed on the call number is deterministic in how many calls
 // misbehave even when their order interleaves.
 type FaultBackend struct {
-	inner Backend
+	inner schedule.Backend
 
 	mu       sync.Mutex
 	calls    int
-	delay    func(call int, jobs []Job) time.Duration
+	delay    func(call int, jobs []schedule.Job) time.Duration
 	fail     func(call int) error
 	onCancel func(call int)
 
@@ -33,13 +38,13 @@ type FaultBackend struct {
 }
 
 // NewFaultBackend wraps inner with no faults scripted.
-func NewFaultBackend(inner Backend) *FaultBackend {
+func NewFaultBackend(inner schedule.Backend) *FaultBackend {
 	return &FaultBackend{inner: inner}
 }
 
 // Capabilities implements Backend, naming the wrapper around the inner
 // backend's capabilities.
-func (f *FaultBackend) Capabilities() Capabilities {
+func (f *FaultBackend) Capabilities() schedule.Capabilities {
 	caps := f.inner.Capabilities()
 	caps.Name = "fault(" + caps.Name + ")"
 	return caps
@@ -47,13 +52,13 @@ func (f *FaultBackend) Capabilities() Capabilities {
 
 // SetDelay injects a fixed latency before every Run call.
 func (f *FaultBackend) SetDelay(d time.Duration) {
-	f.SetDelayScript(func(int, []Job) time.Duration { return d })
+	f.SetDelayScript(func(int, []schedule.Job) time.Duration { return d })
 }
 
 // SetDelayScript injects a per-call latency: the script sees the 0-based
 // call number and the call's jobs, and returns how long the call stalls
 // before evaluating. A nil script removes the injection.
-func (f *FaultBackend) SetDelayScript(script func(call int, jobs []Job) time.Duration) {
+func (f *FaultBackend) SetDelayScript(script func(call int, jobs []schedule.Job) time.Duration) {
 	f.mu.Lock()
 	f.delay = script
 	f.mu.Unlock()
@@ -63,7 +68,7 @@ func (f *FaultBackend) SetDelayScript(script func(call int, jobs []Job) time.Dur
 // and every call from n on stalls for d first — the "child silently
 // degrades mid-grid" scenario the hedged shard exists for.
 func (f *FaultBackend) SlowAfter(n int, d time.Duration) {
-	f.SetDelayScript(func(call int, _ []Job) time.Duration {
+	f.SetDelayScript(func(call int, _ []schedule.Job) time.Duration {
 		if call >= n {
 			return d
 		}
@@ -100,7 +105,7 @@ func (f *FaultBackend) Cancellations() int64 { return f.cancelled.Load() }
 // Run implements Backend: the call stalls per the delay script (honoring
 // cancellation), fails per the fail script, and otherwise runs the inner
 // backend.
-func (f *FaultBackend) Run(ctx context.Context, jobs []Job, opt BatchOptions) ([]Row, error) {
+func (f *FaultBackend) Run(ctx context.Context, jobs []schedule.Job, opt schedule.BatchOptions) ([]schedule.Row, error) {
 	f.runs.Add(1)
 	f.mu.Lock()
 	call := f.calls
@@ -136,6 +141,6 @@ func (f *FaultBackend) Run(ctx context.Context, jobs []Job, opt BatchOptions) ([
 
 // Stream implements Backend via the chunked shim, so a FaultBackend slots
 // anywhere a Backend does (each chunk is one scripted call).
-func (f *FaultBackend) Stream(ctx context.Context, src JobSource, sink RowSink, opt StreamOptions) error {
-	return StreamChunked(ctx, f.Run, src, sink, opt)
+func (f *FaultBackend) Stream(ctx context.Context, src schedule.JobSource, sink schedule.RowSink, opt schedule.StreamOptions) error {
+	return schedule.StreamChunked(ctx, f.Run, src, sink, opt)
 }

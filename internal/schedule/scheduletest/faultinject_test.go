@@ -1,13 +1,65 @@
-package schedule_test
+package scheduletest_test
 
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/schedule/scheduletest"
+	_ "repro/internal/traversal" // registers the MinMemory solvers
+	"repro/internal/tree"
 )
+
+// gridJobs returns six MinMemory jobs over three small random trees.
+func gridJobs(t *testing.T) []schedule.Job {
+	t.Helper()
+	var insts []schedule.Instance
+	for seed := int64(0); seed < 3; seed++ {
+		tr, err := tree.Random(rand.New(rand.NewSource(seed)), tree.RandomOptions{Nodes: 20, MaxF: 15, MaxN: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, schedule.Instance{Name: "rand", Tree: tr})
+	}
+	return schedule.MinMemoryGrid(insts, []string{"postorder", "minmem"})
+}
+
+func sameRowsNoTime(t *testing.T, a, b []schedule.Row, label string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d rows vs %d", label, len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		x.Seconds, y.Seconds = 0, 0
+		if x != y {
+			t.Fatalf("%s: row %d differs: %+v vs %+v", label, i, a[i], b[i])
+		}
+	}
+}
+
+// countingBackend counts the jobs its inner backend is asked to run.
+type countingBackend struct {
+	inner schedule.Backend
+	jobs  atomic.Int64
+}
+
+func (b *countingBackend) Capabilities() schedule.Capabilities {
+	return b.inner.Capabilities()
+}
+
+func (b *countingBackend) Run(ctx context.Context, jobs []schedule.Job, opt schedule.BatchOptions) ([]schedule.Row, error) {
+	b.jobs.Add(int64(len(jobs)))
+	return b.inner.Run(ctx, jobs, opt)
+}
+
+func (b *countingBackend) Stream(ctx context.Context, src schedule.JobSource, sink schedule.RowSink, opt schedule.StreamOptions) error {
+	return schedule.StreamChunked(ctx, b.Run, src, sink, opt)
+}
 
 // With no scripts set, the fault harness is a transparent wrapper: same
 // rows as Local, named as the wrapper, calls counted.
@@ -17,7 +69,7 @@ func TestFaultBackendTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := schedule.NewFaultBackend(schedule.Local{})
+	fb := scheduletest.NewFaultBackend(schedule.Local{})
 	if name := fb.Capabilities().Name; name != "fault(local)" {
 		t.Fatalf("capabilities name %q", name)
 	}
@@ -42,7 +94,7 @@ func TestFaultBackendTransparent(t *testing.T) {
 // it names without running the inner backend.
 func TestFaultBackendScripts(t *testing.T) {
 	jobs := gridJobs(t)[:4]
-	fb := schedule.NewFaultBackend(schedule.Local{})
+	fb := scheduletest.NewFaultBackend(schedule.Local{})
 	var delayed []int
 	fb.SetDelayScript(func(call int, jobs []schedule.Job) time.Duration {
 		if len(jobs) == 0 {
@@ -86,7 +138,7 @@ func TestFaultBackendScripts(t *testing.T) {
 func TestFaultBackendCancelledWait(t *testing.T) {
 	jobs := gridJobs(t)[:2]
 	inner := &countingBackend{inner: schedule.Local{}}
-	fb := schedule.NewFaultBackend(inner)
+	fb := scheduletest.NewFaultBackend(inner)
 	fb.SetDelay(time.Minute)
 	observed := make(chan int, 1)
 	fb.OnCancel(func(call int) { observed <- call })

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/schedule/scheduletest"
 	"repro/internal/service"
 )
 
@@ -184,7 +185,7 @@ func TestGossipOfferAfterCloseCountsDrops(t *testing.T) {
 // surface the cancellation, not a transport error.
 func TestClientCancellationReachesServerBackend(t *testing.T) {
 	jobs := testJobs(t)[:3]
-	fault := schedule.NewFaultBackend(schedule.Local{})
+	fault := scheduletest.NewFaultBackend(schedule.Local{})
 	fault.SetDelay(10 * time.Second)
 	observed := make(chan int, 1)
 	fault.OnCancel(func(call int) { observed <- call })
@@ -236,7 +237,7 @@ func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	}
 	// From its second call on the slow server stalls until cancelled, so
 	// every chunk it holds can only finish through a hedge.
-	slowFault := schedule.NewFaultBackend(schedule.Local{})
+	slowFault := scheduletest.NewFaultBackend(schedule.Local{})
 	slowFault.SlowAfter(1, time.Hour)
 	cancelled := make(chan struct{})
 	var once sync.Once
@@ -292,7 +293,7 @@ func TestHedgedShardGossipsIntoPagedStore(t *testing.T) {
 
 	fastSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Gossip: gossip}).Handler())
 	defer fastSrv.Close()
-	slowFault := schedule.NewFaultBackend(schedule.Local{})
+	slowFault := scheduletest.NewFaultBackend(schedule.Local{})
 	slowFault.SlowAfter(1, 60*time.Millisecond)
 	slowSrv := httptest.NewServer(service.NewServer(slowFault, 0).Handler())
 	defer slowSrv.Close()

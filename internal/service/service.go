@@ -369,28 +369,21 @@ func (s *Server) handleTrees(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWarm accepts rows computed elsewhere into the server's row store.
-// Entries with empty keys are rejected as malformed; a server without a
-// store accepts the push and stores nothing.
+// Every entry is checked before any is stored; a server without a store
+// accepts the push and stores nothing.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req WarmRequest
-	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		http.Error(w, "bad warm request: "+err.Error(), http.StatusBadRequest)
+	entries, err := decodeWarm(http.MaxBytesReader(w, r.Body, maxBatchBytes))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	for i, e := range req.Entries {
-		if err := schedule.CheckWarmEntry(e); err != nil {
-			http.Error(w, fmt.Sprintf("warm entry %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
 	}
 	stored := 0
 	if s.store != nil {
-		for _, e := range req.Entries {
+		for _, e := range entries {
 			if err := s.store.Put(e.Key, e.Row); err != nil {
 				http.Error(w, "store warm entry: "+err.Error(), http.StatusInternalServerError)
 				return
@@ -399,6 +392,67 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, WarmResponse{Stored: stored})
+}
+
+// decodeWarm reads a WarmRequest body one entry at a time and checks each
+// entry (schedule.CheckWarmEntry) as it decodes, so a body padded with
+// malformed entries is refused at the first of them instead of after
+// decoding them all. As with json.Decoder.Decode into a WarmRequest, other
+// fields are ignored, the key matches case-insensitively, a missing or
+// null entries list is empty and only the body's first value is read.
+func decodeWarm(r io.Reader) ([]schedule.WarmEntry, error) {
+	bad := func(err error) error { return fmt.Errorf("bad warm request: %w", err) }
+	dec := json.NewDecoder(r)
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, bad(err)
+	}
+	if tok == nil {
+		return nil, nil
+	}
+	if tok != json.Delim('{') {
+		return nil, bad(fmt.Errorf("body is %v, not an object", tok))
+	}
+	var entries []schedule.WarmEntry
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, bad(err)
+		}
+		if name, _ := key.(string); !strings.EqualFold(name, "entries") {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return nil, bad(err)
+			}
+			continue
+		}
+		if tok, err = dec.Token(); err != nil {
+			return nil, bad(err)
+		}
+		entries = entries[:0]
+		if tok == nil {
+			continue
+		}
+		if tok != json.Delim('[') {
+			return nil, bad(fmt.Errorf("entries is %v, not an array", tok))
+		}
+		for i := 0; dec.More(); i++ {
+			entries = append(entries, schedule.WarmEntry{})
+			if err := dec.Decode(&entries[i]); err != nil {
+				return nil, bad(err)
+			}
+			if err := schedule.CheckWarmEntry(entries[i]); err != nil {
+				return nil, fmt.Errorf("warm entry %d: %w", i, err)
+			}
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, bad(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		return nil, bad(err)
+	}
+	return entries, nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -601,6 +602,31 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 	if store.Len() != before {
 		t.Fatalf("rejected warm requests stored rows: %d → %d", before, store.Len())
+	}
+
+	// A missing, null or empty entries list is an empty push; other fields
+	// are ignored and the field name matches case-insensitively.
+	list, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for body, want := range map[string]int{
+		`{}`:               0,
+		`{"entries":null}`: 0,
+		`{"entries":[]}`:   0,
+		`{"other":[1,{"entries":2}],"Entries":` + string(list) + `}`: len(entries),
+	} {
+		fresh := schedule.NewMemStore()
+		rec := httptest.NewRecorder()
+		service.NewServerWith(service.ServerOptions{Store: fresh}).Handler().ServeHTTP(rec,
+			httptest.NewRequest(http.MethodPost, "/v1/warm", strings.NewReader(body)))
+		var resp service.WarmResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%.40s: answered %d: %s", body, rec.Code, rec.Body)
+		}
+		if resp.Stored != want || fresh.Len() != want {
+			t.Fatalf("%.40s: stored %d (store holds %d), want %d", body, resp.Stored, fresh.Len(), want)
+		}
 	}
 }
 

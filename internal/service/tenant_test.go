@@ -368,6 +368,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if hits := metricValue(t, body, "scheduled_cache_hits_total"); hits != 0 {
 		t.Fatalf("cold cache reported %g hits", hits)
 	}
+	for _, family := range []string{
+		"scheduled_batches_total", "scheduled_rows_streamed_total",
+		"scheduled_trees_uploaded_total", "scheduled_tenant_accepted_jobs_total",
+		"scheduled_tenant_rejected_jobs_total", "scheduled_tenant_queued_jobs",
+	} {
+		if !strings.Contains(body, "\n# TYPE "+family+" ") {
+			t.Fatalf("family %s has no TYPE line:\n%s", family, body)
+		}
+	}
 	if v := metricValue(t, body, "scheduled_retained_trees"); v != float64(len(trees)) {
 		t.Fatalf("the admitted batch retained %g trees, want %d", v, len(trees))
 	}
