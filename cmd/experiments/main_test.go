@@ -87,7 +87,7 @@ func exportFiles(t *testing.T, dir, exp string, args ...string) (csv, jsonl, out
 // warm (across a process-like store reopen) and HTTP — must be byte-identical
 // once -notime zeroes the seconds column.
 func TestGridBackendsByteIdentical(t *testing.T) {
-	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv.Close()
 	dir := t.TempDir()
 	store := filepath.Join(dir, "rows.paged")
@@ -139,9 +139,9 @@ func TestRunErrors(t *testing.T) {
 // the exports must stay byte-identical to local, a mid-grid server failure
 // included (the shard resubmits those chunks to the other server).
 func TestGridShardedBackendByteIdentical(t *testing.T) {
-	srv1 := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv1 := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv1.Close()
-	flaky := &failFirstHandler{inner: service.NewServer(nil, 0).Handler()}
+	flaky := &failFirstHandler{inner: service.NewServerWith(service.ServerOptions{}).Handler()}
 	flaky.failN.Store(1)
 	srv2 := httptest.NewServer(flaky)
 	defer srv2.Close()
@@ -220,9 +220,9 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 // exports the same bytes on a two-server shard as locally, and the report
 // ranks the orderings of all four manifest families.
 func TestMatricesShardedByteIdentical(t *testing.T) {
-	srv1 := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv1 := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv1.Close()
-	srv2 := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv2 := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv2.Close()
 	dir := t.TempDir()
 

@@ -18,13 +18,11 @@
 // converges on one warm working set.
 //
 // The server is multi-tenant: callers name their tenant in the X-Tenant
-// header, upload trees to a per-tenant corpus on /v1/trees, and are
-// admission-controlled per tenant. -tenant-rate and -tenant-burst shape a
-// token bucket in jobs per second, -tenant-queue bounds each tenant's
-// admitted-but-unfinished jobs and -tenant-trees bounds its corpus;
-// over-limit batches are rejected with 429 and a Retry-After hint that
-// service.Client honors. -concurrency lifts the one-batch-at-a-time
-// evaluation bound. Everything — batch outcomes, cache and store counters,
+// header and are admission-controlled per tenant. -tenant-rate and
+// -tenant-burst shape a token bucket in jobs per second and -tenant-queue
+// bounds each tenant's admitted-but-unfinished jobs; over-limit batches
+// are rejected with 429 and a Retry-After hint that service.Client honors.
+// -concurrency lifts the one-batch-at-a-time evaluation bound. Everything — batch outcomes, cache and store counters,
 // per-tenant admission stats — is scrapeable from /metrics in the
 // Prometheus text format.
 //
@@ -119,7 +117,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant token-bucket refill, jobs/sec (0 = no rate limit)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant token-bucket capacity in jobs (0 = max(rate, 64))")
 	tenantQueue := fs.Int("tenant-queue", 0, "per-tenant bound on admitted-but-unfinished jobs (0 = unbounded)")
-	tenantTrees := fs.Int("tenant-trees", 0, "per-tenant corpus bound in distinct trees (0 = unbounded)")
 	children := fs.String("children", "", "comma-separated child server URLs; fan batches out over them instead of evaluating locally")
 	admitDepth := fs.Int("admit-depth", 0, "shed batches with 429 when every healthy child queues this many jobs (0 = never; needs -children)")
 	chunk := fs.Int("chunk", 0, "front-door chunk size: re-cut client batches into chunks of this many jobs (0 = engine default; needs -children)")
@@ -221,11 +218,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		RatePerSec: *tenantRate,
 		Burst:      *tenantBurst,
 		MaxQueued:  *tenantQueue,
-		MaxTrees:   *tenantTrees,
 	})
-	if *tenantRate > 0 || *tenantQueue > 0 || *tenantTrees > 0 {
-		fmt.Fprintf(w, "scheduled: tenant quotas rate %g/s burst %d queue %d trees %d\n",
-			*tenantRate, *tenantBurst, *tenantQueue, *tenantTrees)
+	if *tenantRate > 0 || *tenantQueue > 0 {
+		fmt.Fprintf(w, "scheduled: tenant quotas rate %g/s burst %d queue %d\n",
+			*tenantRate, *tenantBurst, *tenantQueue)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -242,7 +242,16 @@ func TestServeWithQuotasAndMetrics(t *testing.T) {
 	if se.RetryAfter <= 0 {
 		t.Fatalf("429 without a Retry-After hint: %+v", se)
 	}
-	resp, err := http.Get(base + "/metrics")
+	// Trees travel with batches only: there is no corpus endpoint.
+	resp, err := http.Post(base+"/v1/trees", "application/json", strings.NewReader(`{"trees":["p 1\n0 -1 1 1\n"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/trees answered %s, want 404", resp.Status)
+	}
+	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +363,10 @@ func TestListAndErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-badflag"}, &sb); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// Tenants have no tree corpus to bound.
+	if err := run(context.Background(), []string{"-tenant-trees", "1"}, &sb); err == nil {
+		t.Fatal("-tenant-trees accepted")
 	}
 	if err := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &sb); err == nil {
 		t.Fatal("bad address accepted")

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/dataset"
@@ -466,14 +465,4 @@ func FormatCurveSummaries(curves []profile.Curve) string {
 			c.Method, 100*c.Fraction(1), 100*c.Fraction(1.1), st.Mean, st.Max)
 	}
 	return b.String()
-}
-
-// SortedNames returns the instance names sorted, for stable output.
-func SortedNames(insts []dataset.Instance) []string {
-	names := make([]string, len(insts))
-	for i, inst := range insts {
-		names[i] = inst.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -167,16 +167,3 @@ func TestTheorem2Rows(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedNames(t *testing.T) {
-	insts := smallSuite(t)
-	names := SortedNames(insts)
-	if len(names) != len(insts) {
-		t.Fatal("length mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("not sorted")
-		}
-	}
-}

@@ -30,20 +30,6 @@ type SPD struct {
 	Values  []float64
 }
 
-// NewSPD validates dimensions and symmetry of values.
-func NewSPD(pattern *sparse.Matrix, values []float64) (*SPD, error) {
-	if pattern == nil {
-		return nil, fmt.Errorf("factor: nil pattern")
-	}
-	if !pattern.IsSymmetric() || !pattern.HasFullDiagonal() {
-		return nil, fmt.Errorf("factor: pattern must be symmetric with full diagonal")
-	}
-	if len(values) != pattern.NNZ() {
-		return nil, fmt.Errorf("factor: %d values for %d entries", len(values), pattern.NNZ())
-	}
-	return &SPD{Pattern: pattern, Values: values}, nil
-}
-
 // Laplacian builds a symmetric positive definite matrix on the given
 // pattern: off-diagonal entries are −1 and each diagonal entry is the
 // off-diagonal count plus one (a shifted graph Laplacian, strictly

@@ -179,27 +179,17 @@ func TestMultifrontalErrors(t *testing.T) {
 	}
 }
 
-func TestNewSPDValidation(t *testing.T) {
+func TestLaplacianValidation(t *testing.T) {
 	g, err := sparse.Grid2D(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSPD(nil, nil); err == nil {
-		t.Fatal("nil pattern accepted")
-	}
-	if _, err := NewSPD(g, []float64{1}); err == nil {
-		t.Fatal("short values accepted")
-	}
-	vals := make([]float64, g.NNZ())
-	if _, err := NewSPD(g, vals); err != nil {
+	if _, err := Laplacian(g); err != nil {
 		t.Fatal(err)
 	}
 	asym, err := sparse.New(2, [][]int{{0, 1}, {1}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewSPD(asym, make([]float64, asym.NNZ())); err == nil {
-		t.Fatal("asymmetric pattern accepted")
 	}
 	if _, err := Laplacian(asym); err == nil {
 		t.Fatal("asymmetric Laplacian accepted")

@@ -386,7 +386,7 @@ func TestTauRoundTrip(t *testing.T) {
 // error rather than silently mapped to the default, and the window is
 // ignored for the non-subset policies.
 func TestSimulateWithWindowValidation(t *testing.T) {
-	tr, err := tree.Harpoon(3, 30, 1)
+	tr, err := tree.NestedHarpoon(3, 1, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestShardAdmitDisabledByDefault(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	close(child.release)
-	shard, err := schedule.NewShard(child)
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, child)
 	if err != nil {
 		t.Fatal(err)
 	}

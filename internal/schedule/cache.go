@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -160,7 +159,7 @@ type Store interface {
 	Put(key string, row Row) error
 }
 
-// StoreOptions configures a row store.
+// StoreOptions configures a PagedStore.
 type StoreOptions struct {
 	// MaxEntries bounds the number of rows the store keeps; ≤ 0 means
 	// unbounded. When a Put would exceed the bound, the least-recently-used
@@ -169,59 +168,29 @@ type StoreOptions struct {
 	MaxEntries int
 }
 
-// MemStore is an in-memory Store, optionally bounded (StoreOptions): a
-// key→row map with a recency list, evicting least-recently-used entries
-// beyond MaxEntries. The zero value is not usable; construct with
-// NewMemStore or NewMemStoreWith.
+// MemStore is an unbounded in-memory Store, a key→row map. The zero value
+// is not usable; construct with NewMemStore.
 type MemStore struct {
-	mu      sync.Mutex
-	m       map[string]*list.Element
-	order   *list.List // front = most recently used
-	max     int
-	evicted int64
+	mu sync.Mutex
+	m  map[string]Row
 }
 
-type memEntry struct {
-	key string
-	row Row
-}
-
-// NewMemStore returns an empty unbounded in-memory store.
-func NewMemStore() *MemStore { return NewMemStoreWith(StoreOptions{}) }
-
-// NewMemStoreWith returns an empty in-memory store with the given options.
-func NewMemStoreWith(opt StoreOptions) *MemStore {
-	return &MemStore{m: map[string]*list.Element{}, order: list.New(), max: opt.MaxEntries}
-}
+// NewMemStore returns an empty in-memory store.
+func NewMemStore() *MemStore { return &MemStore{m: map[string]Row{}} }
 
 // Get implements Store.
 func (s *MemStore) Get(key string) (Row, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok {
-		return Row{}, false
-	}
-	s.order.MoveToFront(e)
-	return e.Value.(*memEntry).row, true
+	row, ok := s.m[key]
+	return row, ok
 }
 
 // Put implements Store.
 func (s *MemStore) Put(key string, row Row) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[key]; ok {
-		e.Value.(*memEntry).row = row
-		s.order.MoveToFront(e)
-		return nil
-	}
-	s.m[key] = s.order.PushFront(&memEntry{key: key, row: row})
-	for s.max > 0 && len(s.m) > s.max {
-		oldest := s.order.Back()
-		delete(s.m, oldest.Value.(*memEntry).key)
-		s.order.Remove(oldest)
-		s.evicted++
-	}
+	s.m[key] = row
 	return nil
 }
 
@@ -230,14 +199,6 @@ func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
-}
-
-// Evictions returns the number of rows evicted by the MaxEntries bound, the
-// companion of the Cached backend's hit/miss counters.
-func (s *MemStore) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
 }
 
 // Cached decorates a Backend with a content-addressed result cache: jobs

@@ -2,6 +2,7 @@ package schedule_test
 
 import (
 	"context"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -227,56 +228,16 @@ func TestCachedBanksRowsOnFailure(t *testing.T) {
 	}
 }
 
-// A bounded MemStore evicts least-recently-used rows (Get counts as use)
-// and counts the evictions.
-func TestMemStoreLRU(t *testing.T) {
-	s := schedule.NewMemStoreWith(schedule.StoreOptions{MaxEntries: 2})
-	row := func(n int) schedule.Row { return schedule.Row{Instance: "r", Memory: int64(n)} }
-	s.Put("a", row(1))
-	s.Put("b", row(2))
-	if _, ok := s.Get("a"); !ok { // bump a: b is now the LRU entry
-		t.Fatal("a missing before eviction")
-	}
-	s.Put("c", row(3))
-	if s.Len() != 2 {
-		t.Fatalf("bounded store holds %d rows, want 2", s.Len())
-	}
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("recently used entry a was evicted")
-	}
-	if _, ok := s.Get("c"); !ok {
-		t.Fatal("new entry c missing")
-	}
-	if ev := s.Evictions(); ev != 1 {
-		t.Fatalf("eviction counter %d, want 1", ev)
-	}
-	// Overwriting an existing key is not an eviction.
-	s.Put("c", row(4))
-	if got, _ := s.Get("c"); got.Memory != 4 {
-		t.Fatalf("overwrite lost: %+v", got)
-	}
-	if ev := s.Evictions(); ev != 1 {
-		t.Fatalf("eviction counter %d after overwrite, want 1", ev)
-	}
-	// The unbounded store never evicts.
-	u := schedule.NewMemStore()
-	for i := 0; i < 100; i++ {
-		u.Put(string(rune('a'+i)), row(i))
-	}
-	if u.Len() != 100 || u.Evictions() != 0 {
-		t.Fatalf("unbounded store len=%d evictions=%d", u.Len(), u.Evictions())
-	}
-}
-
 // The cached backend stays correct over a store too small for the grid:
 // every row is still bit-identical, evictions just turn into extra misses
 // on the rerun.
 func TestCachedOverBoundedStore(t *testing.T) {
 	jobs := gridJobs(t)
-	store := schedule.NewMemStoreWith(schedule.StoreOptions{MaxEntries: len(jobs) / 4})
+	store, err := schedule.OpenPagedStoreWith(filepath.Join(t.TempDir(), "rows.paged"), schedule.StoreOptions{MaxEntries: len(jobs) / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	cached := schedule.NewCached(schedule.Local{}, store)
 	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {

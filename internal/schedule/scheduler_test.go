@@ -41,7 +41,7 @@ func TestAdaptiveDispatchWeightsByThroughput(t *testing.T) {
 	}
 	fast := &slowBackend{inner: schedule.Local{}, delay: time.Millisecond, name: "fast"}
 	slow := &slowBackend{inner: schedule.Local{}, delay: 25 * time.Millisecond, name: "slow"}
-	shard, err := schedule.NewShard(fast, slow)
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, fast, slow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,13 +64,6 @@ type Shard struct {
 	hedgeWins    atomic.Int64
 }
 
-// NewShard builds a shard over the child backends with default options:
-// the adaptive dispatch policy, the default quarantine ladder, no cache
-// warming.
-func NewShard(children ...Backend) (*Shard, error) {
-	return NewShardWith(ShardOptions{}, children...)
-}
-
 // NewShardWith builds a shard over the child backends with the given
 // scheduler options.
 func NewShardWith(opt ShardOptions, children ...Backend) (*Shard, error) {

@@ -38,10 +38,10 @@ func (b *flakyBackend) Stream(ctx context.Context, src schedule.JobSource, sink 
 }
 
 func TestNewShardRejects(t *testing.T) {
-	if _, err := schedule.NewShard(); err == nil {
+	if _, err := schedule.NewShardWith(schedule.ShardOptions{}); err == nil {
 		t.Fatal("empty shard accepted")
 	}
-	if _, err := schedule.NewShard(schedule.Local{}, nil); err == nil {
+	if _, err := schedule.NewShardWith(schedule.ShardOptions{}, schedule.Local{}, nil); err == nil {
 		t.Fatal("nil child accepted")
 	}
 	if _, err := schedule.NewShardWith(schedule.ShardOptions{Policy: "fastest"}, schedule.Local{}); err == nil {
@@ -141,7 +141,7 @@ func TestShardFailsWhenAllChildrenFail(t *testing.T) {
 	dead1, dead2 := &flakyBackend{inner: schedule.Local{}}, &flakyBackend{inner: schedule.Local{}}
 	dead1.failN.Store(1 << 30)
 	dead2.failN.Store(1 << 30)
-	shard, err := schedule.NewShard(dead1, dead2)
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, dead1, dead2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestShardFailsWhenAllChildrenFail(t *testing.T) {
 	// A deterministic job error also fails — every child rejects it the
 	// same way, and the index range points at the offending chunk.
 	bad := []schedule.Job{{Instance: "x", Tree: jobs[0].Tree, Algorithm: "no-such-solver"}}
-	healthy, err := schedule.NewShard(schedule.Local{}, schedule.Local{})
+	healthy, err := schedule.NewShardWith(schedule.ShardOptions{}, schedule.Local{}, schedule.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}

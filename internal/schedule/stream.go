@@ -6,11 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -458,90 +454,6 @@ func GridSource(src InstanceSource, algorithms []string, orderBy string, policie
 			have = false
 		}
 	}), nil
-}
-
-// TreeDirSource streams jobs from the .tree files of a directory: every
-// file (sorted by name, so the stream is deterministic) crossed with the
-// given algorithm names, instance-named after the file. Files are parsed
-// lazily, one at a time, as the stream reaches them.
-func TreeDirSource(dir string, algorithms []string) (JobSource, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("schedule: tree dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".tree" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var (
-		i   int
-		k   int
-		cur *tree.Tree
-	)
-	return SourceFunc(func() (Job, bool, error) {
-		for i < len(names) {
-			if cur == nil {
-				f, err := os.Open(filepath.Join(dir, names[i]))
-				if err != nil {
-					return Job{}, false, fmt.Errorf("schedule: tree dir: %w", err)
-				}
-				cur, err = tree.Read(f)
-				f.Close()
-				if err != nil {
-					return Job{}, false, fmt.Errorf("schedule: %s: %w", names[i], err)
-				}
-				k = 0
-			}
-			if k < len(algorithms) {
-				name := names[i][:len(names[i])-len(".tree")]
-				j := Job{Instance: name, Tree: cur, Algorithm: algorithms[k]}
-				k++
-				return j, true, nil
-			}
-			i, cur = i+1, nil
-		}
-		return Job{}, false, nil
-	}), nil
-}
-
-// TreeStreamSource streams jobs from consecutive .tree documents on r
-// (e.g. a corpus piped to stdin): each decoded tree crossed with the given
-// algorithm names, instances named prefix-0, prefix-1, … in stream order.
-// Trees are decoded lazily, one document at a time, so a corpus larger than
-// memory can flow through as long as rows drain.
-func TreeStreamSource(r io.Reader, prefix string, algorithms []string) JobSource {
-	dec := tree.NewDecoder(r)
-	var (
-		n    int
-		k    int
-		cur  *tree.Tree
-		done bool
-	)
-	return SourceFunc(func() (Job, bool, error) {
-		for !done {
-			if cur == nil {
-				t, err := dec.Decode()
-				if err == io.EOF {
-					done = true
-					return Job{}, false, nil
-				}
-				if err != nil {
-					return Job{}, false, fmt.Errorf("schedule: tree stream: %w", err)
-				}
-				cur, k = t, 0
-			}
-			if k < len(algorithms) {
-				j := Job{Instance: prefix + "-" + strconv.Itoa(n), Tree: cur, Algorithm: algorithms[k]}
-				k++
-				return j, true, nil
-			}
-			n, cur = n+1, nil
-		}
-		return Job{}, false, nil
-	})
 }
 
 // CSVSink is a RowSink streaming rows as CSV, header first. Flush must be

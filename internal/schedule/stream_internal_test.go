@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -39,13 +40,18 @@ func spineJobs(n int) []Job {
 }
 
 // streamBytes measures the bytes allocated by one spine stream, minimized
-// over a few attempts to shrug off unrelated background allocation.
+// over a few attempts. Like testing.AllocsPerRun it measures on one P with
+// the collector off: the pools are per P, so on several Ps a goroutine
+// that other processes' load moves to another P misses the buffers its
+// chunk returned, and a collection mid-stream empties them.
 func streamBytes(tb testing.TB, jobs []Job) uint64 {
 	tb.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	streamSpine(tb, jobs, DefaultChunkSize, 2) // warm the pools on this P
 	best := ^uint64(0)
 	var m0, m1 runtime.MemStats
 	for attempt := 0; attempt < 5; attempt++ {
-		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		streamSpine(tb, jobs, DefaultChunkSize, 2)
 		runtime.ReadMemStats(&m1)
@@ -66,7 +72,6 @@ func TestStreamChunkResidencyConstant(t *testing.T) {
 	const chunksSmall, chunksLarge = 8, 64
 	small := spineJobs(chunksSmall * DefaultChunkSize)
 	large := spineJobs(chunksLarge * DefaultChunkSize)
-	streamSpine(t, large, DefaultChunkSize, 2) // warm the pools
 	bytesSmall := streamBytes(t, small)
 	bytesLarge := streamBytes(t, large)
 	t.Logf("spine bytes: %d chunks → %dB, %d chunks → %dB", chunksSmall, bytesSmall, chunksLarge, bytesLarge)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -190,73 +188,6 @@ func TestLazyGridSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJobs(t, policyJobs(t, insts, "minmem", schedule.EvictionPolicyNames(), memories), eager, "GridSource policy half")
-}
-
-// A directory of .tree files streams as (file × algorithm) jobs in sorted
-// file order; a reader of concatenated .tree documents streams in document
-// order. Both must evaluate to the rows of the equivalent in-memory grid.
-func TestTreeSources(t *testing.T) {
-	dir := t.TempDir()
-	var insts []schedule.Instance
-	var concat strings.Builder
-	for i := 0; i < 3; i++ {
-		tr := randomTree(t, int64(20+i), 20+5*i)
-		name := fmt.Sprintf("t%d", i)
-		insts = append(insts, schedule.Instance{Name: name, Tree: tr})
-		var sb strings.Builder
-		if err := tr.Write(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name+".tree"), []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		concat.WriteString(sb.String())
-	}
-	os.WriteFile(filepath.Join(dir, "ignored.txt"), []byte("not a tree"), 0o644)
-	algs := []string{"postorder", "minmem"}
-
-	want, err := schedule.Local{}.Run(context.Background(),
-		schedule.MinMemoryGrid(insts, algs), schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dirSrc, err := schedule.TreeDirSource(dir, algs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dirRows schedule.Collector
-	if err := (schedule.Local{}).Stream(context.Background(), dirSrc, &dirRows,
-		schedule.StreamOptions{ChunkSize: 2}); err != nil {
-		t.Fatal(err)
-	}
-	sameRowsNoTime(t, want, dirRows.Rows(), "TreeDirSource vs in-memory grid")
-
-	streamSrc := schedule.TreeStreamSource(strings.NewReader(concat.String()), "stdin", algs)
-	var streamRows schedule.Collector
-	if err := (schedule.Local{}).Stream(context.Background(), streamSrc, &streamRows,
-		schedule.StreamOptions{ChunkSize: 2}); err != nil {
-		t.Fatal(err)
-	}
-	got := streamRows.Rows()
-	if len(got) != len(want) {
-		t.Fatalf("tree stream produced %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if b.Instance != fmt.Sprintf("stdin-%d", i/len(algs)) {
-			t.Fatalf("row %d instance %q, want stdin-%d", i, b.Instance, i/len(algs))
-		}
-		a.Instance, b.Instance = "", ""
-		a.Seconds, b.Seconds = 0, 0
-		if a != b {
-			t.Fatalf("row %d differs: %+v vs %+v", i, want[i], got[i])
-		}
-	}
-
-	if _, err := schedule.TreeDirSource(filepath.Join(dir, "absent"), algs); err == nil {
-		t.Fatal("missing directory accepted")
-	}
 }
 
 // CSV and JSONL sinks must emit exactly the wire format — pinned against

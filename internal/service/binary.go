@@ -41,10 +41,9 @@ import (
 // the wire, is decoded and is hashed once per server, not once per batch.
 // Every server retains the inline trees it decodes, per tenant and by
 // digest, in a cache bounded by retainNodes tree nodes with least-recently-
-// used eviction. A reference resolves against that cache first, then
-// against the tenant's /v1/trees corpus; one that resolves nowhere is
-// answered 409 before the response stream commits, with a JSON body
-// (unknownTreesBody) listing the missing digests. Every response to a
+// used eviction. A reference resolves against that cache only; one it
+// does not hold is answered 409 before the response stream commits, with a
+// JSON body (unknownTreesBody) listing the missing digests. Every response to a
 // batch request carries TreeRefsHeader, and a client references trees
 // only on a server that sent it, so servers predating references keep
 // receiving inline trees. A client references only the trees it shipped
@@ -52,8 +51,7 @@ import (
 // under the same node bound; on a 409 it forgets the listed digests and
 // resends the batch once with every tree inline, outside its Retries
 // budget. A server restart or an eviction thus costs one resend, never a
-// failed batch. Client.ByDigest instead sends every tree as a reference to
-// the tenant's corpus, and a 409 fails that batch.
+// failed batch.
 //
 // Response ('b', version 1): a stream of uvarint-length-prefixed frames,
 // each opening with a type byte —

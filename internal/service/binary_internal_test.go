@@ -288,7 +288,7 @@ func TestBatchBinaryPaddedCountRefusedCheaply(t *testing.T) {
 		}
 		// Through the handler the body is read whole first, so it stays
 		// small enough for its own copy to fit under the bound.
-		h := NewServer(nil, 1).Handler()
+		h := NewServerWith(ServerOptions{Workers: 1}).Handler()
 		data := paddedBatch(table, 64<<10)
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(data))

@@ -46,14 +46,8 @@ type Client struct {
 	Binary bool
 	// Tenant names the tenant every request runs as (the X-Tenant header);
 	// empty selects the server's "default" tenant. Quotas, rejection
-	// counters and the uploaded-tree corpus are all per tenant.
+	// counters and retained trees are all per tenant.
 	Tenant string
-	// ByDigest makes Run reference each job's tree by digest instead of
-	// inlining it: the trees must have been uploaded to the tenant's corpus
-	// first (UploadTrees), and the batch then carries one 32-byte digest
-	// per distinct tree instead of the tree. A tree the server cannot
-	// resolve fails the batch with a 409, which is not retried.
-	ByDigest bool
 	// OnThrottle, when set, is called once per 429 (over-quota) response
 	// with the server's Retry-After delay, before any retry sleep — load
 	// harnesses count rejections with it, and operators can log or meter
@@ -108,34 +102,12 @@ func (c *Client) Capabilities() schedule.Capabilities {
 	return schedule.Capabilities{Name: "http(" + c.base + ")", Remote: true}
 }
 
-// Algorithms lists the algorithms registered on the server.
-func (c *Client) Algorithms(ctx context.Context) ([]AlgorithmInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/algorithms", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
-	var infos []AlgorithmInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		return nil, fmt.Errorf("service: decode algorithms: %w", err)
-	}
-	return infos, nil
-}
-
 // Health implements schedule.HealthChecker: it probes the server's
 // /healthz endpoint — a fixed-cost status report, unlike /v1/algorithms,
 // which allocates and serializes the full registry on every call — and
 // returns nil when the server answers 200 with a decodable status body.
 // The Shard scheduler uses it to decide whether a quarantined server has
-// recovered and can be readmitted; Algorithms remains the capability-
-// discovery call.
+// recovered and can be readmitted.
 func (c *Client) Health(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
@@ -159,53 +131,6 @@ func (c *Client) Health(ctx context.Context) error {
 		return fmt.Errorf("service: %s reports status %q", c.base, status.Status)
 	}
 	return nil
-}
-
-// UploadTrees adds the trees to the tenant's corpus on the server
-// (POST /v1/trees), deduplicated by digest, and returns each tree's
-// digest in argument order. Jobs may then reference the trees by digest —
-// see ByDigest — so a corpus is shipped once, not once per batch.
-func (c *Client) UploadTrees(ctx context.Context, trees []*tree.Tree) ([]tree.Digest, error) {
-	req := TreeUploadRequest{Trees: make([]string, len(trees))}
-	for i, t := range trees {
-		var sb strings.Builder
-		if err := t.Write(&sb); err != nil {
-			return nil, fmt.Errorf("service: serialize tree %d: %w", i, err)
-		}
-		req.Trees[i] = sb.String()
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/trees", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	c.setTenant(hreq)
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(resp)
-	}
-	var ur TreeUploadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-		return nil, fmt.Errorf("service: decode tree upload response: %w", err)
-	}
-	if len(ur.Digests) != len(trees) {
-		return nil, fmt.Errorf("service: server acknowledged %d trees, want %d", len(ur.Digests), len(trees))
-	}
-	digests := make([]tree.Digest, len(ur.Digests))
-	for i, s := range ur.Digests {
-		if digests[i], err = tree.ParseDigest(s); err != nil {
-			return nil, err
-		}
-	}
-	return digests, nil
 }
 
 // setTenant stamps the client's tenant onto a request.
@@ -283,7 +208,7 @@ func (c *Client) Run(ctx context.Context, jobs []schedule.Job, opt schedule.Batc
 	for attempt := 0; ; attempt++ {
 		err := c.runAttempt(ctx, body, jobs, opt, rows, got)
 		var missing *missingTreesError
-		if errors.As(err, &missing) && !c.ByDigest && !resent {
+		if errors.As(err, &missing) && !resent {
 			c.shipped.remove(missing.digests...)
 			if body, inline, err = encodeBatchBinary(jobs, opt.Workers, nil); err != nil {
 				return nil, err
@@ -390,20 +315,16 @@ func (c *Client) runAttempt(ctx context.Context, body []byte, jobs []schedule.Jo
 	return nil
 }
 
-// refPolicy picks the trees a batch references: every tree with
-// ByDigest, the trees this client shipped to a server that resolves
-// references, or none (a nil policy).
+// refPolicy picks the trees a batch references: the trees this client
+// shipped to a server that resolves references, or none (a nil policy).
 func (c *Client) refPolicy() func(*tree.Tree) bool {
-	switch {
-	case c.ByDigest:
-		return func(*tree.Tree) bool { return true }
-	case c.refs.Load():
-		return func(t *tree.Tree) bool {
-			_, ok := c.shipped.get(t.Digest())
-			return ok
-		}
+	if !c.refs.Load() {
+		return nil
 	}
-	return nil
+	return func(t *tree.Tree) bool {
+		_, ok := c.shipped.get(t.Digest())
+		return ok
+	}
 }
 
 // missingTreesError is a 409 answer to a batch: the server holds

@@ -242,9 +242,9 @@ func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	cancelled := make(chan struct{})
 	var once sync.Once
 	slowFault.OnCancel(func(int) { once.Do(func() { close(cancelled) }) })
-	slowSrv := httptest.NewServer(service.NewServer(slowFault, 0).Handler())
+	slowSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: slowFault}).Handler())
 	defer slowSrv.Close()
-	fastSrv := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	fastSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer fastSrv.Close()
 
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
@@ -295,7 +295,7 @@ func TestHedgedShardGossipsIntoPagedStore(t *testing.T) {
 	defer fastSrv.Close()
 	slowFault := scheduletest.NewFaultBackend(schedule.Local{})
 	slowFault.SlowAfter(1, 60*time.Millisecond)
-	slowSrv := httptest.NewServer(service.NewServer(slowFault, 0).Handler())
+	slowSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: slowFault}).Handler())
 	defer slowSrv.Close()
 
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{

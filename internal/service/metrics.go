@@ -12,7 +12,6 @@ import (
 //
 //	scheduled_batches_total{outcome="ok"|"failed"|"rejected"}
 //	scheduled_rows_streamed_total
-//	scheduled_trees_uploaded_total{outcome="added"|"deduped"}
 //	scheduled_retained_trees, scheduled_retained_tree_nodes
 //	scheduled_tree_refs_total{result="resolved"|"unknown"}
 //	scheduled_cache_hits_total, scheduled_cache_misses_total
@@ -20,7 +19,7 @@ import (
 //	scheduled_store_commits_total, scheduled_store_commit_stalls_total
 //	scheduled_tenant_accepted_jobs_total{tenant}
 //	scheduled_tenant_rejected_jobs_total{tenant,reason="rate"|"queue"|"overload"}
-//	scheduled_tenant_queued_jobs{tenant}, scheduled_tenant_trees{tenant}
+//	scheduled_tenant_queued_jobs{tenant}
 //	scheduled_shard_{resubmissions,quarantines,readmissions,load_sheds,
 //	                 warmed_rows,warm_errors,hedges,hedge_wins}_total
 //	scheduled_shard_child_{chunks,rows,failures}_total{child},
@@ -98,9 +97,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("scheduled_batches_total", float64(s.batchesRejected.Load()), "outcome", "rejected")
 	p.family("scheduled_rows_streamed_total", "counter", "Rows streamed to batch clients.")
 	p.sample("scheduled_rows_streamed_total", float64(s.rowsStreamed.Load()))
-	p.family("scheduled_trees_uploaded_total", "counter", "Corpus uploads by outcome (added, deduped).")
-	p.sample("scheduled_trees_uploaded_total", float64(s.treesAdded.Load()), "outcome", "added")
-	p.sample("scheduled_trees_uploaded_total", float64(s.treesDeduped.Load()), "outcome", "deduped")
 	trees, nodes := s.retained.size()
 	p.family("scheduled_retained_trees", "gauge", "Trees retained from inline binary batch entries, across tenants.")
 	p.sample("scheduled_retained_trees", float64(trees))
@@ -138,8 +134,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("scheduled_tenant_rejected_jobs_total", float64(st.RejectedOverload), "tenant", st.Name, "reason", "overload")
 		p.family("scheduled_tenant_queued_jobs", "gauge", "Jobs admitted but not yet finished, per tenant.")
 		p.sample("scheduled_tenant_queued_jobs", float64(st.Queued), "tenant", st.Name)
-		p.family("scheduled_tenant_trees", "gauge", "Distinct trees in the tenant's corpus.")
-		p.sample("scheduled_tenant_trees", float64(st.Trees), "tenant", st.Name)
 	}
 
 	if s.shard != nil {

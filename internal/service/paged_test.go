@@ -39,7 +39,7 @@ func TestShardMixesPagedAndPlainChildren(t *testing.T) {
 	}
 	pagedChild, rs := startPagedServer(t, filepath.Join(t.TempDir(), "rows.paged"))
 	plainChild := startServer(t, nil)
-	shard, err := schedule.NewShard(pagedChild, plainChild)
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, pagedChild, plainChild)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,7 @@ type refServer struct {
 func startRefServer(t *testing.T, stripRefs bool) *refServer {
 	t.Helper()
 	rs := &refServer{stripRefs: stripRefs}
-	rs.server.Store(NewServer(nil, 1))
+	rs.server.Store(NewServerWith(ServerOptions{Workers: 1}))
 	srv := httptest.NewServer(http.HandlerFunc(rs.serve))
 	t.Cleanup(srv.Close)
 	rs.url = srv.URL
@@ -101,7 +102,7 @@ func (rs *refServer) serve(w http.ResponseWriter, r *http.Request) {
 }
 
 // restart replaces the server with a fresh one that retains nothing.
-func (rs *refServer) restart() { rs.server.Store(NewServer(nil, 1)) }
+func (rs *refServer) restart() { rs.server.Store(NewServerWith(ServerOptions{Workers: 1})) }
 
 // take returns the exchanges recorded since the last take.
 func (rs *refServer) take() []exchange {
@@ -217,27 +218,110 @@ func TestTreeRefsResendAfterServerRestart(t *testing.T) {
 		exchange{refs: 4, status: http.StatusOK})
 }
 
+// postAllRefs posts jobs as the named tenant with every tree sent as a
+// reference, a body no Client sends before it has shipped those trees, and
+// returns the response status.
+func postAllRefs(t *testing.T, url, tenantName string, jobs []schedule.Job) int {
+	t.Helper()
+	body, _, err := encodeBatchBinary(jobs, 0, func(*tree.Tree) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ContentTypeBinaryBatch)
+	req.Header.Set(TenantHeader, tenantName)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}
+
+// metricAt scrapes the server's /metrics and returns the value of the
+// sample whose name{labels} is exactly sample.
+func metricAt(t *testing.T, url, sample string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: bad value %q", sample, rest)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metric %s not found in exposition:\n%s", sample, raw)
+	return 0
+}
+
 // Retained trees are per tenant: a digest tenant a shipped does not
-// resolve for tenant b, whose by-digest batch fails with the 409.
+// resolve for tenant b, whose all-references batch gets the 409.
 func TestTreeRefsTenantIsolation(t *testing.T) {
 	rs := startRefServer(t, false)
 	a := NewClient(rs.url, nil)
 	a.Tenant = "a"
 	jobs := flatten(refInstanceJobs(t)...)
 	runMatchesLocal(t, a, jobs)
-	b := NewClient(rs.url, nil)
-	b.Tenant = "b"
-	b.ByDigest = true
-	_, err := b.Run(context.Background(), jobs, schedule.BatchOptions{})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusConflict {
-		t.Fatalf("tenant b referencing tenant a's trees: err %v, want a 409", err)
+	if code := postAllRefs(t, rs.url, "b", jobs); code != http.StatusConflict {
+		t.Fatalf("tenant b referencing tenant a's trees: status %d, want 409", code)
+	}
+	if v := metricAt(t, rs.url, `scheduled_tree_refs_total{result="unknown"}`); v != 4 {
+		t.Fatalf("%g unknown references, want 4", v)
 	}
 	runMatchesLocal(t, a, jobs) // still resolves for its owner
 	expectExchanges(t, "tenants", rs.take(),
 		exchange{inline: 4, status: http.StatusOK},
 		exchange{refs: 4, status: http.StatusConflict},
 		exchange{refs: 4, status: http.StatusOK})
+}
+
+// /metrics counts retained trees and tree references: a client ships four
+// trees and references them twice, another tenant references them in vain,
+// and the owner still resolves them.
+func TestMetricsTreeRefs(t *testing.T) {
+	srv := httptest.NewServer(NewServerWith(ServerOptions{}).Handler())
+	defer srv.Close()
+	owner := NewClient(srv.URL, nil)
+	per := refInstanceJobs(t)
+	jobs := flatten(per...)
+	for i := 0; i < 3; i++ {
+		runMatchesLocal(t, owner, jobs)
+	}
+	if code := postAllRefs(t, srv.URL, "stranger", jobs); code != http.StatusConflict {
+		t.Fatalf("another tenant's references: status %d, want 409", code)
+	}
+	nodes := 0
+	for _, p := range per {
+		nodes += p[0].Tree.Len()
+	}
+	for sample, want := range map[string]float64{
+		`scheduled_retained_trees`:                     4,
+		`scheduled_retained_tree_nodes`:                float64(nodes),
+		`scheduled_tree_refs_total{result="resolved"}`: 8,
+		`scheduled_tree_refs_total{result="unknown"}`:  4,
+	} {
+		if got := metricAt(t, srv.URL, sample); got != want {
+			t.Fatalf("%s = %g, want %g", sample, got, want)
+		}
+	}
+	runMatchesLocal(t, owner, jobs)
+	if got := metricAt(t, srv.URL, `scheduled_tree_refs_total{result="resolved"}`); got != 12 {
+		t.Fatalf("the owner's references after the stranger's 409: %g resolved, want 12", got)
+	}
 }
 
 // A tree the server's node budget evicted costs its owner one resend,
@@ -248,7 +332,7 @@ func TestTreeRefsEvictionCostsOneResend(t *testing.T) {
 	first, second := per[0][0].Tree, per[1][0].Tree
 	// Room for either tree, not both.
 	budget := first.Len() + second.Len() - 1
-	srv := NewServer(nil, 1)
+	srv := NewServerWith(ServerOptions{Workers: 1})
 	srv.retained.budget = budget
 	rs.server.Store(srv)
 	c := NewClient(rs.url, nil)

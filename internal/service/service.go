@@ -20,10 +20,6 @@
 //	                       reference that resolves nowhere gets 409.
 //	POST /v1/warm        → request: {"entries": [{key, row}, …]}
 //	                       response: {"stored": N}
-//	POST /v1/trees       → request: {"trees": [<.tree text>, …]}
-//	                       response: {"digests": [hex…], "added": N,
-//	                                  "deduped": M}
-//	GET  /v1/trees       → {"digests": [hex…]} (the tenant's corpus)
 //	GET  /metrics        → Prometheus text exposition of the server's
 //	                       counters (see metrics.go)
 //
@@ -38,14 +34,11 @@
 // # Tenancy and admission control
 //
 // Every request may carry an X-Tenant header naming the caller's tenant
-// (empty means "default"). Each tenant owns an isolated tree corpus:
-// POST /v1/trees uploads .tree instances once, deduplicated by
-// tree.Digest. A batch references a tree by its 32-byte digest, resolved
-// against the trees the server retained from earlier batches of the same
-// tenant and then against the corpus (see binary.go). Retained trees are
-// a cache bounded per server, never a second corpus: eviction costs the
-// owner one inline resend, and a tenant never resolves another tenant's
-// digest.
+// (empty means "default"). A batch references a tree by its 32-byte
+// digest, resolved against the trees the server retained from earlier
+// batches of the same tenant (see binary.go). Retained trees are a cache
+// bounded per server: eviction costs the owner one inline resend, and a
+// tenant never resolves another tenant's digest.
 //
 // Before a batch commits its response stream the server runs admission
 // control: first the backend's verdict (schedule.Admitter — a shard sheds
@@ -53,9 +46,7 @@
 // bucket and queue-depth quota (internal/tenant). Over-limit work is
 // rejected with 429 and a Retry-After header (integer seconds) before any
 // response bytes stream, so a rejected batch is cheap for both sides;
-// Client honors the header by delaying its retry at least that long. A
-// corpus at its tree bound rejects uploads with 413, which is
-// deterministic and must not be retried.
+// Client honors the header by delaying its retry at least that long.
 //
 // /v1/warm is the cache-warming sink of cross-shard gossip: a shard (or a
 // sibling server) pushes rows it computed, keyed by schedule.CacheKey, and
@@ -117,31 +108,6 @@ type WarmResponse struct {
 	Stored int `json:"stored"`
 }
 
-// TreeUploadRequest is the body of POST /v1/trees: .tree wire-form texts
-// to add to the calling tenant's corpus.
-type TreeUploadRequest struct {
-	// Trees holds the instances in .tree text form, one string each.
-	Trees []string `json:"trees"`
-}
-
-// TreeUploadResponse is the body of the POST /v1/trees response.
-type TreeUploadResponse struct {
-	// Digests names each uploaded tree (hex, request order); a batch job
-	// may reference a corpus tree by this string in its "tree" field.
-	Digests []string `json:"digests"`
-	// Added and Deduped split the upload: trees stored now vs trees the
-	// corpus already held (acknowledged, stored once).
-	Added   int `json:"added"`
-	Deduped int `json:"deduped"`
-}
-
-// TreeListResponse is the body of GET /v1/trees: the tenant's corpus
-// digests in sorted hex order.
-type TreeListResponse struct {
-	// Digests lists the corpus, sorted.
-	Digests []string `json:"digests"`
-}
-
 // maxBatchBytes bounds a batch request body (64 MiB — a full-scale grid
 // over the dataset suite is well under 10 MiB on the wire).
 const maxBatchBytes = 64 << 20
@@ -174,8 +140,6 @@ type Server struct {
 	batchesFailed   atomic.Int64
 	batchesRejected atomic.Int64
 	rowsStreamed    atomic.Int64
-	treesAdded      atomic.Int64
-	treesDeduped    atomic.Int64
 	refsResolved    atomic.Int64
 	refsUnknown     atomic.Int64
 }
@@ -188,8 +152,8 @@ type retainKey struct {
 }
 
 // batchTrees is the treeResolver of one binary batch: references resolve
-// against the server's retained trees for the tenant, then the tenant's
-// corpus; inline trees are retained.
+// against the server's retained trees for the tenant, and inline trees are
+// retained.
 type batchTrees struct {
 	s   *Server
 	ten *tenant.Tenant
@@ -197,9 +161,6 @@ type batchTrees struct {
 
 func (b batchTrees) resolve(d tree.Digest) (*tree.Tree, bool) {
 	t, ok := b.s.retained.get(retainKey{b.ten.Name(), d})
-	if !ok {
-		t, ok = b.ten.LookupTree(d)
-	}
 	if ok {
 		b.s.refsResolved.Add(1)
 	} else {
@@ -226,10 +187,9 @@ type ServerOptions struct {
 	// batches. A nil store keeps /v1/warm a no-op.
 	Store schedule.Store
 	// Tenants is the admission registry: every batch is charged against
-	// its tenant's token bucket and queue quota, and /v1/trees uploads
-	// land in its tenant's corpus. Nil selects a fresh unlimited registry,
-	// so tenancy endpoints work (namespaced, never rejected) on servers
-	// that configure no quotas.
+	// its tenant's token bucket and queue quota. Nil selects a fresh
+	// unlimited registry, so tenants stay namespaced (never rejected) on
+	// servers that configure no quotas.
 	Tenants *tenant.Registry
 	// Concurrency is the number of batches evaluated at once (≤ 0: 1,
 	// strict serialization — the historical behavior). Raising it trades
@@ -253,15 +213,6 @@ type ServerOptions struct {
 	// response — and its counters appear on /metrics. The server does not
 	// own the gossiper: the caller Closes it on shutdown.
 	Gossip *Gossiper
-}
-
-// NewServer builds a server over backend (nil selects schedule.Local) with
-// workers bounding each batch's pool unless the request asks for fewer
-// (≤ 0: GOMAXPROCS). The bound is global: batches evaluate one at a time,
-// so concurrent submissions cannot multiply the pool. Warm pushes are
-// dropped; use NewServerWith to accept them into a store.
-func NewServer(backend schedule.Backend, workers int) *Server {
-	return NewServerWith(ServerOptions{Backend: backend, Workers: workers})
 }
 
 // NewServerWith builds a server from the options.
@@ -296,7 +247,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/warm", s.handleWarm)
-	mux.HandleFunc("/v1/trees", s.handleTrees)
 	return mux
 }
 
@@ -315,57 +265,6 @@ func writeRetryAfter(w http.ResponseWriter, after time.Duration, msg string) {
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	http.Error(w, msg, http.StatusTooManyRequests)
-}
-
-// handleTrees serves the tenant corpus: POST uploads .tree texts
-// (deduplicated by digest), GET lists the corpus digests.
-func (s *Server) handleTrees(w http.ResponseWriter, r *http.Request) {
-	ten := s.tenantFor(r)
-	switch r.Method {
-	case http.MethodGet:
-		digests := ten.Digests()
-		resp := TreeListResponse{Digests: make([]string, len(digests))}
-		for i, d := range digests {
-			resp.Digests[i] = d.String()
-		}
-		writeJSON(w, http.StatusOK, resp)
-	case http.MethodPost:
-		var req TreeUploadRequest
-		body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			http.Error(w, "bad tree upload: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp := TreeUploadResponse{Digests: make([]string, 0, len(req.Trees))}
-		for i, text := range req.Trees {
-			t, err := tree.Read(strings.NewReader(text))
-			if err != nil {
-				http.Error(w, fmt.Sprintf("tree %d: %v", i, err), http.StatusBadRequest)
-				return
-			}
-			d, added, err := ten.AddTree(t)
-			if errors.Is(err, tenant.ErrCorpusFull) {
-				// Deterministic: retrying cannot succeed, so 413, not 429.
-				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-				return
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			resp.Digests = append(resp.Digests, d.String())
-			if added {
-				resp.Added++
-				s.treesAdded.Add(1)
-			} else {
-				resp.Deduped++
-				s.treesDeduped.Add(1)
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
 }
 
 // handleWarm accepts rows computed elsewhere into the server's row store.
@@ -589,7 +488,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // nowhere: 409 with the missing digests, before any stream commits.
 func writeUnknownTrees(w http.ResponseWriter, e *unknownTreesError, ten *tenant.Tenant) {
 	body := unknownTreesBody{
-		Error:   fmt.Sprintf("%v for tenant %q: resend them inline, or upload them to the corpus via /v1/trees", e, ten.Name()),
+		Error:   fmt.Sprintf("%v for tenant %q: resend them inline", e, ten.Name()),
 		Missing: make([]string, len(e.digests)),
 	}
 	for i, d := range e.digests {

@@ -65,7 +65,7 @@ func testJobs(t *testing.T) []schedule.Job {
 
 func startServer(t *testing.T, backend schedule.Backend) *service.Client {
 	t.Helper()
-	srv := httptest.NewServer(service.NewServer(backend, 0).Handler())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: backend}).Handler())
 	t.Cleanup(srv.Close)
 	return service.NewClient(srv.URL+"/", srv.Client()) // trailing slash must be tolerated
 }
@@ -149,7 +149,7 @@ func TestGridSourceReusedOutcomeMatchesRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := schedule.NewShard(startServer(t, nil), startServer(t, nil))
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, startServer(t, nil), startServer(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestGridSourceReusedOutcomeMatchesRecompute(t *testing.T) {
 func TestClientReusesConnection(t *testing.T) {
 	jobs := testJobs(t)[:8]
 	var conns atomic.Int64
-	srv := httptest.NewUnstartedServer(service.NewServer(nil, 0).Handler())
+	srv := httptest.NewUnstartedServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
 			conns.Add(1)
@@ -220,9 +220,15 @@ func TestRemoteOverCachedBackend(t *testing.T) {
 }
 
 func TestAlgorithmsEndpoint(t *testing.T) {
-	client := startServer(t, nil)
-	infos, err := client.Algorithms(context.Background())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/algorithms")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []service.AlgorithmInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
 	if len(infos) != len(schedule.Names()) {
@@ -257,7 +263,7 @@ func TestRemoteErrors(t *testing.T) {
 	}
 
 	// Malformed request bodies and out-of-range tree indices are 400s.
-	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v1/batch", service.ContentTypeBinaryBatch, strings.NewReader("{"))
 	if err != nil {
@@ -298,7 +304,7 @@ func TestRemoteErrors(t *testing.T) {
 // with no Content-Type, gets 415 naming the binary media type, before the
 // body is read.
 func TestBatchRejectsNonBinaryContentType(t *testing.T) {
-	srv := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer srv.Close()
 	for _, ct := range []string{"application/json", ""} {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/batch",
@@ -373,7 +379,7 @@ func TestClientRetries(t *testing.T) {
 		"5xx":      {status: http.StatusServiceUnavailable},
 		"truncate": {truncate: true},
 	} {
-		wrap.inner = service.NewServer(nil, 0).Handler()
+		wrap.inner = service.NewServerWith(service.ServerOptions{}).Handler()
 		wrap.failN.Store(2)
 		srv := httptest.NewServer(wrap)
 		client := service.NewClient(srv.URL, srv.Client())
@@ -405,7 +411,7 @@ func TestClientRetries(t *testing.T) {
 	}
 
 	// Without retries the transient failure surfaces.
-	wrap := &flakyHandler{inner: service.NewServer(nil, 0).Handler(), status: http.StatusServiceUnavailable}
+	wrap := &flakyHandler{inner: service.NewServerWith(service.ServerOptions{}).Handler(), status: http.StatusServiceUnavailable}
 	wrap.failN.Store(1)
 	srv := httptest.NewServer(wrap)
 	defer srv.Close()
@@ -415,7 +421,7 @@ func TestClientRetries(t *testing.T) {
 
 	// Deterministic failures are not retried: a bad request burns no
 	// attempts against the server.
-	bad := &flakyHandler{inner: service.NewServer(nil, 0).Handler()}
+	bad := &flakyHandler{inner: service.NewServerWith(service.ServerOptions{}).Handler()}
 	bsrv := httptest.NewServer(bad)
 	defer bsrv.Close()
 	bclient := service.NewClient(bsrv.URL, bsrv.Client())
@@ -454,9 +460,9 @@ func TestShardOverTwoServersMatchesLocal(t *testing.T) {
 	// Server 2 flaps: it fails its first two batch calls (chunked dispatch
 	// spreads calls across both servers), while its list endpoint — the
 	// health probe — keeps working.
-	steady := httptest.NewServer(service.NewServer(nil, 0).Handler())
+	steady := httptest.NewServer(service.NewServerWith(service.ServerOptions{}).Handler())
 	defer steady.Close()
-	wrap := &flakyHandler{inner: service.NewServer(nil, 0).Handler(), status: http.StatusBadGateway}
+	wrap := &flakyHandler{inner: service.NewServerWith(service.ServerOptions{}).Handler(), status: http.StatusBadGateway}
 	wrap.failN.Store(2)
 	flaky := httptest.NewServer(wrap)
 	defer flaky.Close()
@@ -677,7 +683,7 @@ func TestClientStreamChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &flakyHandler{inner: service.NewServer(nil, 0).Handler()}
+	counter := &flakyHandler{inner: service.NewServerWith(service.ServerOptions{}).Handler()}
 	srv := httptest.NewServer(counter)
 	defer srv.Close()
 	client := service.NewClient(srv.URL, srv.Client())
@@ -732,7 +738,7 @@ func (b *concurrencyBackend) Stream(ctx context.Context, src schedule.JobSource,
 // at a time instead of each spinning up its own worker pool.
 func TestServerSerializesBatchEvaluations(t *testing.T) {
 	probe := &concurrencyBackend{inner: schedule.Local{}}
-	srv := httptest.NewServer(service.NewServer(probe, 1).Handler())
+	srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: probe, Workers: 1}).Handler())
 	defer srv.Close()
 	client := service.NewClient(srv.URL, srv.Client())
 	jobs := testJobs(t)

@@ -18,12 +18,11 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/service"
 	"repro/internal/tenant"
-	"repro/internal/tree"
 )
 
 // startServerWith is startServer for tests that need ServerOptions —
 // quota registries, metrics sources, concurrency — and the raw base URL
-// for endpoints the Client does not wrap (GET /v1/trees, /metrics).
+// for endpoints the Client does not wrap (/metrics).
 func startServerWith(t *testing.T, opt service.ServerOptions) (*service.Client, string) {
 	t.Helper()
 	srv := httptest.NewServer(service.NewServerWith(opt).Handler())
@@ -80,111 +79,6 @@ func sameRowsModuloSeconds(t *testing.T, got, want []schedule.Row, label string)
 		if a != b {
 			t.Fatalf("%s row %d differs: %+v vs %+v", label, i, got[i], want[i])
 		}
-	}
-}
-
-// Uploaded trees land in the caller's corpus, dedup by digest, and a
-// by-digest batch returns rows bit-identical to the inlined batch. The
-// corpus is namespaced: another tenant's digest reference is a 409 miss.
-func TestTreeUploadDedupAndByDigestBatch(t *testing.T) {
-	jobs := testJobs(t)
-	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, base := startServerWith(t, service.ServerOptions{})
-	client.Tenant = "acme"
-
-	var trees []*tree.Tree
-	for _, inst := range testInstances(t) {
-		trees = append(trees, inst.Tree)
-	}
-	digests, err := client.UploadTrees(context.Background(), trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digests) != len(trees) {
-		t.Fatalf("upload returned %d digests, want %d", len(digests), len(trees))
-	}
-	for i, tr := range trees {
-		if digests[i] != tr.Digest() {
-			t.Fatalf("tree %d: digest %s from server, want %s", i, digests[i], tr.Digest())
-		}
-	}
-	again, err := client.UploadTrees(context.Background(), trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(trees) {
-		t.Fatalf("re-upload returned %d digests, want %d", len(again), len(trees))
-	}
-	code, body := httpGet(t, base+"/v1/trees", "acme")
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/trees: %d %s", code, body)
-	}
-	for _, d := range digests {
-		if !strings.Contains(body, d.String()) {
-			t.Fatalf("corpus listing misses digest %s: %s", d, body)
-		}
-	}
-
-	client.ByDigest = true
-	got, err := client.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRowsModuloSeconds(t, got, want, "by-digest batch")
-
-	// The same digests under a different tenant name are a corpus miss.
-	stranger := service.NewClient(base, nil)
-	stranger.Tenant = "stranger"
-	stranger.ByDigest = true
-	_, err = stranger.Run(context.Background(), jobs, schedule.BatchOptions{})
-	var se *service.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusConflict {
-		t.Fatalf("foreign tenant's digest batch: err %v, want a 409", err)
-	}
-	if !strings.Contains(se.Msg, "corpus") {
-		t.Fatalf("corpus miss should point at /v1/trees: %q", se.Msg)
-	}
-}
-
-// ByDigest on the binary transport sends every tree as a 32-byte
-// reference that resolves against the tenant's corpus: the rows match a
-// local run, and another tenant's batch over the same digests fails with
-// the server's 409 message, with no inline fallback.
-func TestByDigestBinaryResolvesCorpus(t *testing.T) {
-	jobs := testJobs(t)
-	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, base := startServerWith(t, service.ServerOptions{})
-	client.Tenant = "acme"
-	var trees []*tree.Tree
-	for _, inst := range testInstances(t) {
-		trees = append(trees, inst.Tree)
-	}
-	if _, err := client.UploadTrees(context.Background(), trees); err != nil {
-		t.Fatal(err)
-	}
-	client.ByDigest = true
-	got, err := client.Run(context.Background(), jobs, schedule.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRowsModuloSeconds(t, got, want, "binary by-digest batch")
-
-	stranger := service.NewClient(base, nil)
-	stranger.Tenant = "stranger"
-	stranger.ByDigest = true
-	_, err = stranger.Run(context.Background(), jobs, schedule.BatchOptions{})
-	var se *service.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusConflict {
-		t.Fatalf("foreign tenant's binary digest batch: err %v, want a 409", err)
-	}
-	if !strings.Contains(se.Msg, "corpus") || !strings.Contains(se.Msg, `"stranger"`) {
-		t.Fatalf("409 should name the tenant and point at /v1/trees: %q", se.Msg)
 	}
 }
 
@@ -271,31 +165,14 @@ func TestQueueQuotaRejectsOversizedBatch(t *testing.T) {
 	}
 }
 
-// A corpus past its MaxTrees bound refuses new uploads with 413 — a
-// deterministic rejection, not a retryable throttle.
-func TestUploadRejectedWhenCorpusFull(t *testing.T) {
-	insts := testInstances(t)
-	reg := tenant.NewRegistry(tenant.Limits{MaxTrees: 1})
-	client, _ := startServerWith(t, service.ServerOptions{Tenants: reg})
-	client.Tenant = "acme"
-	_, err := client.UploadTrees(context.Background(), []*tree.Tree{insts[0].Tree, insts[1].Tree})
-	var se *service.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("upload past MaxTrees: err %v, want a 413", err)
-	}
-	// The resident tree re-uploads fine (dedup, not growth).
-	if _, err := client.UploadTrees(context.Background(), []*tree.Tree{insts[0].Tree}); err != nil {
-		t.Fatalf("re-upload of the resident tree: %v", err)
-	}
-}
-
-// /metrics exposes the server's batch/tree counters, the cache and shard
-// counters it was configured with, and per-tenant admission stats, in the
-// Prometheus text exposition format.
+// /metrics exposes the server's batch and retained-tree counters, the
+// cache, shard and store counters it was configured with, and per-tenant
+// admission stats, in the Prometheus text exposition format. The
+// tree-reference counters are pinned by TestMetricsTreeRefs.
 func TestMetricsEndpoint(t *testing.T) {
 	jobs := testJobs(t)
 	n := len(jobs)
-	shard, err := schedule.NewShard(schedule.Local{})
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, schedule.Local{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,15 +186,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	})
 	client.Tenant = "acme"
 
-	var trees []*tree.Tree
-	for _, inst := range testInstances(t) {
-		trees = append(trees, inst.Tree)
-	}
-	for i := 0; i < 2; i++ { // second round dedups every tree
-		if _, err := client.UploadTrees(context.Background(), trees); err != nil {
-			t.Fatal(err)
-		}
-	}
+	trees := testInstances(t)
 	if _, err := client.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +218,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`scheduled_batches_total{outcome="rejected"}`:                        1,
 		`scheduled_batches_total{outcome="failed"}`:                          0,
 		`scheduled_rows_streamed_total`:                                      float64(n),
-		`scheduled_trees_uploaded_total{outcome="added"}`:                    float64(len(trees)),
-		`scheduled_trees_uploaded_total{outcome="deduped"}`:                  float64(len(trees)),
 		`scheduled_tenant_accepted_jobs_total{tenant="acme"}`:                float64(n),
 		`scheduled_tenant_rejected_jobs_total{tenant="acme",reason="rate"}`:  float64(n),
 		`scheduled_tenant_rejected_jobs_total{tenant="acme",reason="queue"}`: 0,
 		`scheduled_tenant_queued_jobs{tenant="acme"}`:                        0,
-		`scheduled_tenant_trees{tenant="acme"}`:                              float64(len(trees)),
 		`scheduled_cache_misses_total`:                                       float64(n),
 		`scheduled_shard_resubmissions_total`:                                0,
 		`scheduled_shard_load_sheds_total`:                                   0,
@@ -370,7 +236,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, family := range []string{
 		"scheduled_batches_total", "scheduled_rows_streamed_total",
-		"scheduled_trees_uploaded_total", "scheduled_tenant_accepted_jobs_total",
+		"scheduled_retained_trees", "scheduled_tenant_accepted_jobs_total",
 		"scheduled_tenant_rejected_jobs_total", "scheduled_tenant_queued_jobs",
 	} {
 		if !strings.Contains(body, "\n# TYPE "+family+" ") {
@@ -379,37 +245,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v := metricValue(t, body, "scheduled_retained_trees"); v != float64(len(trees)) {
 		t.Fatalf("the admitted batch retained %g trees, want %d", v, len(trees))
-	}
-
-	// Retained trees and references, on a server of their own: a binary
-	// client ships the trees, references them twice, and another tenant's
-	// by-digest batch references them in vain.
-	bin, binBase := startServerWith(t, service.ServerOptions{})
-	for i := 0; i < 3; i++ {
-		if _, err := bin.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stranger := service.NewClient(binBase, nil)
-	stranger.Tenant = "stranger"
-	stranger.ByDigest = true
-	if _, err := stranger.Run(context.Background(), jobs, schedule.BatchOptions{}); err == nil {
-		t.Fatal("another tenant resolved the retained trees")
-	}
-	nodes := 0
-	for _, tr := range trees {
-		nodes += tr.Len()
-	}
-	_, body = httpGet(t, binBase+"/metrics", "")
-	for prefix, want := range map[string]float64{
-		`scheduled_retained_trees`:                     float64(len(trees)),
-		`scheduled_retained_tree_nodes`:                float64(nodes),
-		`scheduled_tree_refs_total{result="resolved"}`: float64(2 * len(trees)),
-		`scheduled_tree_refs_total{result="unknown"}`:  float64(len(trees)),
-	} {
-		if got := metricValue(t, body, prefix); got != want {
-			t.Fatalf("%s = %g, want %g", prefix, got, want)
-		}
 	}
 
 	// Store commits and stalls, on a server of its own: rows go into its
@@ -509,7 +344,7 @@ func TestQuotaLimitedShardMatchesLocal(t *testing.T) {
 		c.OnThrottle = func(time.Duration) { throttles.Add(1) }
 		children[i] = c
 	}
-	shard, err := schedule.NewShard(children...)
+	shard, err := schedule.NewShardWith(schedule.ShardOptions{}, children...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +384,7 @@ func TestServerConcurrencyOption(t *testing.T) {
 // Satellite pin: Health probes /healthz, not the algorithm registry — a
 // server whose discovery endpoint is broken still reads as healthy.
 func TestHealthIndependentOfAlgorithmsEndpoint(t *testing.T) {
-	inner := service.NewServer(nil, 0).Handler()
+	inner := service.NewServerWith(service.ServerOptions{}).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/algorithms" {
 			http.Error(w, "discovery down", http.StatusInternalServerError)
@@ -562,7 +397,7 @@ func TestHealthIndependentOfAlgorithmsEndpoint(t *testing.T) {
 	if err := client.Health(context.Background()); err != nil {
 		t.Fatalf("health must not depend on /v1/algorithms: %v", err)
 	}
-	if _, err := client.Algorithms(context.Background()); err == nil {
-		t.Fatal("discovery is down; Algorithms must error")
+	if code, _ := httpGet(t, srv.URL+"/v1/algorithms", ""); code != http.StatusInternalServerError {
+		t.Fatalf("discovery is down, yet /v1/algorithms answered %d", code)
 	}
 }

@@ -238,8 +238,3 @@ func (m *Matrix) Permute(perm []int) (*Matrix, error) {
 	}
 	return t.transpose(inv), nil
 }
-
-// AverageDegree returns NNZ / n, the mean number of entries per column.
-func (m *Matrix) AverageDegree() float64 {
-	return float64(m.NNZ()) / float64(m.n)
-}

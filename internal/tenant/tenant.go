@@ -1,32 +1,25 @@
 // Package tenant is the multi-tenant admission layer of the evaluation
-// service: named tenants with isolated tree corpora (uploaded once,
-// deduplicated by content digest), token-bucket rate limits and
-// queue-depth quotas.
+// service: named tenants with token-bucket rate limits and queue-depth
+// quotas.
 //
 // A Registry holds the tenants, creating each on first use with the
 // registry-wide Limits. Every batch a server accepts for a tenant first
 // passes Admit, which charges the tenant's token bucket and queue quota;
 // over-limit work is rejected with a *RetryError carrying the time after
 // which a retry can succeed, which the HTTP layer surfaces as
-// 429 + Retry-After. The corpus side lets a tenant upload .tree instances
-// once (AddTree dedups by tree.Digest) and then reference them from batch
-// requests by digest instead of re-inlining the text, so a tenant
-// submitting many grids over one corpus pays the tree bytes once.
+// 429 + Retry-After.
 //
-// The package deliberately knows nothing about HTTP or the schedule
-// engine: it depends only on internal/tree, and the service layer maps
-// its verdicts onto status codes.
+// The package deliberately knows nothing about HTTP, trees or the schedule
+// engine: it depends only on the standard library, and the service layer
+// maps its verdicts onto status codes.
 package tenant
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // DefaultBurst is the token-bucket capacity used when Limits.Burst is
@@ -36,12 +29,6 @@ import (
 // chunk; the value is a literal because this package must not depend on
 // the schedule engine.
 const DefaultBurst = 64
-
-// ErrCorpusFull reports an AddTree against a tenant whose corpus already
-// holds Limits.MaxTrees distinct trees. It is deterministic — retrying
-// cannot succeed until trees are deleted — so the service layer maps it to
-// a non-retryable status, not a 429.
-var ErrCorpusFull = errors.New("tenant: corpus is full")
 
 // Limits is the per-tenant quota configuration, applied uniformly to
 // every tenant of a Registry. The zero value disables all limits.
@@ -58,10 +45,6 @@ type Limits struct {
 	// at once; ≤ 0 is unbounded. Work beyond the bound is rejected until
 	// earlier batches release their slots.
 	MaxQueued int
-	// MaxTrees bounds the tenant's corpus (distinct trees by digest);
-	// ≤ 0 is unbounded. AddTree beyond the bound returns ErrCorpusFull.
-	MaxTrees int
-
 	// now is the test hook for the bucket clock; nil selects time.Now.
 	now func() time.Time
 }
@@ -96,8 +79,8 @@ func (e *RetryError) Error() string {
 // cannot observe, so it advertises a modest fixed delay.
 const queueRetryAfter = time.Second
 
-// Stats is a point-in-time snapshot of one tenant's admission counters
-// and corpus size, the source of the per-tenant /metrics families.
+// Stats is a point-in-time snapshot of one tenant's admission counters,
+// the source of the per-tenant /metrics families.
 type Stats struct {
 	// Name is the tenant's name ("default" for the anonymous tenant).
 	Name string
@@ -113,8 +96,6 @@ type Stats struct {
 	RejectedOverload int64
 	// Queued is the jobs currently admitted but not yet released.
 	Queued int
-	// Trees is the number of distinct trees in the tenant's corpus.
-	Trees int
 }
 
 // Registry holds the tenants of one server, creating each on first use
@@ -150,7 +131,6 @@ func (r *Registry) Tenant(name string) *Tenant {
 			limits: r.limits,
 			tokens: r.limits.burst(),
 			last:   r.limits.now(),
-			trees:  map[tree.Digest]*tree.Tree{},
 		}
 		r.tenants[name] = t
 	}
@@ -174,8 +154,8 @@ func (r *Registry) Snapshot() []Stats {
 	return stats
 }
 
-// Tenant is one namespace: a tree corpus plus admission state. Obtain
-// from Registry.Tenant; all methods are safe for concurrent use.
+// Tenant is one namespace's admission state. Obtain from Registry.Tenant;
+// all methods are safe for concurrent use.
 type Tenant struct {
 	name   string
 	limits Limits
@@ -189,8 +169,6 @@ type Tenant struct {
 	rejectedRate     int64
 	rejectedQueue    int64
 	rejectedOverload int64
-
-	trees map[tree.Digest]*tree.Tree
 }
 
 // Name returns the tenant's name.
@@ -250,45 +228,7 @@ func (t *Tenant) RecordOverload(jobs int) {
 	t.mu.Unlock()
 }
 
-// AddTree stores tr in the tenant's corpus, deduplicating by content
-// digest: the returned added is false when an identical tree was already
-// present (the upload is acknowledged, nothing is stored twice). A corpus
-// at the MaxTrees bound rejects new trees with ErrCorpusFull.
-func (t *Tenant) AddTree(tr *tree.Tree) (tree.Digest, bool, error) {
-	d := tr.Digest()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.trees[d]; ok {
-		return d, false, nil
-	}
-	if t.limits.MaxTrees > 0 && len(t.trees) >= t.limits.MaxTrees {
-		return tree.Digest{}, false, fmt.Errorf("%w (%d trees, limit %d)", ErrCorpusFull, len(t.trees), t.limits.MaxTrees)
-	}
-	t.trees[d] = tr
-	return d, true, nil
-}
-
-// LookupTree resolves a corpus tree by digest.
-func (t *Tenant) LookupTree(d tree.Digest) (*tree.Tree, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.trees[d]
-	return tr, ok
-}
-
-// Digests lists the corpus's tree digests in sorted (hex) order.
-func (t *Tenant) Digests() []tree.Digest {
-	t.mu.Lock()
-	out := make([]tree.Digest, 0, len(t.trees))
-	for d := range t.trees {
-		out = append(out, d)
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// Stats snapshots the tenant's counters and corpus size.
+// Stats snapshots the tenant's counters.
 func (t *Tenant) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -299,6 +239,5 @@ func (t *Tenant) Stats() Stats {
 		RejectedQueue:    t.rejectedQueue,
 		RejectedOverload: t.rejectedOverload,
 		Queued:           t.queued,
-		Trees:            len(t.trees),
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/tree"
 )
 
 // fakeClock is a manually advanced time source for the token bucket.
@@ -121,53 +119,6 @@ func TestQueueQuota(t *testing.T) {
 	}
 }
 
-func TestCorpusDedupAndBound(t *testing.T) {
-	r, _ := newTestRegistry(Limits{MaxTrees: 2})
-	ten := r.Tenant("a")
-	t1, err := tree.NestedHarpoon(2, 2, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := tree.NestedHarpoon(3, 2, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, added, err := ten.AddTree(t1)
-	if err != nil || !added {
-		t.Fatalf("first add: added=%v err=%v", added, err)
-	}
-	// A second copy of the same instance dedups by digest.
-	t1b, err := tree.NestedHarpoon(2, 2, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1b, added, err := ten.AddTree(t1b)
-	if err != nil || added || d1b != d1 {
-		t.Fatalf("dedup add: digest=%v added=%v err=%v", d1b, added, err)
-	}
-	if _, added, err = ten.AddTree(t2); err != nil || !added {
-		t.Fatalf("second add: added=%v err=%v", added, err)
-	}
-	t3, err := tree.NestedHarpoon(5, 2, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err = ten.AddTree(t3); !errors.Is(err, ErrCorpusFull) {
-		t.Fatalf("want ErrCorpusFull, got %v", err)
-	}
-	// Re-adding a resident tree still succeeds at the bound.
-	if _, added, err = ten.AddTree(t1); err != nil || added {
-		t.Fatalf("resident re-add at bound: added=%v err=%v", added, err)
-	}
-	got, ok := ten.LookupTree(d1)
-	if !ok || got.Len() != t1.Len() {
-		t.Fatalf("lookup %v: ok=%v", d1, ok)
-	}
-	if ds := ten.Digests(); len(ds) != 2 {
-		t.Fatalf("digests: %v", ds)
-	}
-}
-
 func TestRegistryNamespacesAndSnapshot(t *testing.T) {
 	r, _ := newTestRegistry(Limits{})
 	if r.Tenant("") != r.Tenant("default") {
@@ -186,8 +137,8 @@ func TestRegistryNamespacesAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestConcurrentAdmitAndCorpus(t *testing.T) {
-	r, _ := newTestRegistry(Limits{MaxQueued: 1000, MaxTrees: 100})
+func TestConcurrentAdmit(t *testing.T) {
+	r, _ := newTestRegistry(Limits{MaxQueued: 1000})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -199,15 +150,6 @@ func TestConcurrentAdmitAndCorpus(t *testing.T) {
 				if release, err := ten.Admit(rng.Intn(5) + 1); err == nil {
 					release()
 				}
-				tr, err := tree.NestedHarpoon([]int{2, 3, 5}[g%3], 2, 30, 1)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := ten.AddTree(tr); err != nil {
-					t.Error(err)
-					return
-				}
 				ten.Stats()
 			}
 		}(g)
@@ -216,8 +158,5 @@ func TestConcurrentAdmitAndCorpus(t *testing.T) {
 	st := r.Tenant("shared").Stats()
 	if st.Queued != 0 {
 		t.Fatalf("queued after quiesce: %+v", st)
-	}
-	if st.Trees != 3 { // three distinct harpoon shapes across the goroutines
-		t.Fatalf("trees: %+v", st)
 	}
 }

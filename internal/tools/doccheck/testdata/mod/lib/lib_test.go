@@ -1,0 +1,8 @@
+package lib
+
+import "testing"
+
+func TestFixture(t *testing.T) {
+	TestOnly()
+	Recursive(1)
+}

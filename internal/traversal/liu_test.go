@@ -45,7 +45,7 @@ func TestQuickLiuProfileInvariants(t *testing.T) {
 // The harpoon has a known two-stage profile per branch; the root profile's
 // first hill must equal the closed-form optimum.
 func TestLiuProfileHarpoon(t *testing.T) {
-	h, err := tree.Harpoon(3, 30, 1)
+	h, err := tree.NestedHarpoon(3, 1, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

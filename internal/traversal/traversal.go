@@ -54,7 +54,7 @@ func CheckInCore(t *tree.Tree, order []int, m int64) error {
 // before its parent). The accounting is the unified simulator of the
 // schedule package, shared with the out-of-core side.
 func Peak(t *tree.Tree, order []int) (int64, error) {
-	sim, err := schedule.Simulate(t, order, schedule.Config{})
+	sim, err := schedule.Simulate(t, order, schedule.Config{Direction: schedule.TopDown})
 	if err != nil {
 		return 0, err
 	}

@@ -38,22 +38,13 @@ func Chain(f, n []int64) (*Tree, error) {
 	return New(parent, f, n)
 }
 
-// Harpoon returns the single-level harpoon graph of Figure 3(a) used in the
-// proof of Theorem 1: a zero-weight root with b identical branches, each a
-// chain root→x (file M/b) →y (file eps) →z (file M, leaf). All execution
-// files are zero.
-//
-// The best postorder traversal needs M + eps + (b−1)·M/b memory while the
-// optimal traversal (alternating between branches) needs only M + b·eps.
-// M must be divisible by b so that the branch file sizes are exact.
-func Harpoon(b int, m, eps int64) (*Tree, error) {
-	return NestedHarpoon(b, 1, m, eps)
-}
-
-// NestedHarpoon returns the L-level recursive harpoon of Figure 3(b):
-// NestedHarpoon(b, 1, M, eps) is Harpoon(b, M, eps), and each deeper level
-// replaces every size-M leaf with the root of another harpoon (reached
-// through an eps-file edge).
+// NestedHarpoon returns the L-level recursive harpoon of Figure 3(b).
+// NestedHarpoon(b, 1, M, eps) is the single-level harpoon of Figure 3(a)
+// used in the proof of Theorem 1: a zero-weight root with b identical
+// branches, each a chain root→x (file M/b) →y (file eps) →z (file M,
+// leaf), all execution files zero. M must be divisible by b so that the
+// branch file sizes are exact. Each deeper level replaces every size-M leaf
+// with the root of another harpoon (reached through an eps-file edge).
 //
 // Best postorder:   M + eps + L·(b−1)·M/b
 // Optimal traversal: M + eps + L·(b−1)·eps

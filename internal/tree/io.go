@@ -15,9 +15,8 @@ import (
 //	<node> <parent> <f> <n>
 //
 // one node line per node, parent −1 for the root. Node ids are 0-based.
-// Several documents may be concatenated on one stream (a corpus on stdin,
-// say): each document ends after its header's node count is satisfied, and
-// Decoder reads them one at a time.
+// A document ends once its header's node count is satisfied; Read refuses
+// anything but blank and comment lines after it.
 
 // Write serializes t in the .tree text format.
 func (t *Tree) Write(w io.Writer) error {
@@ -33,20 +32,20 @@ func (t *Tree) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decoder reads a stream of .tree documents. Construct with NewDecoder.
-type Decoder struct {
+// decoder reads a stream of .tree documents. Construct with newDecoder.
+type decoder struct {
 	sc   *bufio.Scanner
 	line int
 }
 
-// NewDecoder returns a decoder reading consecutive .tree documents from r.
-func NewDecoder(r io.Reader) *Decoder {
+// newDecoder returns a decoder reading consecutive .tree documents from r.
+func newDecoder(r io.Reader) *decoder {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	return &Decoder{sc: sc}
+	return &decoder{sc: sc}
 }
 
-// Decode parses the next document of the stream. At the clean end of the
+// decode parses the next document of the stream. At the clean end of the
 // stream it returns io.EOF; a document cut off mid-way is an error, not
 // EOF.
 //
@@ -54,7 +53,7 @@ func NewDecoder(r io.Reader) *Decoder {
 // header's count of them has arrived, so memory follows the lines read,
 // never the count a header declares: "p 10000000" alone allocates
 // nothing.
-func (d *Decoder) Decode() (*Tree, error) {
+func (d *decoder) decode() (*Tree, error) {
 	var (
 		ids, parent []int
 		f, n        []int64
@@ -106,7 +105,7 @@ func (d *Decoder) Decode() (*Tree, error) {
 		ids, parent = append(ids, id), append(parent, par)
 		f, n = append(f, fi), append(n, ni)
 		if len(ids) == p {
-			// Document complete: the next Decode starts a fresh header.
+			// Document complete: the next decode starts a fresh header.
 			return placeNodes(ids, parent, f, n)
 		}
 	}
@@ -149,15 +148,15 @@ func placeNodes(ids, parent []int, f, n []int64) (*Tree, error) {
 // Read parses a single tree in the .tree text format, rejecting an empty
 // stream and trailing content after the document.
 func Read(r io.Reader) (*Tree, error) {
-	dec := NewDecoder(r)
-	t, err := dec.Decode()
+	dec := newDecoder(r)
+	t, err := dec.decode()
 	if err == io.EOF {
 		return nil, fmt.Errorf("tree: missing header")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if _, err := dec.Decode(); err != io.EOF {
+	if _, err := dec.decode(); err != io.EOF {
 		if err != nil {
 			return nil, err
 		}

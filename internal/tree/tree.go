@@ -17,9 +17,9 @@
 //
 // units of main memory in addition to any other resident files.
 //
-// Trees serialize to the textual .tree wire form (Write/Read, one node per
-// line; NewDecoder streams multi-document corpora), which is how they
-// travel to remote evaluation servers, and Digest computes a canonical,
+// Trees serialize to the textual .tree file form (Write/Read, one node per
+// line) and to a compact binary form (AppendBinary/DecodeBinary), which is
+// how they travel to remote evaluation servers, and Digest computes a canonical,
 // platform-independent content hash that keys the content-addressed result
 // caches of internal/schedule.
 package tree
@@ -285,30 +285,6 @@ func (t *Tree) Postorder() []int {
 		}
 		out = append(out, int(fr.node))
 		stack = stack[:len(stack)-1]
-	}
-	return out
-}
-
-// SubtreeSizes returns, for each node, the number of nodes in its subtree
-// (itself included).
-func (t *Tree) SubtreeSizes() []int {
-	sz := make([]int, t.Len())
-	for _, v := range t.Postorder() {
-		sz[v]++
-		if v != t.Root() {
-			sz[t.parent[v]] += sz[v]
-		}
-	}
-	return sz
-}
-
-// Leaves returns all leaf nodes in increasing index order.
-func (t *Tree) Leaves() []int {
-	var out []int
-	for i := 0; i < t.Len(); i++ {
-		if t.IsLeaf(i) {
-			out = append(out, i)
-		}
 	}
 	return out
 }

@@ -128,18 +128,19 @@ func TestOrders(t *testing.T) {
 	}
 }
 
-func TestSubtreeSizesDepthLeaves(t *testing.T) {
+func TestDepthAndLeaves(t *testing.T) {
 	tr := sampleTree(t)
-	sz := tr.SubtreeSizes()
-	want := []int{8, 4, 3, 2, 1, 2, 1, 1}
-	if !reflect.DeepEqual(sz, want) {
-		t.Fatalf("SubtreeSizes = %v, want %v", sz, want)
-	}
 	if tr.Depth() != 3 {
 		t.Fatalf("Depth = %d, want 3", tr.Depth())
 	}
-	if got := tr.Leaves(); !reflect.DeepEqual(got, []int{4, 6, 7}) {
-		t.Fatalf("Leaves = %v, want [4 6 7]", got)
+	var leaves []int
+	for v := 0; v < tr.Len(); v++ {
+		if tr.IsLeaf(v) {
+			leaves = append(leaves, v)
+		}
+	}
+	if !reflect.DeepEqual(leaves, []int{4, 6, 7}) {
+		t.Fatalf("leaves = %v, want [4 6 7]", leaves)
 	}
 }
 
@@ -160,7 +161,7 @@ func TestChainBuilder(t *testing.T) {
 }
 
 func TestHarpoonStructure(t *testing.T) {
-	h, err := Harpoon(3, 30, 1)
+	h, err := NestedHarpoon(3, 1, 30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
