@@ -4,7 +4,7 @@ package repro
 // two theorem constructions. Each benchmark exercises exactly the code that
 // regenerates the corresponding artifact (cmd/experiments prints the full
 // rows; EXPERIMENTS.md records paper-vs-measured numbers). The suite is the
-// Small dataset so `go test -bench=.` stays fast; run
+// small Section VI suite so `go test -bench=.` stays fast; run
 // `go run ./cmd/experiments -exp all -scale full` for the real thing.
 
 import (
@@ -12,11 +12,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dataset"
+	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/factor"
 	"repro/internal/minio"
 	"repro/internal/ordering"
+	"repro/internal/schedule"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 	"repro/internal/traversal"
@@ -25,14 +26,17 @@ import (
 
 var (
 	suiteOnce sync.Once
-	suite     []dataset.Instance
+	suite     []schedule.Instance
 	suiteErr  error
 )
 
-func benchSuite(b *testing.B) []dataset.Instance {
+func benchSuite(b *testing.B) []schedule.Instance {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = dataset.AssemblySuite(dataset.Small)
+		var manifest []corpus.Entry
+		if manifest, suiteErr = corpus.SuiteManifest("small"); suiteErr == nil {
+			suite, suiteErr = experiments.Suite(manifest)
+		}
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -139,7 +143,7 @@ func BenchmarkFig8TraversalsFirstFit(b *testing.B) {
 // BenchmarkTable2RandomTrees regenerates Table II / Figure 9: PostOrder
 // versus the optimum on random-weight trees.
 func BenchmarkTable2RandomTrees(b *testing.B) {
-	insts := dataset.RandomWeightSuite(benchSuite(b), 2)
+	insts := experiments.RandomWeightSuite(benchSuite(b), 2)
 	var st experiments.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,7 +203,7 @@ func BenchmarkAblationMinMemReuse(b *testing.B) {
 // BenchmarkAblationPostorderRule quantifies Liu's child-sorting rule
 // against the natural child order on random-weight trees.
 func BenchmarkAblationPostorderRule(b *testing.B) {
-	insts := dataset.RandomWeightSuite(benchSuite(b), 2)
+	insts := experiments.RandomWeightSuite(benchSuite(b), 2)
 	var frac, ratio float64
 	for i := 0; i < b.N; i++ {
 		frac, ratio = experiments.AblationPostorderRule(insts)

@@ -71,11 +71,7 @@ func bandPath() (*tree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := symbolic.AssemblyTree(m.Symmetrize(), symbolic.AssemblyOptions{Relax: 1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
+	return corpus.AssemblyTree(m, "natural", 1)
 }
 
 // hitBatch builds cache-hits/64x4's batch: 16 jobs for each instance,

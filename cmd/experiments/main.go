@@ -42,7 +42,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataset"
+	"repro/internal/corpus"
 	"repro/internal/experiments"
 	"repro/internal/profile"
 	"repro/internal/schedule"
@@ -96,16 +96,9 @@ func run(args []string, w io.Writer) error {
 			corpus: *corpusName, corpusDir: *corpusDir,
 		})
 	}
-	var scale dataset.Scale
-	switch *scaleName {
-	case "small":
-		scale = dataset.Small
-	case "medium":
-		scale = dataset.Medium
-	case "full":
-		scale = dataset.Full
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	manifest, err := corpus.SuiteManifest(*scaleName)
+	if err != nil {
+		return err
 	}
 	want := func(names ...string) bool {
 		for _, n := range names {
@@ -135,11 +128,10 @@ func run(args []string, w io.Writer) error {
 		return profile.WriteCSV(f, curves, taus)
 	}
 
-	var insts []dataset.Instance
+	var insts []schedule.Instance
 	needSuite := want("table1", "fig5", "fig6", "fig7", "fig8", "table2", "fig9", "ablation", "grid")
 	if needSuite {
-		var err error
-		insts, err = dataset.AssemblySuite(scale)
+		insts, err = experiments.Suite(manifest)
 		if err != nil {
 			return err
 		}
@@ -219,7 +211,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if want("table2", "fig9") {
-		rnd := dataset.RandomWeightSuite(insts, *seeds)
+		rnd := experiments.RandomWeightSuite(insts, *seeds)
 		mc := experiments.RunMemoryComparison(rnd)
 		if want("table2") {
 			fmt.Fprint(w, experiments.FormatStats("Table II — PostOrder memory vs optimal (random-weight trees)", mc.Stats()))
@@ -378,19 +370,15 @@ func (p *gridProgress) row() {
 // cfg.csvDir set they are also exported as grid.csv and grid.jsonl (with
 // cfg.noTime, the seconds column is zeroed so the exports are
 // byte-identical across backends and reruns).
-func runGrid(w io.Writer, insts []dataset.Instance, cfg gridConfig) error {
+func runGrid(w io.Writer, insts []schedule.Instance, cfg gridConfig) error {
 	workers, csvDir := cfg.workers, cfg.csvDir
-	gridInsts := make([]schedule.Instance, len(insts))
-	for i, inst := range insts {
-		gridInsts[i] = schedule.Instance{Name: inst.Name, Tree: inst.Tree}
-	}
 	var algNames []string
 	for _, n := range strings.Split(cfg.algos, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			algNames = append(algNames, n)
 		}
 	}
-	jobs := schedule.MinMemoryGrid(gridInsts, algNames)
+	jobs := schedule.MinMemoryGrid(insts, algNames)
 	// Policy sweep budgets: the trivial floor and the midpoint to the
 	// in-core optimum, read off the orderBy (minmem) outcome the grid has
 	// already computed.
@@ -403,7 +391,7 @@ func runGrid(w io.Writer, insts []dataset.Instance, cfg gridConfig) error {
 	}
 	// The header and the -progress total need the job count up front, so
 	// the policy half is drained into the slice after the MinMemory block.
-	polJobs, err := schedule.GridSource(schedule.InstanceSliceSource(gridInsts), nil, "minmem", schedule.EvictionPolicyNames(), memories)
+	polJobs, err := schedule.GridSource(schedule.InstanceSliceSource(insts), nil, "minmem", schedule.EvictionPolicyNames(), memories)
 	if err != nil {
 		return err
 	}

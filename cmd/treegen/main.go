@@ -19,9 +19,8 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ordering"
+	"repro/internal/corpus"
 	"repro/internal/sparse"
-	"repro/internal/symbolic"
 	"repro/internal/tree"
 )
 
@@ -48,7 +47,7 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 1, "random: PRNG seed")
 		matrix  = fs.String("matrix", "grid2d:16", "assembly: grid2d:K | grid3d:K | rand:N,DEG | band:N,B | mm:FILE")
 		fromMtx = fs.String("from-mtx", "", "build an assembly tree from this MatrixMarket file (implies -kind assembly, overrides -matrix)")
-		order   = fs.String("order", "md", "assembly: md (alias amd) | nd | rcm | natural")
+		order   = fs.String("order", "md", "assembly: md (alias of amd) | amd | nd | rcm | natural")
 		relax   = fs.Int("relax", 1, "assembly: relaxed amalgamation budget per node")
 		items   = fs.String("items", "1,2,3", "reduction: comma-separated 2-Partition items")
 	)
@@ -131,100 +130,57 @@ func run(args []string) error {
 	return nil
 }
 
+// buildAssembly builds an assembly tree the way the corpus pipeline does.
 func buildAssembly(matrixSpec, orderName string, relax int) (*tree.Tree, error) {
 	m, err := parseMatrix(matrixSpec)
 	if err != nil {
 		return nil, err
 	}
-	var perm []int
-	switch orderName {
-	case "md", "amd":
-		perm, err = ordering.MinimumDegree(m)
-	case "nd":
-		perm, err = ordering.NestedDissection(m, ordering.NestedDissectionOptions{})
-	case "rcm":
-		perm, err = ordering.ReverseCuthillMcKee(m)
-	case "natural":
-		perm = ordering.Natural(m)
-	default:
-		return nil, fmt.Errorf("unknown ordering %q", orderName)
+	if orderName == "md" {
+		orderName = "amd"
 	}
-	if err != nil {
-		return nil, err
-	}
-	pm, err := m.Permute(perm)
-	if err != nil {
-		return nil, err
-	}
-	res, err := symbolic.AssemblyTree(pm, symbolic.AssemblyOptions{Relax: relax})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
+	return corpus.AssemblyTree(m, orderName, relax)
 }
 
+// parseMatrix reads a MatrixMarket file (mm:FILE) or generates the matrix
+// of a corpus generator spec: grid2d:K, grid3d:K, rand:N,DEG (seed 99) or
+// band:N,B.
 func parseMatrix(spec string) (*sparse.Matrix, error) {
-	parts := strings.SplitN(spec, ":", 2)
-	if len(parts) != 2 {
+	kind, arg, ok := strings.Cut(spec, ":")
+	if !ok {
 		return nil, fmt.Errorf("matrix spec %q: want kind:params", spec)
 	}
-	params := strings.Split(parts[1], ",")
-	atoi := func(s string) (int, error) { return strconv.Atoi(strings.TrimSpace(s)) }
-	switch parts[0] {
-	case "grid2d":
-		k, err := atoi(params[0])
-		if err != nil {
-			return nil, err
-		}
-		return sparse.Grid2D(k, k)
-	case "grid3d":
-		k, err := atoi(params[0])
-		if err != nil {
-			return nil, err
-		}
-		return sparse.Grid3D(k, k, k)
-	case "rand":
-		if len(params) != 2 {
-			return nil, fmt.Errorf("rand matrix wants N,DEG")
-		}
-		n, err := atoi(params[0])
-		if err != nil {
-			return nil, err
-		}
-		deg, err := strconv.ParseFloat(strings.TrimSpace(params[1]), 64)
-		if err != nil {
-			return nil, err
-		}
-		m, err := sparse.RandomSymmetric(rand.New(rand.NewSource(99)), n, deg)
-		if err != nil {
-			return nil, err
-		}
-		return m.Symmetrize(), nil
-	case "band":
-		if len(params) != 2 {
-			return nil, fmt.Errorf("band matrix wants N,B")
-		}
-		n, err := atoi(params[0])
-		if err != nil {
-			return nil, err
-		}
-		hb, err := atoi(params[1])
-		if err != nil {
-			return nil, err
-		}
-		return sparse.BandMatrix(n, hb)
-	case "mm":
-		f, err := os.Open(parts[1])
+	if kind == "mm" {
+		f, err := os.Open(arg)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		m, err := sparse.ReadMatrixMarket(f)
-		if err != nil {
+		return sparse.ReadMatrixMarket(f)
+	}
+	params := strings.Split(arg, ",")
+	g := corpus.GenSpec{Kind: kind}
+	want := 2
+	switch kind {
+	case "grid2d", "grid3d":
+		want = 1
+	case "rand":
+		g.Kind, g.Seed = "random", 99
+	case "band":
+	default:
+		return nil, fmt.Errorf("unknown matrix kind %q", kind)
+	}
+	if len(params) != want {
+		return nil, fmt.Errorf("%s matrix wants %d parameter(s), got %q", kind, want, arg)
+	}
+	var err error
+	if g.N, err = strconv.Atoi(strings.TrimSpace(params[0])); err != nil {
+		return nil, err
+	}
+	if want == 2 {
+		if g.Arg, err = strconv.ParseFloat(strings.TrimSpace(params[1]), 64); err != nil {
 			return nil, err
 		}
-		return m.Symmetrize(), nil
-	default:
-		return nil, fmt.Errorf("unknown matrix kind %q", parts[0])
 	}
+	return corpus.Entry{Name: spec, Gen: g}.Generate()
 }

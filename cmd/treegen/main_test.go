@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/tree"
 )
 
@@ -67,6 +68,29 @@ func TestGenerateAssemblyMatrices(t *testing.T) {
 	}
 }
 
+// TestAssemblyMatchesCorpusPipeline pins that -kind assembly builds the
+// corpus pipeline's trees: grid2d:9 is the smoke corpus's grid2d entry.
+func TestAssemblyMatchesCorpusPipeline(t *testing.T) {
+	e := corpus.SmokeManifest()[0]
+	if e.Gen != (corpus.GenSpec{Kind: "grid2d", N: 9}) {
+		t.Fatalf("smoke manifest changed: %+v", e.Gen)
+	}
+	p, err := corpus.NewPipeline([]corpus.Entry{e}, corpus.PipelineOptions{Relax: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, ord := range corpus.OrderingNames() {
+		inst, ok, err := p.Next()
+		if err != nil || !ok {
+			t.Fatalf("pipeline ended early: ok=%v err=%v", ok, err)
+		}
+		if tr := genTo(t, "-kind", "assembly", "-matrix", "grid2d:9", "-order", ord, "-relax", "4"); tr.Digest() != inst.Tree.Digest() {
+			t.Fatalf("%s: treegen tree differs from the pipeline's %s", ord, inst.Name)
+		}
+	}
+}
+
 func TestGenerateFromMatrixMarket(t *testing.T) {
 	mm := filepath.Join(t.TempDir(), "m.mtx")
 	content := "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n1 1\n2 1\n3 2\n"
@@ -90,9 +114,11 @@ func TestGenerateErrors(t *testing.T) {
 		{"-kind", "random", "-attach", "nope"},
 		{"-kind", "assembly", "-matrix", "nokind"},
 		{"-kind", "assembly", "-matrix", "grid2d:x"},
+		{"-kind", "assembly", "-matrix", "grid2d:8,3"},
 		{"-kind", "assembly", "-matrix", "weird:3"},
 		{"-kind", "assembly", "-matrix", "rand:5"},
 		{"-kind", "assembly", "-matrix", "band:5"},
+		{"-kind", "assembly", "-matrix", "band:50,3.5"},
 		{"-kind", "assembly", "-matrix", "grid2d:8", "-order", "nope"},
 		{"-kind", "reduction", "-items", "1,2,x"},
 		{"-kind", "reduction", "-items", "1,2"}, // odd sum: 3

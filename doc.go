@@ -19,8 +19,10 @@
 //   - internal/service: the HTTP/JSON evaluation service and its client,
 //     turning any machine running cmd/scheduled into an evaluation server.
 //   - internal/sparse, internal/ordering, internal/symbolic,
-//     internal/factor, internal/dataset: the sparse-matrix substrate that
-//     produces the assembly trees the experiments run on.
+//     internal/factor: the sparse-matrix substrate.
+//   - internal/corpus: the matrix manifests (the real-matrix corpus and
+//     Section VI's generator suites) and the pipeline that turns them into
+//     the assembly trees the experiments run on.
 //
 // cmd/ contains the executables (experiments, minmem, minio, treegen,
 // scheduled) and examples/ runnable walkthroughs. The benchmarks in

@@ -1,15 +1,18 @@
-// Package corpus is the real-matrix front door of the evaluation spine: a
-// compiled-in manifest of sparse matrices (SuiteSparse download URLs with
+// Package corpus is the matrix front door of the evaluation spine: the
+// compiled-in manifests of sparse matrices (SuiteSparse download URLs with
 // deterministic generator fallbacks per matrix family, so CI never touches
-// the network), and a streaming pipeline that turns each matrix into
-// assembly-tree instances — symmetrize, order with {natural, RCM, AMD,
-// nested dissection}, amalgamate at each relax level — ready to feed any
-// schedule backend as a job stream. Per-matrix pipeline stages run
-// concurrently; instances are delivered in deterministic manifest order.
+// the network, and Section VI's generator-only suites), and a streaming
+// pipeline that turns each matrix into assembly-tree instances —
+// symmetrize, order with {natural, RCM, AMD, nested dissection}, amalgamate
+// at each relax level — ready to feed any schedule backend as a job
+// stream. Per-matrix pipeline stages run concurrently; instances are
+// delivered in deterministic manifest order.
 package corpus
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,24 +24,30 @@ import (
 // the winning ordering per family.
 type Family string
 
-// The manifest's matrix families: regular 2D/3D grid discretizations,
-// power-law graphs (circuit/optimization-like irregularity), and banded
-// engineering matrices.
+// The manifests' matrix families: regular 2D/3D grid discretizations,
+// power-law graphs (circuit/optimization-like irregularity), banded
+// engineering matrices, and uniformly random sparse patterns.
 const (
 	FamilyGrid2D   Family = "grid2d"
 	FamilyGrid3D   Family = "grid3d"
 	FamilyPowerLaw Family = "powerlaw"
 	FamilyBanded   Family = "banded"
+	FamilyRandom   Family = "random"
 )
 
 // GenSpec is a deterministic generator fallback: the matrix produced when
 // the real file is not mirrored locally.
 type GenSpec struct {
-	// Kind selects the generator: grid2d | grid3d | rmat | band.
+	// Kind selects the generator: grid2d | grid3d | rmat | band | random |
+	// scalefree.
 	Kind string
-	// N and Arg parameterize it: grid2d N×N, grid3d N×N×N, rmat N nodes
-	// with Arg edges per node, band N rows with half-bandwidth Arg.
-	N, Arg int
+	// N is the size: grid2d N×N, grid3d N×N×N, N rows for the other kinds.
+	N int
+	// Arg is the second parameter: edges per node for rmat and scalefree,
+	// the half-bandwidth for band, and the average off-diagonal degree for
+	// random, which may be fractional (2.5). Every kind but random refuses
+	// a non-integral Arg.
+	Arg float64
 	// Seed drives the random generators; structured kinds ignore it.
 	Seed int64
 }
@@ -61,15 +70,25 @@ type Entry struct {
 
 // Generate builds the entry's fallback matrix.
 func (e Entry) Generate() (*sparse.Matrix, error) {
-	switch e.Gen.Kind {
+	g := e.Gen
+	if g.Kind == "random" {
+		return sparse.RandomSymmetric(rand.New(rand.NewSource(g.Seed)), g.N, g.Arg)
+	}
+	arg := int(g.Arg)
+	if float64(arg) != g.Arg {
+		return nil, fmt.Errorf("corpus: %s: %s generator wants an integral Arg, got %v", e.Name, g.Kind, g.Arg)
+	}
+	switch g.Kind {
 	case "grid2d":
-		return sparse.Grid2D(e.Gen.N, e.Gen.N)
+		return sparse.Grid2D(g.N, g.N)
 	case "grid3d":
-		return sparse.Grid3D(e.Gen.N, e.Gen.N, e.Gen.N)
+		return sparse.Grid3D(g.N, g.N, g.N)
 	case "rmat":
-		return sparse.RMAT(rand.New(rand.NewSource(e.Gen.Seed)), e.Gen.N, e.Gen.Arg)
+		return sparse.RMAT(rand.New(rand.NewSource(g.Seed)), g.N, arg)
 	case "band":
-		return sparse.BandMatrix(e.Gen.N, e.Gen.Arg)
+		return sparse.BandMatrix(g.N, arg)
+	case "scalefree":
+		return sparse.ScaleFree(rand.New(rand.NewSource(g.Seed)), g.N, arg)
 	default:
 		return nil, fmt.Errorf("corpus: %s: unknown generator kind %q", e.Name, e.Gen.Kind)
 	}
@@ -77,11 +96,14 @@ func (e Entry) Generate() (*sparse.Matrix, error) {
 
 // Load returns the entry's matrix and its provenance: the MatrixMarket
 // file <dir>/<Name>.mtx when present ("file"), the deterministic generator
-// otherwise ("generator"). An empty dir skips the file lookup entirely.
+// when it does not exist ("generator"). Any other error reading the file is
+// returned, never papered over by the generator. An empty dir skips the
+// file lookup entirely.
 func (e Entry) Load(dir string) (*sparse.Matrix, string, error) {
 	if dir != "" {
 		path := filepath.Join(dir, e.Name+".mtx")
-		if data, err := os.ReadFile(path); err == nil {
+		data, err := os.ReadFile(path)
+		if err == nil {
 			// A one-shot parser is never reused, so the returned matrix
 			// can keep aliasing its buffers.
 			var p sparse.Parser
@@ -90,6 +112,9 @@ func (e Entry) Load(dir string) (*sparse.Matrix, string, error) {
 				return nil, "", fmt.Errorf("corpus: %s: %w", path, err)
 			}
 			return m, "file", nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, "", fmt.Errorf("corpus: %w", err)
 		}
 	}
 	m, err := e.Generate()
@@ -133,6 +158,55 @@ func SmokeManifest() []Entry {
 		{Name: "smoke-grid3d", Family: FamilyGrid3D, Gen: GenSpec{Kind: "grid3d", N: 4}},
 		{Name: "smoke-rmat", Family: FamilyPowerLaw, Gen: GenSpec{Kind: "rmat", N: 160, Arg: 3, Seed: 7100}},
 		{Name: "smoke-band", Family: FamilyBanded, Gen: GenSpec{Kind: "band", N: 150, Arg: 4}},
+	}
+}
+
+// SuiteManifest is Section VI's generator-only suite at scale small,
+// medium or full: grid Laplacians, random and scale-free symmetric patterns
+// and banded matrices standing in for the paper's University of Florida
+// matrices (DESIGN.md, "Dataset substitution"). Entry order is part of the
+// suite: the random-weight copies of Section VI-E are seeded by position.
+func SuiteManifest(scale string) ([]Entry, error) {
+	grid2 := func(k int) Entry {
+		return Entry{Name: fmt.Sprintf("grid2d-%d", k), Family: FamilyGrid2D, Gen: GenSpec{Kind: "grid2d", N: k}}
+	}
+	grid3 := func(k int) Entry {
+		return Entry{Name: fmt.Sprintf("grid3d-%d", k), Family: FamilyGrid3D, Gen: GenSpec{Kind: "grid3d", N: k}}
+	}
+	rnd := func(n int, deg float64, seed int64) Entry {
+		return Entry{Name: fmt.Sprintf("rand-%d-d%.1f", n, deg), Family: FamilyRandom,
+			Gen: GenSpec{Kind: "random", N: n, Arg: deg, Seed: seed}}
+	}
+	band := func(n, hb int) Entry {
+		return Entry{Name: fmt.Sprintf("band-%d-b%d", n, hb), Family: FamilyBanded,
+			Gen: GenSpec{Kind: "band", N: n, Arg: float64(hb)}}
+	}
+	sf := func(n, epn int, seed int64) Entry {
+		return Entry{Name: fmt.Sprintf("scalefree-%d-e%d", n, epn), Family: FamilyPowerLaw,
+			Gen: GenSpec{Kind: "scalefree", N: n, Arg: float64(epn), Seed: seed}}
+	}
+	switch scale {
+	case "small":
+		return []Entry{grid2(8), grid3(4), rnd(80, 2.5, 101)}, nil
+	case "medium":
+		return []Entry{
+			grid2(16), grid2(24), grid2(32),
+			grid3(6), grid3(8),
+			rnd(400, 2.5, 101), rnd(800, 3, 102),
+			band(600, 4),
+		}, nil
+	case "full":
+		return []Entry{
+			grid2(20), grid2(28), grid2(36), grid2(44), grid2(52), grid2(64),
+			grid2(80), grid2(96), grid2(112),
+			grid3(6), grid3(8), grid3(10), grid3(12), grid3(14), grid3(16),
+			rnd(500, 2.5, 101), rnd(1000, 2.5, 102), rnd(1500, 3, 103),
+			rnd(2500, 3, 104), rnd(4000, 2.5, 105),
+			band(1000, 5), band(2000, 8), band(3000, 16), band(5000, 24),
+			sf(1000, 2, 201), sf(2000, 2, 202), sf(3000, 3, 203), sf(5000, 2, 204),
+		}, nil
+	default:
+		return nil, fmt.Errorf("corpus: unknown scale %q (want small, medium or full)", scale)
 	}
 }
 

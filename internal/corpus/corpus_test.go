@@ -11,10 +11,32 @@ import (
 	"repro/internal/symbolic"
 )
 
-// TestManifestGeneratorsWork exercises every fallback generator in both
-// manifests and sanity-checks the symmetrized pattern feeding the pipeline.
+// manifests returns every compiled-in manifest: the real-matrix corpus, its
+// smoke subset and Section VI's three suites.
+func manifests(t *testing.T) [][]Entry {
+	t.Helper()
+	out := [][]Entry{DefaultManifest(), SmokeManifest()}
+	for _, scale := range []string{"small", "medium", "full"} {
+		entries, err := SuiteManifest(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, entries)
+	}
+	if _, err := SuiteManifest("huge"); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
+	return out
+}
+
+// TestManifestGeneratorsWork exercises every fallback generator in every
+// manifest and sanity-checks the symmetrized pattern feeding the pipeline.
 func TestManifestGeneratorsWork(t *testing.T) {
-	for _, e := range append(DefaultManifest(), SmokeManifest()...) {
+	var all []Entry
+	for _, entries := range manifests(t) {
+		all = append(all, entries...)
+	}
+	for _, e := range all {
 		m, source, err := e.Load("")
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
@@ -35,14 +57,14 @@ func TestManifestGeneratorsWork(t *testing.T) {
 // TestManifestNamesUniqueAndFamilied pins the invariants the matrices
 // experiment relies on: unique names and a family per entry.
 func TestManifestNamesUniqueAndFamilied(t *testing.T) {
-	for _, entries := range [][]Entry{DefaultManifest(), SmokeManifest()} {
+	for _, entries := range manifests(t) {
 		fam := Families(entries)
 		if len(fam) != len(entries) {
 			t.Fatalf("duplicate manifest names: %d entries, %d unique", len(entries), len(fam))
 		}
 		for _, e := range entries {
 			switch e.Family {
-			case FamilyGrid2D, FamilyGrid3D, FamilyPowerLaw, FamilyBanded:
+			case FamilyGrid2D, FamilyGrid3D, FamilyPowerLaw, FamilyBanded, FamilyRandom:
 			default:
 				t.Fatalf("%s: unknown family %q", e.Name, e.Family)
 			}
@@ -71,6 +93,37 @@ func TestLoadPrefersMirroredFile(t *testing.T) {
 	}
 	if _, source, err = e.Load(""); err != nil || source != "generator" {
 		t.Fatalf("empty dir should fall back to generator: %q %v", source, err)
+	}
+}
+
+// TestLoadRefusesUnreadableFile checks that only a missing file falls back
+// to the generator: a <Name>.mtx that exists but cannot be read (here a
+// directory) is an error, not a silent stand-in.
+func TestLoadRefusesUnreadableFile(t *testing.T) {
+	dir := t.TempDir()
+	e := SmokeManifest()[0]
+	if err := os.Mkdir(filepath.Join(dir, e.Name+".mtx"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if m, source, err := e.Load(dir); err == nil {
+		t.Fatalf("unreadable mirror accepted: source=%q n=%d", source, m.N())
+	}
+}
+
+// TestGenerateRefusesNonIntegralArg checks that only the random kind takes
+// a fractional Arg; the integer kinds refuse one rather than truncate it.
+func TestGenerateRefusesNonIntegralArg(t *testing.T) {
+	for _, g := range []GenSpec{
+		{Kind: "band", N: 50, Arg: 2.5},
+		{Kind: "rmat", N: 50, Arg: 3.5, Seed: 1},
+		{Kind: "scalefree", N: 50, Arg: 1.5, Seed: 1},
+	} {
+		if _, err := (Entry{Name: "frac", Gen: g}).Generate(); err == nil {
+			t.Fatalf("%s with Arg %v accepted", g.Kind, g.Arg)
+		}
+	}
+	if _, err := (Entry{Name: "frac", Gen: GenSpec{Kind: "random", N: 50, Arg: 2.5, Seed: 1}}).Generate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -242,6 +295,13 @@ func TestPipelineTreesMatchAssemblyTree(t *testing.T) {
 				}
 				if inst.Name != name || inst.Tree.Digest() != res.Tree.Digest() {
 					t.Fatalf("%s: pipeline tree %s (%s) differs from AssemblyTree's (%s)", name, inst.Name, inst.Tree.Digest(), res.Tree.Digest())
+				}
+				one, err := AssemblyTree(m, ord, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one.Digest() != inst.Tree.Digest() {
+					t.Fatalf("%s: corpus.AssemblyTree's tree differs from the pipeline's", name)
 				}
 			}
 		}

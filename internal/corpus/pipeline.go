@@ -32,9 +32,29 @@ func applyOrdering(name string, m *sparse.Matrix) ([]int, error) {
 	}
 }
 
+// AssemblyTree builds one matrix's assembly tree by the pipeline's steps —
+// symmetrize, order with ord (one of OrderingNames), permute, amalgamate at
+// relax — for a caller holding a single matrix rather than a manifest.
+func AssemblyTree(m *sparse.Matrix, ord string, relax int) (*tree.Tree, error) {
+	s := m.Symmetrize()
+	perm, err := applyOrdering(ord, s)
+	if err != nil {
+		return nil, err
+	}
+	pm, err := s.Permute(perm)
+	if err != nil {
+		return nil, err
+	}
+	res, err := symbolic.AssemblyTree(pm, symbolic.AssemblyOptions{Relax: relax})
+	if err != nil {
+		return nil, err
+	}
+	return res.Tree, nil
+}
+
 // Instance is one assembly tree produced by the pipeline, with provenance.
 type Instance struct {
-	// Name is "matrix/ordering/rN", mirroring the dataset package.
+	// Name is "matrix/ordering/rN".
 	Name string
 	// Matrix, Family and Source describe the input pattern; Source is
 	// "file" for a mirrored real matrix, "generator" for the fallback.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/dataset"
 	"repro/internal/schedule"
 	"repro/internal/traversal"
 )
@@ -13,9 +12,9 @@ import (
 // RunMemoryComparisonParallel is RunMemoryComparison fanned out on the
 // schedule batch evaluator; results are bit-identical to the sequential run
 // (verified in tests) because instances are independent.
-func RunMemoryComparisonParallel(ctx context.Context, insts []dataset.Instance, workers int) (MemoryComparison, error) {
+func RunMemoryComparisonParallel(ctx context.Context, insts []schedule.Instance, workers int) (MemoryComparison, error) {
 	algs := []string{"postorder", "minmem"}
-	jobs := schedule.MinMemoryGrid(toGridInstances(insts), algs)
+	jobs := schedule.MinMemoryGrid(insts, algs)
 	rows, err := schedule.Local{}.Run(ctx, jobs, schedule.BatchOptions{Workers: workers})
 	if err != nil {
 		return MemoryComparison{}, err
@@ -33,7 +32,7 @@ func RunMemoryComparisonParallel(ctx context.Context, insts []dataset.Instance, 
 // for each instance it compares the natural postorder (stored child order)
 // with the best postorder. Returns the fraction of instances where sorting
 // helps and the mean natural/best memory ratio.
-func AblationPostorderRule(insts []dataset.Instance) (fractionImproved, meanRatio float64) {
+func AblationPostorderRule(insts []schedule.Instance) (fractionImproved, meanRatio float64) {
 	nat, best := mustLookup("natural-postorder"), mustLookup("postorder")
 	improved := 0
 	var sum float64
@@ -57,7 +56,7 @@ func AblationPostorderRule(insts []dataset.Instance) (fractionImproved, meanRati
 // cut between memory lifts, summed over the suite. Both variants return
 // the same optimal memory (checked). The call counting uses the traversal
 // package's instrumentation directly — it is a cost probe, not a solver.
-func AblationMinMemReuse(insts []dataset.Instance) (withReuse, withoutReuse int64, err error) {
+func AblationMinMemReuse(insts []schedule.Instance) (withReuse, withoutReuse int64, err error) {
 	reuse, noReuse := mustLookup("minmem"), mustLookup("minmem-noreuse")
 	for _, inst := range insts {
 		a, err := reuse.Run(schedule.Request{Tree: inst.Tree})
@@ -81,7 +80,7 @@ func AblationMinMemReuse(insts []dataset.Instance) (withReuse, withoutReuse int6
 // I/O volume over the suite at the tightest memory (MaxMemReq), using
 // MinMem traversals. Larger windows can only match or reduce each step's
 // overshoot at exponentially growing search cost.
-func AblationBestKWindow(insts []dataset.Instance, windows []int) (map[int]int64, error) {
+func AblationBestKWindow(insts []schedule.Instance, windows []int) (map[int]int64, error) {
 	minmem, bestK := mustLookup("minmem"), mustLookup("best-k")
 	out := make(map[int]int64, len(windows))
 	for _, k := range windows {
@@ -108,7 +107,7 @@ func AblationBestKWindow(insts []dataset.Instance, windows []int) (map[int]int64
 }
 
 // FormatAblations renders the three ablations as a report block.
-func FormatAblations(insts []dataset.Instance) (string, error) {
+func FormatAblations(insts []schedule.Instance) (string, error) {
 	var b strings.Builder
 	frac, ratio := AblationPostorderRule(insts)
 	fmt.Fprintf(&b, "Ablation — Liu's postorder child-sorting rule\n")

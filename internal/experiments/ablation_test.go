@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -24,7 +22,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestAblationPostorderRule(t *testing.T) {
-	insts := dataset.RandomWeightSuite(smallSuite(t), 2)
+	insts := RandomWeightSuite(smallSuite(t), 2)
 	frac, ratio := AblationPostorderRule(insts)
 	if frac < 0 || frac > 1 {
 		t.Fatalf("fraction %f out of range", frac)

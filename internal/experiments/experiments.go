@@ -14,7 +14,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/dataset"
 	"repro/internal/minio"
 	"repro/internal/profile"
 	"repro/internal/schedule"
@@ -34,15 +33,6 @@ func mustLookup(name string) schedule.Algorithm {
 		panic(err)
 	}
 	return a
-}
-
-// toGridInstances adapts dataset instances to the schedule batch evaluator.
-func toGridInstances(insts []dataset.Instance) []schedule.Instance {
-	out := make([]schedule.Instance, len(insts))
-	for i, inst := range insts {
-		out[i] = schedule.Instance{Name: inst.Name, Tree: inst.Tree}
-	}
-	return out
 }
 
 // policyRows streams the policy half of the experiment grid — the orderBy
@@ -70,7 +60,7 @@ type MemoryComparison struct {
 
 // RunMemoryComparison computes the best-postorder and optimal memory for
 // every instance.
-func RunMemoryComparison(insts []dataset.Instance) MemoryComparison {
+func RunMemoryComparison(insts []schedule.Instance) MemoryComparison {
 	po, opt := mustLookup("postorder"), mustLookup("minmem")
 	mc := MemoryComparison{}
 	for _, inst := range insts {
@@ -182,8 +172,8 @@ var TimingAlgorithms = []string{"minmem", "postorder", "liu"}
 // RunTimings measures the wall-clock time of the three MinMemory algorithms
 // on every instance (one run each, on a single worker so measurements do not
 // contend; the algorithms are deterministic).
-func RunTimings(insts []dataset.Instance) TimingResult {
-	jobs := schedule.MinMemoryGrid(toGridInstances(insts), TimingAlgorithms)
+func RunTimings(insts []schedule.Instance) TimingResult {
+	jobs := schedule.MinMemoryGrid(insts, TimingAlgorithms)
 	rows, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{Workers: 1})
 	if err != nil {
 		panic(err) // the exact solvers never fail on a valid tree
@@ -268,14 +258,14 @@ type HeuristicResult struct {
 // RunHeuristics reproduces Figure 7: traversals from MinMem (the paper's
 // choice for this figure), every eviction policy, across the memory sweep.
 // The grid is evaluated concurrently; results are deterministic.
-func RunHeuristics(insts []dataset.Instance) (HeuristicResult, error) {
+func RunHeuristics(insts []schedule.Instance) (HeuristicResult, error) {
 	policies := schedule.EvictionPolicyNames()
 	// The orderBy solver is minmem, so its outcome already carries the
 	// in-core optimum the sweep is anchored on — no second solve.
 	memories := func(t *tree.Tree, out schedule.Outcome) ([]int64, error) {
 		return sweepFromOptimum(t, out.Memory), nil
 	}
-	rows, err := policyRows(toGridInstances(insts), "minmem", policies, memories)
+	rows, err := policyRows(insts, "minmem", policies, memories)
 	if err != nil {
 		return HeuristicResult{}, err
 	}
@@ -323,9 +313,8 @@ var TraversalAlgorithms = func() []string {
 
 // RunTraversalIO reproduces Figure 8: one MinIO grid per traversal
 // algorithm, all replayed under First Fit across the memory sweep.
-func RunTraversalIO(insts []dataset.Instance) (TraversalIOResult, error) {
+func RunTraversalIO(insts []schedule.Instance) (TraversalIOResult, error) {
 	tio := TraversalIOResult{Volume: map[string][]float64{}}
-	gridInsts := toGridInstances(insts)
 	// The budget sweep is a property of the instance, not of the ordering
 	// algorithm: compute it once per tree so the three grids below don't
 	// re-run the exact solver to rediscover identical budgets.
@@ -341,7 +330,7 @@ func RunTraversalIO(insts []dataset.Instance) (TraversalIOResult, error) {
 	// One grid per ordering algorithm; the case list (instance × budget) is
 	// identical across grids, so it is recorded on the first.
 	for k, orderBy := range traversalIOOrderings {
-		rows, err := policyRows(gridInsts, orderBy, []string{"first-fit"}, memories)
+		rows, err := policyRows(insts, orderBy, []string{"first-fit"}, memories)
 		if err != nil {
 			return tio, err
 		}

@@ -4,18 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/schedule"
 )
-
-func smallSuite(t *testing.T) []dataset.Instance {
-	t.Helper()
-	insts, err := dataset.AssemblySuite(dataset.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return insts
-}
 
 func TestMemoryComparisonAndStats(t *testing.T) {
 	insts := smallSuite(t)
@@ -57,7 +47,7 @@ func TestMemoryComparisonAndStats(t *testing.T) {
 func TestRandomWeightComparisonWorseThanAssembly(t *testing.T) {
 	insts := smallSuite(t)
 	asm := RunMemoryComparison(insts).Stats()
-	rnd := RunMemoryComparison(dataset.RandomWeightSuite(insts, 2)).Stats()
+	rnd := RunMemoryComparison(RandomWeightSuite(insts, 2)).Stats()
 	// Section VI-E's headline: random weights make PostOrder non-optimal far
 	// more often than assembly weights do.
 	if rnd.FractionNonOpt < asm.FractionNonOpt {

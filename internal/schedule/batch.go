@@ -8,9 +8,9 @@ import (
 	"repro/internal/tree"
 )
 
-// Instance is one named workflow of an evaluation grid. It mirrors the
-// dataset package's Instance without importing it, so any caller can feed
-// trees from any source.
+// Instance is one named workflow of an evaluation grid: a name and a tree,
+// so any caller can feed trees from any source (Section VI's suites and the
+// corpus pipeline's instances reach the evaluator in this form).
 type Instance struct {
 	Name string
 	Tree *tree.Tree

@@ -128,7 +128,7 @@ func legacySimulate(t *testing.T, tr *tree.Tree, order []int, m int64, ev schedu
 
 // ---------------------------------------------------------------------------
 // Instance generators: random trees plus assembly trees built from the
-// internal/sparse generators (the same pipeline the dataset uses).
+// internal/sparse generators (the steps the corpus pipeline runs).
 // ---------------------------------------------------------------------------
 
 func randomTree(t *testing.T, seed int64, nodes int) *tree.Tree {

@@ -108,8 +108,8 @@ type WarmResponse struct {
 	Stored int `json:"stored"`
 }
 
-// maxBatchBytes bounds a batch request body (64 MiB — a full-scale grid
-// over the dataset suite is well under 10 MiB on the wire).
+// maxBatchBytes bounds a batch request body (64 MiB — a grid over Section
+// VI's full-scale suite is well under 10 MiB on the wire).
 const maxBatchBytes = 64 << 20
 
 // Server answers the evaluation API over a schedule.Backend.
