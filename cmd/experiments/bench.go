@@ -151,7 +151,7 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		return err
 	}
 	report := benchReport{
-		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-binary runs it through the binary transport to one warmed server over loopback; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), batch-binary-refs/64x4 sends the same batch as a binary Client to a server handler joined in memory that retains its four trees, so the batch carries references and every job hits the server's cache (rows_per_sec = jobs), digest/tree-1k hashes a fresh 1,000-node tree, its first Digest call (rows_per_sec = nodes), all three at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ of the symmetrized grid under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all six at fixed problem sizes independent of -bench-nodes",
+		Description: "solver hot-path benchmarks (cmd/experiments -exp bench); ns_per_op and allocs_per_op from testing.Benchmark, rows_per_sec = tree nodes (kernel/simulator) or evaluation rows (batch) per second; liu-exact/path and minmem/path run both exact solvers on the ~2,500-node path that band-5000 becomes under the natural ordering with relax 1, at a fixed size independent of -bench-nodes; batch-local is the cold solver-bound path, batch-local-binary streams the same grid from a warmed cache through the pooled chunk engine into the framed binary row form, batch-remote-binary runs it through the binary transport to one warmed server over loopback; store-paged/{put,get} measure paged row-store overwrite and replay throughput; cache-hits/64x4 answers one 64-job batch over four of the batch grid's instances entirely from a paged store through the cached backend (rows_per_sec = jobs), batch-binary-refs/64x4 sends the same batch as a binary Client to a server handler joined in memory that retains its four trees, so the batch carries references and every job hits the server's cache (rows_per_sec = jobs), digest/tree-1k hashes a fresh 1,000-node tree, its first Digest call (rows_per_sec = nodes), all three at fixed sizes; mm-parse is the zero-alloc MatrixMarket parser (rows_per_sec = coordinate entries), amd, nd, permute and etree-counts run the AMD ordering, nested dissection (leaf size 32), PAPᵀ of the symmetrized grid under the nested-dissection permutation and the skeleton column counts on the 316x316 grid (~100k columns, rows_per_sec = columns), amd/rmat-5000 runs AMD on the symmetrized 5,000-column R-MAT matrix (seed 7008, four edges per node), the benchmark corpus's costliest AMD input (rows_per_sec = columns), corpus-pipeline streams the smoke manifest end to end (rows_per_sec = tree instances) — all seven at fixed problem sizes independent of -bench-nodes",
 	}
 	fmt.Fprintf(w, "Solver benchmarks — %d-node corpora, one tree per shape\n", nodes)
 	fmt.Fprintf(w, "  %-34s %14s %12s %14s\n", "benchmark", "ns/op", "allocs/op", "rows/sec")
@@ -444,6 +444,23 @@ func runBench(w io.Writer, outPath string, nodes int) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ordering.AMD(ga); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	// R-MAT at n = 5000, four edges per node, symmetrized: the costliest
+	// AMD input of the benchmark corpus, whose power-law degrees stress
+	// element absorption and supervariable detection in a way the grid
+	// above does not (rows/sec = columns).
+	rm, err := sparse.RMAT(rand.New(rand.NewSource(7008)), 5000, 4)
+	if err != nil {
+		return err
+	}
+	rs := rm.Symmetrize()
+	add(record("amd/rmat-5000", rs.N(), float64(rs.N()), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ordering.AMD(rs); err != nil {
 				b.Fatal(err)
 			}
 		}

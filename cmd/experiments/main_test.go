@@ -350,7 +350,7 @@ func TestBenchMode(t *testing.T) {
 			t.Errorf("%s: %d allocs/op, Permute should make a fixed handful", b.Name, b.AllocsPerOp)
 		}
 	}
-	for _, name := range []string{"liu-exact/path", "minmem/path", "nd/grid2d-100k", "permute/grid2d-100k", "cache-hits/64x4", "batch-binary-refs/64x4", "digest/tree-1k"} {
+	for _, name := range []string{"liu-exact/path", "minmem/path", "amd/rmat-5000", "nd/grid2d-100k", "permute/grid2d-100k", "cache-hits/64x4", "batch-binary-refs/64x4", "digest/tree-1k"} {
 		if !seen[name] {
 			t.Errorf("benchmark %s missing", name)
 		}

@@ -94,7 +94,7 @@ func LowerBoundDivisible(t *tree.Tree, order []int, m int64) (int64, error) {
 	for step, v := range order {
 		pos[v] = step
 	}
-	resident := schedule.NewResidentSet(pos)
+	resident := schedule.NewResidentSet(order, pos)
 	residentSum := t.F(t.Root())
 	// inMem[i]: bytes of file i still in memory (rest is on disk).
 	inMem := make([]int64, p)
@@ -112,11 +112,10 @@ func LowerBoundDivisible(t *tree.Tree, order []int, m int64) (int64, error) {
 		need := residentSum + t.MemReq(j) - m
 		// Evict fractional bytes from the latest-consumed files first.
 		for need > 0 {
-			s := resident.Ordered()
-			if len(s) == 0 {
+			v, ok := resident.Latest()
+			if !ok {
 				return 0, fmt.Errorf("minio: divisible bound infeasible (M below MemReq)")
 			}
-			v := s[0]
 			amt := inMem[v]
 			if amt > need {
 				amt = need

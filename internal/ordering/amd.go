@@ -33,7 +33,8 @@ func AMD(m *sparse.Matrix) ([]int, error) {
 // (a not-yet-eliminated column, possibly a supervariable standing for
 // several indistinguishable columns), then either an element (the pivot's
 // clique, named after the pivot) or dead (absorbed into a supervariable or
-// an element).
+// an element). A dead node has no list (pe < 0), and an element's w
+// tells an absorbed one from a live one.
 type amdState struct {
 	n int
 
@@ -55,8 +56,6 @@ type amdState struct {
 	// degree[i] is the ADD approximate external degree of a variable (in
 	// original-column units), or |Le| (same units) for an element.
 	degree []int32
-	// state distinguishes the three node lifetimes.
-	state []uint8
 
 	// Degree buckets: head[d] is the first variable of degree d, linked by
 	// dnext/dprev; mindeg is a lower bound on the smallest occupied bucket.
@@ -67,7 +66,10 @@ type amdState struct {
 
 	// w is the element workspace of AMD's two-scan set-difference trick:
 	// after scan 1, w[e]−wflg = |Le \ Lme| for every element e adjacent to
-	// Lme. int64 so wflg never wraps.
+	// Lme. It also marks an element's liveness, as in SuiteSparse AMD: an
+	// element is born with w = 1, every later value is at least wflg ≥ 2,
+	// and absorption sets w = 0, so an element list entry with w == 0 is
+	// absorbed. int64 so wflg never wraps.
 	w    []int64
 	wflg int64
 
@@ -88,12 +90,6 @@ type amdState struct {
 	perm []int
 	nel  int32 // original columns eliminated so far
 }
-
-const (
-	amdVariable uint8 = iota
-	amdElement
-	amdDead
-)
 
 const amdEmpty = int32(-1)
 
@@ -141,7 +137,6 @@ func (a *amdState) reset(m pattern) {
 		elen:    zeroed(a.elen, n),
 		nv:      zeroed(a.nv, n),
 		degree:  zeroed(a.degree, n),
-		state:   zeroed(a.state, n),
 		head:    zeroed(a.head, n+1),
 		dnext:   zeroed(a.dnext, n),
 		dprev:   zeroed(a.dprev, n),
@@ -268,7 +263,7 @@ func (a *amdState) collect() {
 	// indices by pe.
 	live := make([]int32, 0, a.n)
 	for i := int32(0); i < int32(a.n); i++ {
-		if a.state[i] != amdDead && a.pe[i] >= 0 && a.ln[i] > 0 {
+		if a.pe[i] >= 0 && a.ln[i] > 0 { // dead nodes have pe < 0
 			live = append(live, i)
 		}
 	}
@@ -337,146 +332,150 @@ func (a *amdState) eliminatePivot(me int32) {
 
 	// --- Form Lme = (Ame ∪ ⋃ Le for e ∈ Eme) \ {me} -------------------
 	// Upper-bound the space Lme can need and reserve it before writing.
-	var bound int32
 	{
 		p, ln, el := a.pe[me], a.ln[me], a.elen[me]
-		bound = ln - el
-		for k := int32(0); k < el; k++ {
-			e := a.iw[p+k]
-			if a.state[e] == amdElement {
+		bound := ln - el
+		for _, e := range a.iw[p : p+el] {
+			if a.w[e] != 0 { // not absorbed
 				bound += a.ln[e]
 			}
 		}
+		a.need(bound)
 	}
-	a.need(bound)
-
+	// need may move the lists and grow the arena: read both after it.
+	iw := a.iw
 	pme1 := a.pfree
+	pfree := pme1
 	degme := int32(0) // |Lme| in original-column units
 	{
-		p := a.pe[me]
-		el := a.elen[me]
-		ln := a.ln[me]
+		p, el, ln := a.pe[me], a.elen[me], a.ln[me]
+		lst := iw[p : p+ln]
 		// Direct variable neighbours.
-		for k := el; k < ln; k++ {
-			i := a.iw[p+k]
-			if a.nv[i] > 0 { // live, not yet in Lme
-				degme += a.nv[i]
-				a.nv[i] = -a.nv[i]
-				a.iw[a.pfree] = i
-				a.pfree++
+		for _, i := range lst[el:] {
+			if nvi := a.nv[i]; nvi > 0 { // live, not yet in Lme
+				degme += nvi
+				a.nv[i] = -nvi
+				iw[pfree] = i
+				pfree++
 				a.dlistRemove(i, a.degree[i])
 			}
 		}
 		// Members of adjacent elements; the elements are absorbed into me.
-		for k := int32(0); k < el; k++ {
-			e := a.iw[p+k]
-			if a.state[e] != amdElement {
+		for _, e := range lst[:el] {
+			if a.w[e] == 0 {
 				continue // already absorbed
 			}
-			pe, le := a.pe[e], a.ln[e]
-			for q := int32(0); q < le; q++ {
-				i := a.iw[pe+q]
-				if a.nv[i] > 0 {
-					degme += a.nv[i]
-					a.nv[i] = -a.nv[i]
-					a.iw[a.pfree] = i
-					a.pfree++
+			pe := a.pe[e]
+			for _, i := range iw[pe : pe+a.ln[e]] {
+				if nvi := a.nv[i]; nvi > 0 {
+					degme += nvi
+					a.nv[i] = -nvi
+					iw[pfree] = i
+					pfree++
 					a.dlistRemove(i, a.degree[i])
 				}
 			}
-			a.state[e] = amdDead
 			a.pe[e] = amdEmpty
 			a.w[e] = 0
 		}
 	}
-	pme2 := a.pfree // Lme = iw[pme1:pme2]
+	pme2 := pfree // Lme = iw[pme1:pme2]
+	a.pfree = pfree
+	lme := iw[pme1:pme2]
 
 	// me's old list is dead space; me becomes the element with list Lme.
 	a.pe[me] = pme1
 	a.ln[me] = pme2 - pme1
 	a.elen[me] = 0
-	a.state[me] = amdElement
 	a.degree[me] = degme
 
 	if degme == 0 {
 		// Isolated (super)variable: no element to create.
-		a.state[me] = amdDead
 		a.pe[me] = amdEmpty
 		a.nv[me] = nvpiv
 		return
 	}
+	a.w[me] = 1 // born live
 
 	// --- Scan 1: set differences |Le \ Lme| via the w trick ------------
 	// After this scan, w[e] − wflg = |Le \ Lme| for every element e
 	// adjacent to a member of Lme (in original-column units).
 	wflg := a.wflg
-	for pm := pme1; pm < pme2; pm++ {
-		i := a.iw[pm]
-		nvi := -a.nv[i] // flagged negative
-		if a.elen[i] <= 0 {
+	for _, i := range lme {
+		el := a.elen[i]
+		if el <= 0 {
 			continue
 		}
-		wnvi := wflg - int64(nvi)
+		nvi := int64(-a.nv[i]) // flagged negative
+		wnvi := wflg - nvi
 		p := a.pe[i]
-		for k := int32(0); k < a.elen[i]; k++ {
-			e := a.iw[p+k]
-			if a.state[e] != amdElement {
-				continue
+		for _, e := range iw[p : p+el] {
+			// First touch this pivot: |Le| minus nvi. Later touches
+			// subtract nvi; an absorbed element keeps w = 0. Selects,
+			// not branches: which case holds is data-dependent.
+			we := a.w[e]
+			nw := int64(a.degree[e]) + wnvi
+			if we >= wflg {
+				nw = we - nvi
 			}
-			if a.w[e] >= wflg {
-				a.w[e] -= int64(nvi)
-			} else {
-				// First touch this pivot: |Le| minus nvi.
-				a.w[e] = int64(a.degree[e]) + wnvi
+			if we == 0 {
+				nw = 0
 			}
+			a.w[e] = nw
 		}
 	}
 
 	// --- Scan 2: prune lists, absorb elements, compute degrees ---------
-	for pm := pme1; pm < pme2; pm++ {
-		i := a.iw[pm]
-		if a.nv[i] >= 0 {
+	for _, i := range lme {
+		nvi := -a.nv[i]
+		if nvi <= 0 {
 			continue // mass-eliminated earlier in this scan
 		}
-		nvi := -a.nv[i]
 		p1 := a.pe[i]
-		pn := p1
+		el := a.elen[i]
+		lst := iw[p1 : p1+a.ln[i]]
+		pn := int32(0) // write cursor into lst
 		var h uint32
 		var deg int32
 		// Element list: keep elements with a nonempty external part,
 		// aggressively absorb the rest into me.
-		for k := int32(0); k < a.elen[i]; k++ {
-			e := a.iw[p1+k]
-			if a.state[e] != amdElement {
+		for _, e := range lst[:el] {
+			we := a.w[e]
+			if we == 0 {
+				continue // absorbed
+			}
+			if dext := we - wflg; dext > 0 {
+				deg += int32(dext)
+				lst[pn] = e
+				pn++
+				h += uint32(e)
 				continue
 			}
-			if a.w[e] != 0 {
-				dext := a.w[e] - wflg
-				if dext > 0 {
-					deg += int32(dext)
-					a.iw[pn] = e
-					pn++
-					h += uint32(e)
-					continue
-				}
-			}
 			// Le ⊆ Lme ∪ {me}: e is redundant, absorb it.
-			a.state[e] = amdDead
 			a.pe[e] = amdEmpty
 			a.w[e] = 0
 		}
-		nel := pn - p1 // kept elements (me appended below)
+		nel := pn // kept elements; me follows them
 		// Variable list: drop dead variables and Lme members (their
-		// adjacency is now carried by me).
-		for k := a.elen[i]; k < a.ln[i]; k++ {
-			j := a.iw[p1+k]
-			if a.nv[j] <= 0 {
-				continue
+		// adjacency is now carried by me). The list is rebuilt as [kept
+		// elements, me, kept variables] in this one sweep: each slot
+		// receives the entry carried from the previous kept one, starting
+		// with me. The write cursor never passes the read cursor, because
+		// every Lme member drops at least one entry: me itself from its
+		// variables, or an element of Eme, absorbed above, from its
+		// elements.
+		carry := me
+		for _, j := range lst[el:] {
+			// Branch-free: a dropped entry rewrites the pending slot with
+			// the same carry and leaves the cursor where it was.
+			nvj := a.nv[j]
+			lst[pn] = carry
+			if nvj > 0 {
+				deg += nvj
+				h += uint32(j)
+				pn++
+				carry = j
 			}
-			deg += a.nv[j]
-			a.iw[pn] = j
-			pn++
-			h += uint32(j)
 		}
 		if deg == 0 {
 			// Mass elimination: i's entire adjacency is inside Lme ∪ {me},
@@ -486,23 +485,18 @@ func (a *amdState) eliminatePivot(me int32) {
 			a.nel += nvi
 			degme -= nvi
 			a.nv[i] = 0
-			a.state[i] = amdDead
 			a.pe[i] = amdEmpty
 			continue
 		}
+		lst[pn] = carry
 		a.scratch[i] = deg
-		// Rebuild as [kept elements, me, kept variables]: shift the kept
-		// variables up one slot to make room for me in the element part.
-		for q := pn; q > p1+nel; q-- {
-			a.iw[q] = a.iw[q-1]
-		}
-		a.iw[p1+nel] = me
 		a.elen[i] = nel + 1
-		a.ln[i] = pn + 1 - p1
+		a.ln[i] = pn + 1
 		h += uint32(me)
-		a.hash[i] = h % uint32(a.n)
-		a.hnext[i] = a.hhead[a.hash[i]]
-		a.hhead[a.hash[i]] = i
+		b := h % uint32(a.n)
+		a.hash[i] = b
+		a.hnext[i] = a.hhead[b]
+		a.hhead[b] = i
 	}
 	a.degree[me] = degme
 	// Scan-1 values reach wflg + |Le| − 1 ≤ wflg + n − 1; advancing past
@@ -513,8 +507,7 @@ func (a *amdState) eliminatePivot(me int32) {
 	// --- Supervariable detection ---------------------------------------
 	// Variables in Lme that hashed to the same bucket are compared; those
 	// with identical quotient adjacency are merged.
-	for pm := pme1; pm < pme2; pm++ {
-		i := a.iw[pm]
+	for _, i := range lme {
 		if a.nv[i] >= 0 || a.hhead[a.hash[i]] == amdEmpty {
 			continue // dead, or bucket already processed
 		}
@@ -534,7 +527,6 @@ func (a *amdState) eliminatePivot(me int32) {
 					a.nv[x] += a.nv[y] // both negative
 					a.appendMembers(x, y)
 					a.nv[y] = 0
-					a.state[y] = amdDead
 					a.pe[y] = amdEmpty
 					a.elen[y] = 0
 					a.ln[y] = 0
@@ -545,8 +537,7 @@ func (a *amdState) eliminatePivot(me int32) {
 
 	// --- Finalize: restore flags, set degrees, refill buckets ----------
 	nLeft := int32(a.n) - a.nel
-	for pm := pme1; pm < pme2; pm++ {
-		i := a.iw[pm]
+	for _, i := range lme {
 		if a.nv[i] >= 0 {
 			continue // dead (mass-eliminated or merged)
 		}
@@ -570,20 +561,18 @@ func (a *amdState) eliminatePivot(me int32) {
 	if degme > 0 {
 		// Prune dead entries out of Lme so the element list only carries
 		// live supervariables (keeps later scans and pivots linear).
-		w := a.pe[me]
-		for pm := pme1; pm < pme2; pm++ {
-			i := a.iw[pm]
+		w := int32(0)
+		for _, i := range lme {
 			if a.nv[i] > 0 {
-				a.iw[w] = i
+				lme[w] = i
 				w++
 			}
 		}
-		a.ln[me] = w - a.pe[me]
-		a.pfree = w
+		a.ln[me] = w
+		a.pfree = pme1 + w
 	} else {
 		// Every member was mass-eliminated with the pivot: the element is
 		// empty, so it dies immediately and its arena space is reclaimed.
-		a.state[me] = amdDead
 		a.pe[me] = amdEmpty
 		a.ln[me] = 0
 		a.w[me] = 0

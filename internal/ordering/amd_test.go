@@ -2,6 +2,7 @@ package ordering
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -222,6 +223,9 @@ func fuzzPattern(data []byte) *sparse.Matrix {
 	return m
 }
 
+// FuzzAMDVsExact pins AMD on small random patterns: its permutation
+// equals the preserved reference's byte for byte, and its fill stays near
+// the exact-degree ordering's.
 func FuzzAMDVsExact(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1})
@@ -238,6 +242,13 @@ func FuzzAMDVsExact(f *testing.F) {
 			t.Fatalf("AMD: %v", err)
 		}
 		checkPerm(t, amdPerm, m.N())
+		refPerm, err := refAMD(m)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		if !slices.Equal(amdPerm, refPerm) {
+			t.Fatalf("AMD permutation %v, reference %v", amdPerm, refPerm)
+		}
 		exactPerm, err := MinimumDegreeWith(m, MinimumDegreeOptions{Exact: true})
 		if err != nil {
 			t.Fatalf("exact: %v", err)

@@ -26,7 +26,7 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"repro/internal/hillvalley"
@@ -188,8 +188,8 @@ func simulateTopDown(t *tree.Tree, order []int, mem int64, cfg Config, scr *simS
 	)
 	if evicting {
 		p := t.Len()
-		scr.set = ResidentSet{pos: pos, nodes: scr.set.nodes[:0]}
 		set = &scr.set
+		set.reset(order, pos)
 		set.Add(t.Root())
 		if cap(scr.onDisk) < p {
 			scr.onDisk = make([]bool, p)
@@ -300,53 +300,82 @@ func simulateBottomUp(t *tree.Tree, order []int, mem int64, ev Evictor, profile 
 	return out, nil
 }
 
-// ResidentSet maintains resident files ordered by consumer step descending:
-// the set S of Section V-B, latest consumer first. It is exported for the
-// few callers (minio's divisible lower bound) that run their own accounting
-// over the same ordering invariant.
+// ResidentSet is the set S of Section V-B: the resident input files,
+// latest consumer first. A file is consumed by its node, so the set keeps
+// one bit per schedule step, bit pos[v] for node v's file: adding and
+// removing a file sets and clears a bit, and latest consumer first is
+// highest bit first. It is exported for the few callers (minio's divisible
+// lower bound) that run their own accounting over the same ordering.
 type ResidentSet struct {
-	pos   []int // consumer step per node
-	nodes []int // sorted: pos[nodes[0]] > pos[nodes[1]] > …
+	order []int    // node per schedule step
+	pos   []int    // schedule step per node
+	bits  []uint64 // bit s set: order[s]'s file is resident
+	top   int      // no word above bits[top] is nonzero
 }
 
-// NewResidentSet builds an empty set over pos, the consumer step of each
-// node's input file.
-func NewResidentSet(pos []int) *ResidentSet { return &ResidentSet{pos: pos} }
+// NewResidentSet builds an empty set over a traversal: order lists the
+// nodes by schedule step and pos is its inverse, the step at which each
+// node consumes its input file.
+func NewResidentSet(order, pos []int) *ResidentSet {
+	s := &ResidentSet{}
+	s.reset(order, pos)
+	return s
+}
 
-// Add inserts node keeping S ordered latest consumer first.
+// reset empties the set for another traversal, reusing its words.
+func (s *ResidentSet) reset(order, pos []int) {
+	words := (len(order) + 63) / 64
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	}
+	s.bits = s.bits[:words]
+	clear(s.bits)
+	s.order, s.pos, s.top = order, pos, -1
+}
+
+// Add inserts node's file.
 func (s *ResidentSet) Add(node int) {
-	i := sort.Search(len(s.nodes), func(k int) bool { return s.pos[s.nodes[k]] < s.pos[node] })
-	s.nodes = append(s.nodes, 0)
-	copy(s.nodes[i+1:], s.nodes[i:])
-	s.nodes[i] = node
+	p := s.pos[node]
+	w := p >> 6
+	s.bits[w] |= 1 << (p & 63)
+	if w > s.top {
+		s.top = w
+	}
 }
 
-// Remove deletes node; it panics if node is absent (an accounting bug, not
-// a runtime condition).
+// Remove deletes node's file; it panics if the file is absent (an
+// accounting bug, not a runtime condition).
 func (s *ResidentSet) Remove(node int) {
-	i := sort.Search(len(s.nodes), func(k int) bool { return s.pos[s.nodes[k]] <= s.pos[node] })
-	if i == len(s.nodes) || s.nodes[i] != node {
+	p := s.pos[node]
+	bit := uint64(1) << (p & 63)
+	if s.bits[p>>6]&bit == 0 {
 		panic("schedule: removing absent resident file")
 	}
-	s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)
+	s.bits[p>>6] &^= bit
 }
 
-// Ordered returns the current S (latest consumer first). The returned slice
-// is owned by the set; do not mutate.
-func (s *ResidentSet) Ordered() []int { return s.nodes }
-
-// snapshotPositive returns a fresh copy of S with zero-size files dropped:
-// the eviction candidates (writing a zero-size file frees nothing).
-func (s *ResidentSet) snapshotPositive(t *tree.Tree) []int {
-	return s.appendPositive(t, make([]int, 0, len(s.nodes)))
+// Latest returns the resident file with the latest consumer; ok is false
+// when the set is empty.
+func (s *ResidentSet) Latest() (node int, ok bool) {
+	for ; s.top >= 0; s.top-- {
+		if w := s.bits[s.top]; w != 0 {
+			return s.order[s.top<<6+bits.Len64(w)-1], true
+		}
+	}
+	return 0, false
 }
 
-// appendPositive is snapshotPositive appending into dst, so the simulator
-// can reuse one snapshot buffer across evictions.
+// appendPositive appends S, latest consumer first, to dst with zero-size
+// files dropped: the eviction candidates (writing a zero-size file frees
+// nothing).
 func (s *ResidentSet) appendPositive(t *tree.Tree, dst []int) []int {
-	for _, v := range s.nodes {
-		if t.F(v) > 0 {
-			dst = append(dst, v)
+	for k := s.top; k >= 0; k-- {
+		for w := s.bits[k]; w != 0; {
+			b := bits.Len64(w) - 1
+			w &^= 1 << b
+			if v := s.order[k<<6+b]; t.F(v) > 0 {
+				dst = append(dst, v)
+			}
 		}
 	}
 	return dst

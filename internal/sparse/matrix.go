@@ -10,6 +10,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,9 +21,12 @@ type Matrix struct {
 	n      int
 	colPtr []int32
 	rowIdx []int32
-	// symmetric records that the pattern is symmetric by construction: set
-	// by Symmetrize and kept by Permute, which relies on it to skip its
-	// transpose. It is never inferred, so IsSymmetric still checks.
+	// symmetric records that the pattern is symmetric with a full
+	// diagonal by construction. Only Symmetrize, which builds
+	// |A| + |Aᵀ| + I, and Permute of a recorded matrix, a symmetric
+	// permutation that keeps both properties, set it. It is never inferred
+	// from the entries. IsSymmetric and HasFullDiagonal return at once for
+	// a recorded matrix, and Permute skips its transpose.
 	symmetric bool
 }
 
@@ -108,13 +112,42 @@ func (m *Matrix) transpose(next []int32) *Matrix {
 }
 
 // Symmetrize returns the pattern of |A| + |Aᵀ| + I, the form the paper
-// feeds to the ordering and symbolic-factorization steps. Columns of A and
-// Aᵀ are already sorted, so each output column is a deduplicating 3-way
-// merge — no per-column scratch, no re-sort.
+// feeds to the ordering and symbolic-factorization steps. The result is
+// allocated at its exact size, because it lives through every ordering of
+// the matrix. A symmetric A, such as a file that lists both triangles or
+// uses symmetric storage, needs no transpose: the result is A with its
+// missing diagonal entries inserted. Otherwise columns of A and Aᵀ are
+// already sorted, so each output column is a deduplicating 3-way merge —
+// no per-column scratch, no re-sort — and a first pass counts the merged
+// columns' lengths.
 func (m *Matrix) Symmetrize() *Matrix {
-	at := m.Transpose()
 	out := &Matrix{n: m.n, colPtr: make([]int32, m.n+1), symmetric: true}
-	out.rowIdx = make([]int32, 0, len(m.rowIdx)+len(at.rowIdx)+m.n)
+	if m.IsSymmetric() {
+		diagonals := 0
+		for j := 0; j < m.n; j++ {
+			if _, ok := slices.BinarySearch(m.Col(j), int32(j)); ok {
+				diagonals++
+			}
+		}
+		out.rowIdx = make([]int32, 0, len(m.rowIdx)+m.n-diagonals)
+		for j := 0; j < m.n; j++ {
+			col := m.Col(j)
+			k, ok := slices.BinarySearch(col, int32(j))
+			out.rowIdx = append(out.rowIdx, col[:k]...)
+			if !ok {
+				out.rowIdx = append(out.rowIdx, int32(j))
+			}
+			out.rowIdx = append(out.rowIdx, col[k:]...)
+			out.colPtr[j+1] = int32(len(out.rowIdx))
+		}
+		return out
+	}
+	at := m.Transpose()
+	size := 0
+	for j := 0; j < m.n; j++ {
+		size += unionWithDiagonalLen(m.Col(j), at.Col(j), int32(j))
+	}
+	out.rowIdx = make([]int32, 0, size)
 	for j := 0; j < m.n; j++ {
 		a, b := m.Col(j), at.Col(j)
 		dj := int32(j)
@@ -151,14 +184,43 @@ func (m *Matrix) Symmetrize() *Matrix {
 	return out
 }
 
+// unionWithDiagonalLen returns |a ∪ b ∪ {dj}| for column dj of A (a) and
+// of Aᵀ (b), both sorted and duplicate-free. A diagonal entry is its own
+// transpose, so dj is in both columns or in neither.
+func unionWithDiagonalLen(a, b []int32, dj int32) int {
+	common, diagonal := 0, 0
+	x, y := 0, 0
+	for x < len(a) && y < len(b) {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			if a[x] == dj {
+				diagonal = 1
+			}
+			common++
+			x++
+			y++
+		}
+	}
+	return len(a) + len(b) - common + 1 - diagonal
+}
+
 // IsSymmetric reports whether the pattern equals its transpose. Columns
 // are sorted, so a walk over the columns in increasing order meets the
 // entries (i, j) of every row i in the order column i lists them. One
 // cursor per column checks each as it is met; the pattern is symmetric iff
 // every check passes and every cursor ends at its column's end. It is a
 // full O(nnz) verification with one n-entry allocation, where building
-// the transpose would take three.
+// the transpose would take three. A pattern recorded as symmetric by
+// construction (a Symmetrize result, or a Permute of one) is symmetric
+// without the walk.
 func (m *Matrix) IsSymmetric() bool {
+	if m.symmetric {
+		return true
+	}
 	cursor := make([]int32, m.n)
 	copy(cursor, m.colPtr[:m.n])
 	for j := 0; j < m.n; j++ {
@@ -178,8 +240,12 @@ func (m *Matrix) IsSymmetric() bool {
 	return true
 }
 
-// HasFullDiagonal reports whether every diagonal entry is present.
+// HasFullDiagonal reports whether every diagonal entry is present, at once
+// for a pattern recorded as symmetric by construction, which has them all.
 func (m *Matrix) HasFullDiagonal() bool {
+	if m.symmetric {
+		return true
+	}
 	for j := 0; j < m.n; j++ {
 		if !m.Has(j, j) {
 			return false

@@ -2,9 +2,9 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // WriteMatrixMarket serializes the pattern in MatrixMarket coordinate
@@ -47,17 +47,21 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
 }
 
 // Parser is a reusable MatrixMarket coordinate reader. It tokenizes the
-// raw bytes directly (no Scanner, no Fields, no Atoi), builds CSC with a
-// counting pass plus bucket fill, and reuses every internal buffer, so
-// steady-state parsing performs zero heap allocations. The matrix returned
-// by Parse/ParseBytes aliases the parser's buffers and is valid only until
-// the next call; use ReadMatrixMarket for an owning copy.
+// raw bytes directly (no Scanner, no Fields, no Atoi), builds CSC with
+// two counting sorts, by row and then by column, and reuses every
+// internal buffer, so steady-state parsing performs zero heap allocations.
+// The matrix returned by Parse/ParseBytes aliases the parser's buffers and
+// is valid only until the next call; use ReadMatrixMarket for an owning
+// copy.
 type Parser struct {
-	buf    []byte  // raw input for the io.Reader path
-	pairs  []int32 // tokenized (row, col) pairs, 0-based, interleaved
+	buf []byte // raw input for the io.Reader path
+	// pairs holds the tokenized (row, col) pairs, 0-based, interleaved,
+	// and then the returned matrix's row indices.
+	pairs  []int32
 	colPtr []int32
+	rowPtr []int32
 	next   []int32
-	rowIdx []int32
+	byRow  []int32 // column indices grouped by row
 	m      Matrix
 }
 
@@ -137,14 +141,18 @@ func (p *Parser) ParseBytes(data []byte) (*Matrix, error) {
 		return nil, fmt.Errorf("sparse: declared dimension %d implausible for %d-byte input", n, len(data))
 	}
 
-	// Pass 1: tokenize entries into pairs, counting entries per column.
+	// Pass 1: tokenize entries into pairs, counting entries per column
+	// and per row.
 	if cap(p.colPtr) < int(n)+1 {
 		p.colPtr = make([]int32, n+1)
+		p.rowPtr = make([]int32, n+1)
 		p.next = make([]int32, n)
 	} else {
 		p.colPtr = p.colPtr[:n+1]
+		p.rowPtr = p.rowPtr[:n+1]
 		p.next = p.next[:n]
 		clear(p.colPtr)
+		clear(p.rowPtr)
 	}
 	// The header's entry count sizes the pair buffer up front; the guard
 	// above bounds it by the input length.
@@ -154,20 +162,24 @@ func (p *Parser) ParseBytes(data []byte) (*Matrix, error) {
 	p.pairs = p.pairs[:0]
 	var read int64
 	for read < nnz {
-		line, pos = mmLine(data, pos)
-		if pos < 0 {
-			break
-		}
-		if mmBlankOrComment(line) {
-			continue
-		}
-		i, lp, ok := mmInt(line, 0)
-		var j int64
+		i, j, next, ok := mmEntry(data, pos)
 		if ok {
-			j, _, ok = mmInt(line, lp)
-		}
-		if !ok {
-			return nil, fmt.Errorf("sparse: malformed entry %q", line)
+			pos = next
+		} else {
+			line, pos = mmLine(data, pos)
+			if pos < 0 {
+				break
+			}
+			if mmBlankOrComment(line) {
+				continue
+			}
+			var lp int
+			if i, lp, ok = mmInt(line, 0); ok {
+				j, _, ok = mmInt(line, lp)
+			}
+			if !ok {
+				return nil, fmt.Errorf("sparse: malformed entry %q", line)
+			}
 		}
 		if i < 1 || i > n || j < 1 || j > n {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for n=%d", i, j, n)
@@ -177,8 +189,10 @@ func (p *Parser) ParseBytes(data []byte) (*Matrix, error) {
 		}
 		p.pairs = append(p.pairs, int32(i-1), int32(j-1))
 		p.colPtr[j]++
+		p.rowPtr[i]++
 		if symmetric && i != j {
 			p.colPtr[i]++
+			p.rowPtr[j]++
 		}
 		read++
 	}
@@ -196,43 +210,55 @@ func (p *Parser) ParseBytes(data []byte) (*Matrix, error) {
 		}
 	}
 
-	// Pass 2: prefix sums, then bucket fill.
+	// Pass 2: a counting sort of the entries by row, then by column.
+	// Scattering the rows in increasing order fills every column already
+	// sorted, so no column needs a comparison sort.
 	var total int32
 	for j := int64(1); j <= n; j++ {
 		total += p.colPtr[j]
 		p.colPtr[j] = total
+		p.rowPtr[j] += p.rowPtr[j-1]
 	}
-	copy(p.next, p.colPtr[:n])
-	if cap(p.rowIdx) < int(total) {
-		p.rowIdx = make([]int32, total)
+	if cap(p.byRow) < int(total) {
+		p.byRow = make([]int32, total)
 	} else {
-		p.rowIdx = p.rowIdx[:total]
+		p.byRow = p.byRow[:total]
 	}
+	copy(p.next, p.rowPtr[:n])
 	for k := 0; k < len(p.pairs); k += 2 {
 		i, j := p.pairs[k], p.pairs[k+1]
-		p.rowIdx[p.next[j]] = i
-		p.next[j]++
+		p.byRow[p.next[i]] = j
+		p.next[i]++
 		if symmetric && i != j {
-			p.rowIdx[p.next[i]] = j
-			p.next[i]++
+			p.byRow[p.next[j]] = i
+			p.next[j]++
 		}
 	}
-	// Pass 3: sort each column and deduplicate in place, compacting.
+	// The pairs are consumed: their storage, at least total entries long,
+	// takes the row indices.
+	rowIdx := p.pairs[:total]
+	copy(p.next, p.colPtr[:n])
+	for i := int64(0); i < n; i++ {
+		for _, j := range p.byRow[p.rowPtr[i]:p.rowPtr[i+1]] {
+			rowIdx[p.next[j]] = int32(i)
+			p.next[j]++
+		}
+	}
+	// Pass 3: deduplicate each sorted column in place, compacting.
 	var w int32
 	for j := int64(0); j < n; j++ {
 		lo, hi := p.colPtr[j], p.colPtr[j+1]
-		slices.Sort(p.rowIdx[lo:hi])
 		newLo := w
 		for r := lo; r < hi; r++ {
-			if w == newLo || p.rowIdx[r] != p.rowIdx[w-1] {
-				p.rowIdx[w] = p.rowIdx[r]
+			if w == newLo || rowIdx[r] != rowIdx[w-1] {
+				rowIdx[w] = rowIdx[r]
 				w++
 			}
 		}
 		p.colPtr[j] = newLo
 	}
 	p.colPtr[n] = w
-	p.m = Matrix{n: int(n), colPtr: p.colPtr, rowIdx: p.rowIdx[:w]}
+	p.m = Matrix{n: int(n), colPtr: p.colPtr, rowIdx: rowIdx[:w]}
 	return &p.m, nil
 }
 
@@ -242,15 +268,56 @@ func mmLine(data []byte, pos int) (line []byte, next int) {
 	if pos >= len(data) {
 		return nil, -1
 	}
-	end := pos
-	for end < len(data) && data[end] != '\n' {
-		end++
+	end := len(data)
+	if k := bytes.IndexByte(data[pos:], '\n'); k >= 0 {
+		end = pos + k
 	}
 	line = data[pos:end]
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
 	}
 	return line, end + 1
+}
+
+// mmEntry reads the common entry line at data[pos:] in one pass: two
+// unsigned decimal integers of at most 18 digits (so no overflow check),
+// one space apart, the second followed by the newline or by a blank and
+// ignored fields such as a value. It returns the offset past the newline.
+// On any other line it reports ok = false, and the caller parses the line
+// with mmLine and mmInt, which decide every line mmEntry takes the same
+// way.
+func mmEntry(data []byte, pos int) (i, j int64, next int, ok bool) {
+	i, p, ok := mmDigits(data, pos)
+	if !ok || p >= len(data) || data[p] != ' ' {
+		return 0, 0, 0, false
+	}
+	if j, p, ok = mmDigits(data, p+1); !ok || p >= len(data) {
+		return 0, 0, 0, false
+	}
+	switch data[p] {
+	case '\n':
+		return i, j, p + 1, true
+	case ' ', '\t':
+		if k := bytes.IndexByte(data[p:], '\n'); k >= 0 {
+			return i, j, p + k + 1, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// mmDigits reads the run of decimal digits at data[pos:]; ok is false
+// unless it has 1 to 18 digits.
+func mmDigits(data []byte, pos int) (val int64, next int, ok bool) {
+	p := pos
+	for p < len(data) {
+		d := data[p] - '0'
+		if d > 9 {
+			break
+		}
+		val = val*10 + int64(d)
+		p++
+	}
+	return val, p, p > pos && p-pos <= 18
 }
 
 // mmBlankOrComment reports whether the line carries no data.

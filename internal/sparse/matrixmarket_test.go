@@ -113,17 +113,32 @@ func TestParserMatchesReadMatrixMarket(t *testing.T) {
 	}
 }
 
+// FuzzReadMatrixMarket checks that the parser never panics, agrees with
+// the preserved reference parser on every input, and round-trips what it
+// accepts.
 func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 0.5\n3 2 -1\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate integer skew-symmetric\n3 3 1\n3 1 4\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n% c\n\n4 4 0\n"))
 	f.Add([]byte("junk"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 2.5\n2 1\t-1\r\n 3 3\n3 2 \n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 0000000000000000002\n+2 1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Parser
 		m, err := p.ParseBytes(data)
+		// The preserved reference parser makes the same decision, with
+		// the same error text, and builds the same matrix.
+		var rp refParser
+		want, wantErr := rp.refParseBytes(data)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
 		if err != nil {
 			return // must not panic; any error is acceptable on junk
+		}
+		if m.N() != want.N() || !reflect.DeepEqual(m.colPtr, want.colPtr) || !reflect.DeepEqual(m.rowIdx, want.rowIdx) {
+			t.Fatal("matrix differs from the reference parser's")
 		}
 		// Round trip: write what we parsed, reparse, compare exactly.
 		var buf bytes.Buffer

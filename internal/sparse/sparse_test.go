@@ -60,11 +60,8 @@ func TestSymmetrize(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Symmetrize()
-	if !s.IsSymmetric() {
-		t.Fatal("Symmetrize result not symmetric")
-	}
-	if !s.HasFullDiagonal() {
-		t.Fatal("Symmetrize result lacks diagonal")
+	if !provenSymmetric(s) {
+		t.Fatal("Symmetrize result not symmetric with a full diagonal")
 	}
 	if !s.Has(1, 0) || !s.Has(0, 1) {
 		t.Fatal("Symmetrize lost mirrored entry")
@@ -268,7 +265,7 @@ func TestQuickSymmetrizeIdempotent(t *testing.T) {
 			return false
 		}
 		s := m.Symmetrize()
-		if !s.IsSymmetric() || !s.HasFullDiagonal() {
+		if !provenSymmetric(s) {
 			return false
 		}
 		s2 := s.Symmetrize()
@@ -484,7 +481,7 @@ func TestPermuteRecordedSymmetricMatchesTranspose(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := m.Symmetrize()
-		if !s.symmetric || !s.IsSymmetric() {
+		if !s.symmetric || !provenSymmetric(s) {
 			t.Fatalf("trial %d: Symmetrize result not recorded or not symmetric", trial)
 		}
 		u := *s
@@ -499,7 +496,7 @@ func TestPermuteRecordedSymmetricMatchesTranspose(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(fmt.Sprintf("trial %d", trial), got, want)
-		if !got.symmetric || want.symmetric || !got.IsSymmetric() {
+		if !got.symmetric || want.symmetric || !provenSymmetric(got) {
 			t.Fatalf("trial %d: Permute recorded symmetry %v (unrecorded input: %v)", trial, got.symmetric, want.symmetric)
 		}
 		perm2 := rng.Perm(s.n)
@@ -512,6 +509,9 @@ func TestPermuteRecordedSymmetricMatchesTranspose(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(fmt.Sprintf("trial %d, second permutation", trial), got2, want2)
+		if !got2.symmetric || !provenSymmetric(got2) {
+			t.Fatalf("trial %d: second permutation not recorded or not symmetric", trial)
+		}
 	}
 	// A general pattern is never recorded, so it still transposes.
 	g, err := New(3, [][]int{{0, 2}, {1}, {2}})
@@ -524,5 +524,92 @@ func TestPermuteRecordedSymmetricMatchesTranspose(t *testing.T) {
 	}
 	if pg.symmetric || !pg.Has(0, 2) || pg.Has(2, 0) {
 		t.Fatal("Permute of a general pattern lost its orientation")
+	}
+}
+
+// provenSymmetric runs the full symmetry and diagonal walks on an
+// unrecorded copy of m, so a matrix recorded as symmetric is checked
+// rather than trusted: trusting the record is correct only if every
+// recorded matrix passes them.
+func provenSymmetric(m *Matrix) bool {
+	u := *m
+	u.symmetric = false
+	return u.IsSymmetric() && u.HasFullDiagonal() && refIsSymmetric(&u)
+}
+
+// Every matrix recorded as symmetric passes the full walks unrecorded:
+// Symmetrize results of general, symmetric and diagonal-free patterns,
+// and chains of permutations of them. IsSymmetric and HasFullDiagonal
+// return true for those without walking, and false for an unrecorded
+// asymmetric or diagonal-free pattern.
+func TestRecordedSymmetryPassesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(150)
+		cols := make([][]int, n)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			j := rng.Intn(n)
+			cols[j] = append(cols[j], rng.Intn(n))
+		}
+		m, err := New(n, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := m.Symmetrize()
+		for step := 0; step < 3; step++ {
+			if !cur.symmetric || !cur.IsSymmetric() || !cur.HasFullDiagonal() {
+				t.Fatalf("trial %d step %d: recorded result not reported symmetric", trial, step)
+			}
+			if !provenSymmetric(cur) {
+				t.Fatalf("trial %d step %d: recorded result fails the full walk", trial, step)
+			}
+			if cur, err = cur.Permute(rng.Perm(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	asym, err := New(3, [][]int{{0, 2}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodiag, err := New(2, [][]int{{1}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asym.IsSymmetric() || nodiag.HasFullDiagonal() {
+		t.Fatal("unrecorded pattern trusted without the walk")
+	}
+}
+
+// Symmetrize equals the reference on general, symmetric, diagonal-free and
+// recorded patterns, and allocates its result at its exact size.
+func TestSymmetrizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(120)
+		cols := make([][]int, n)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if trial%4 == 3 && i == j {
+				continue // no diagonal at all
+			}
+			cols[j] = append(cols[j], i)
+			if trial%2 == 1 {
+				cols[i] = append(cols[i], j) // symmetric input
+			}
+		}
+		m, err := New(n, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []*Matrix{m, m.Symmetrize()} {
+			got, want := in.Symmetrize(), refSymmetrize(in)
+			if got.n != want.n || !reflect.DeepEqual(got.colPtr, want.colPtr) || !reflect.DeepEqual(got.rowIdx, want.rowIdx) {
+				t.Fatalf("trial %d: Symmetrize differs from the reference", trial)
+			}
+			if !got.symmetric || cap(got.rowIdx) != len(got.rowIdx) {
+				t.Fatalf("trial %d: result not recorded (%v) or not exactly sized (%d of %d)", trial, got.symmetric, len(got.rowIdx), cap(got.rowIdx))
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package traversal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -21,29 +22,33 @@ func BestPostOrder(t *tree.Tree) Result {
 	peak := make([]int64, p) // peak[i]: best postorder peak of subtree i
 	// Process bottom-up so children peaks are known at the parent.
 	post := t.Postorder()
-	// childOrder[i] holds i's children sorted for the optimal postorder.
-	childOrder := make([][]int32, p)
-	var kidsBuf []int
+	// kids holds every node's children, sorted for the optimal postorder,
+	// in one arena laid out like the tree's CSR: node v's children are
+	// kids[start[v]:start[v+1]].
+	start := make([]int32, p+1)
+	for v := 0; v < p; v++ {
+		start[v+1] = start[v] + int32(t.NumChildren(v))
+	}
+	kids := make([]int32, start[p])
 	for _, v := range post {
-		kidsBuf = t.Children(v, kidsBuf[:0])
-		if len(kidsBuf) == 0 {
+		ks := kids[start[v]:start[v+1]]
+		if len(ks) == 0 {
 			peak[v] = t.MemReq(v)
 			continue
 		}
-		kids := make([]int32, len(kidsBuf))
-		for k, c := range kidsBuf {
-			kids[k] = int32(c)
+		for k := range ks {
+			ks[k] = int32(t.Child(v, k))
 		}
-		sort.SliceStable(kids, func(a, b int) bool {
-			ca, cb := kids[a], kids[b]
-			return peak[ca]-t.F(int(ca)) > peak[cb]-t.F(int(cb))
+		// Non-increasing peak − file; a stable sort with this comparator
+		// has exactly one result.
+		slices.SortStableFunc(ks, func(a, b int32) int {
+			return cmp.Compare(peak[b]-t.F(int(b)), peak[a]-t.F(int(a)))
 		})
-		childOrder[v] = kids
 		// Bottom-up peak: while processing the j-th subtree, the files of
 		// the j−1 finished subtrees are resident; the node's own assembly
 		// MemReq(v) comes last with all children files resident.
 		var resident, best int64
-		for _, c := range kids {
+		for _, c := range ks {
 			if cand := resident + peak[c]; cand > best {
 				best = cand
 			}
@@ -52,7 +57,7 @@ func BestPostOrder(t *tree.Tree) Result {
 		best = maxInt64(best, t.MemReq(v))
 		peak[v] = best
 	}
-	// Emit the bottom-up postorder following childOrder, then reverse it to
+	// Emit the bottom-up postorder following kids, then reverse it to
 	// the top-down orientation.
 	order := make([]int, 0, p)
 	type frame struct {
@@ -62,9 +67,9 @@ func BestPostOrder(t *tree.Tree) Result {
 	stack := []frame{{int32(t.Root()), 0}}
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
-		kids := childOrder[fr.node]
-		if int(fr.next) < len(kids) {
-			c := kids[fr.next]
+		ks := kids[start[fr.node]:start[fr.node+1]]
+		if int(fr.next) < len(ks) {
+			c := ks[fr.next]
 			fr.next++
 			stack = append(stack, frame{c, 0})
 			continue

@@ -2,6 +2,7 @@ package traversal
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -395,5 +396,21 @@ func TestQuickChainCoincidence(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BestPostOrder returns the reference's peak and order on random trees of
+// every attachment kind, ties in the child key included (small weights).
+func TestBestPostOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		tr, err := tree.Random(rng, tree.RandomOptions{Nodes: 1 + rng.Intn(400), MaxF: 1 + rng.Int63n(20), MaxN: 1 + rng.Int63n(8), Attach: tree.AttachKind(trial % 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := BestPostOrder(tr), refBestPostOrder(tr)
+		if got.Memory != want.Memory || !slices.Equal(got.Order, want.Order) {
+			t.Fatalf("trial %d: BestPostOrder differs from the reference", trial)
+		}
 	}
 }
