@@ -18,18 +18,17 @@
 //	experiments -exp grid -backend http://h1:8080,http://h2:8080 -progress
 //
 // A comma-separated -backend URL list shards the grid: chunks of jobs fan
-// out across the servers concurrently under the -shard-policy scheduler
-// (adaptive by default: each chunk goes to the server with the lowest
+// out across the servers concurrently, each to the server with the lowest
 // expected completion time, so a slow or busy server naturally receives
-// fewer chunks). A failed chunk is resubmitted to another server and the
+// fewer chunks. A failed chunk is resubmitted to another server and the
 // failing server is quarantined with exponential backoff, health-probed,
 // and readmitted when it recovers; the merged rows are bit-identical to a
-// local run (Seconds aside). -warm forwards each computed chunk's rows to
-// the sibling servers' caches, so a re-run or resubmitted chunk is warm
-// everywhere. After the grid the shard's scheduling counters
-// (resubmissions, quarantines, readmissions, warmed rows) and per-server
-// dispatch statistics are reported. -progress reports rows/sec and
-// completed/total on stderr, so long sharded sweeps are observable.
+// local run (Seconds aside). -hedge-after races a straggling chunk on a
+// second server. Servers started with scheduled -peers warm each other's
+// caches. After the grid the shard's scheduling counters (resubmissions,
+// quarantines, readmissions, hedges) and per-server dispatch statistics
+// are reported. -progress reports rows/sec and completed/total on stderr,
+// so long sharded sweeps are observable.
 package main
 
 import (
@@ -68,10 +67,7 @@ func run(args []string, w io.Writer) error {
 	backendSpec := fs.String("backend", "local", "grid evaluation backend: local | cached | scheduled-server URL(s); a comma-separated URL list shards the grid across the servers")
 	cachePath := fs.String("cache", "", "paged row-store path for -backend cached (empty = in-memory)")
 	retries := fs.Int("retries", 2, "per-chunk submission retries for remote backends (transient errors only)")
-	shardPolicy := fs.String("shard-policy", "adaptive", "chunk dispatch policy for sharded backends: adaptive | roundrobin")
-	warm := fs.Bool("warm", false, "forward computed rows to sibling server caches (sharded backends)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge straggler chunks after this floor delay (0 = no hedging; sharded backends)")
-	hedgeMultiple := fs.Float64("hedge-multiple", 0, "hedge a chunk running this many times past its predicted completion (0 = default)")
 	progress := fs.Bool("progress", false, "report grid progress (completed/total, rows/sec) on stderr")
 	noTime := fs.Bool("notime", false, "zero the seconds column of grid exports, making CSV/JSONL byte-identical across backends and reruns")
 	benchOut := fs.String("bench-out", "BENCH_solver.json", "output path for the -exp bench record file")
@@ -81,20 +77,16 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	grid := gridConfig{
+		algos: *algos, workers: *workers, csvDir: *csvDir,
+		backend: *backendSpec, cachePath: *cachePath, retries: *retries,
+		hedgeAfter: *hedgeAfter, progress: *progress, noTime: *noTime,
+	}
 	if *exp == "bench" {
 		return runBench(w, *benchOut, *benchNodes)
 	}
 	if *exp == "matrices" {
-		return runMatrices(w, matricesConfig{
-			grid: gridConfig{
-				algos: *algos, workers: *workers, csvDir: *csvDir,
-				backend: *backendSpec, cachePath: *cachePath, retries: *retries,
-				shardPolicy: *shardPolicy, warm: *warm,
-				hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
-				progress: *progress, noTime: *noTime,
-			},
-			corpus: *corpusName, corpusDir: *corpusDir,
-		})
+		return runMatrices(w, matricesConfig{grid: grid, corpus: *corpusName, corpusDir: *corpusDir})
 	}
 	manifest, err := corpus.SuiteManifest(*scaleName)
 	if err != nil {
@@ -240,14 +232,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if want("grid") {
-		cfg := gridConfig{
-			algos: *algos, workers: *workers, csvDir: *csvDir,
-			backend: *backendSpec, cachePath: *cachePath, retries: *retries,
-			shardPolicy: *shardPolicy, warm: *warm,
-			hedgeAfter: *hedgeAfter, hedgeMultiple: *hedgeMultiple,
-			progress: *progress, noTime: *noTime,
-		}
-		if err := runGrid(w, insts, cfg); err != nil {
+		if err := runGrid(w, insts, grid); err != nil {
 			return err
 		}
 	}
@@ -256,27 +241,22 @@ func run(args []string, w io.Writer) error {
 
 // gridConfig carries the grid experiment's flag values.
 type gridConfig struct {
-	algos         string
-	workers       int
-	csvDir        string
-	backend       string
-	cachePath     string
-	retries       int
-	shardPolicy   string
-	warm          bool
-	hedgeAfter    time.Duration
-	hedgeMultiple float64
-	progress      bool
-	noTime        bool
+	algos      string
+	workers    int
+	csvDir     string
+	backend    string
+	cachePath  string
+	retries    int
+	hedgeAfter time.Duration
+	progress   bool
+	noTime     bool
 }
 
 // newBackend resolves a -backend spec: "local", "cached" (decorating local
 // with an in-memory store, or the paged row store at cachePath), the URL of
 // a scheduled evaluation server, or a comma-separated URL list, which builds
-// a schedule.Shard fanning chunks out across the servers under the
-// -shard-policy scheduler (with -warm, computed rows are forwarded to
-// sibling caches). The cleanup func flushes the on-disk store; call it when
-// the grid is done.
+// a schedule.Shard fanning chunks out across the servers. The cleanup func
+// flushes the on-disk store; call it when the grid is done.
 func newBackend(cfg gridConfig) (schedule.Backend, func() error, error) {
 	nop := func() error { return nil }
 	newClient := func(url string) (*service.Client, error) {
@@ -312,12 +292,7 @@ func newBackend(cfg gridConfig) (schedule.Backend, func() error, error) {
 			}
 			children = append(children, c)
 		}
-		shard, err := schedule.NewShardWith(schedule.ShardOptions{
-			Policy:        schedule.ShardPolicy(cfg.shardPolicy),
-			Warm:          cfg.warm,
-			HedgeAfter:    cfg.hedgeAfter,
-			HedgeMultiple: cfg.hedgeMultiple,
-		}, children...)
+		shard, err := schedule.NewShardWith(schedule.ShardOptions{HedgeAfter: cfg.hedgeAfter}, children...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -473,9 +448,9 @@ func runGrid(w io.Writer, insts []schedule.Instance, cfg gridConfig) error {
 // scheduler spread the work and which servers flapped.
 func reportShard(w io.Writer, s *schedule.Shard) {
 	c := s.Counters()
-	if c.Resubmissions > 0 || c.Quarantines > 0 || c.Readmissions > 0 || c.WarmedRows > 0 || c.WarmErrors > 0 {
-		fmt.Fprintf(w, "  shard: %d resubmissions, %d quarantines, %d readmissions, %d warmed rows, %d warm errors\n",
-			c.Resubmissions, c.Quarantines, c.Readmissions, c.WarmedRows, c.WarmErrors)
+	if c.Resubmissions > 0 || c.Quarantines > 0 || c.Readmissions > 0 {
+		fmt.Fprintf(w, "  shard: %d resubmissions, %d quarantines, %d readmissions\n",
+			c.Resubmissions, c.Quarantines, c.Readmissions)
 	}
 	if c.Hedges > 0 {
 		fmt.Fprintf(w, "  shard: %d hedges, %d hedge wins\n", c.Hedges, c.HedgeWins)

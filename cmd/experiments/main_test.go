@@ -130,6 +130,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &sb); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// Gossip between servers warms sibling caches, and dispatch is always
+	// adaptive with a fixed hedge multiple.
+	for _, flag := range []string{"-warm", "-shard-policy=roundrobin", "-hedge-multiple=2"} {
+		if err := run([]string{"-exp", "grid", "-scale", "small", flag}, &sb); err == nil {
+			t.Fatalf("deleted flag %s accepted", flag)
+		}
+	}
 	if err := run([]string{"-exp", "grid", "-scale", "small", "-backend", "bogus"}, &sb); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
@@ -165,18 +172,11 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 		t.Fatal("second server never dispatched to")
 	}
 
-	// Both dispatch policies and cache warming produce the same bytes.
-	rrCSV, rrJSONL := gridFiles("roundrobin", "-backend", srv1.URL+","+srv2.URL,
-		"-retries", "0", "-shard-policy", "roundrobin", "-warm")
-	if rrCSV != localCSV || rrJSONL != localJSONL {
-		t.Fatal("round-robin warmed shard exports differ from local")
-	}
-
 	// A child serving from a paged row store, cold and then reopened as a
 	// restarted server would: the second export is answered from the
-	// on-disk B-tree and is byte-identical again. The cold run warms the
-	// store with the sibling's rows too, so whichever chunks the reopened
-	// child is dispatched, every one is a hit.
+	// on-disk B-tree and is byte-identical again. The cold run uses the
+	// paged server alone, so its store holds every row and whichever
+	// chunks the reopened child is dispatched, every one is a hit.
 	storePath := filepath.Join(dir, "rows.paged")
 	for _, name := range []string{"paged-cold", "paged-reopened"} {
 		store, err := schedule.OpenPagedStore(storePath)
@@ -187,11 +187,11 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 		paged := httptest.NewServer(service.NewServerWith(service.ServerOptions{
 			Backend: cached, Cache: cached, Store: store, Rows: store,
 		}).Handler())
-		args := []string{"-backend", srv1.URL + "," + paged.URL}
+		backend := srv1.URL + "," + paged.URL
 		if name == "paged-cold" {
-			args = append(args, "-warm")
+			backend = paged.URL
 		}
-		csv, jsonl := gridFiles(name, args...)
+		csv, jsonl := gridFiles(name, "-backend", backend)
 		paged.Close()
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
@@ -205,14 +205,10 @@ func TestGridShardedBackendByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Malformed lists and unknown policies are rejected.
+	// Malformed lists are rejected.
 	var sb strings.Builder
 	if err := run([]string{"-exp", "grid", "-scale", "small", "-backend", srv1.URL + ",bogus"}, &sb); err == nil {
 		t.Fatal("non-URL shard member accepted")
-	}
-	if err := run([]string{"-exp", "grid", "-scale", "small",
-		"-backend", srv1.URL + "," + srv2.URL, "-shard-policy", "fastest"}, &sb); err == nil {
-		t.Fatal("unknown shard policy accepted")
 	}
 }
 

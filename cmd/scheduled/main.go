@@ -12,19 +12,21 @@
 // answered without re-running the algorithms. -cache-max bounds the store:
 // beyond that many rows the least-recently-used entries are deleted in
 // place through the store's free list, so a long-lived server's store does
-// not grow without bound. The same store backs the
-// /v1/warm endpoint: rows a shard (or a sibling server) computed elsewhere
-// are pushed in and answer later batches here, so a fleet of cached servers
-// converges on one warm working set.
+// not grow without bound. The same store backs the /v1/warm endpoint: rows
+// a sibling server computed and gossiped (see -peers) are pushed in and
+// answer later batches here, so a fleet of cached servers converges on one
+// warm working set.
 //
 // The server is multi-tenant: callers name their tenant in the X-Tenant
 // header and are admission-controlled per tenant. -tenant-rate and
 // -tenant-burst shape a token bucket in jobs per second and -tenant-queue
 // bounds each tenant's admitted-but-unfinished jobs; over-limit batches
 // are rejected with 429 and a Retry-After hint that service.Client honors.
-// -concurrency lifts the one-batch-at-a-time evaluation bound. Everything — batch outcomes, cache and store counters,
-// per-tenant admission stats — is scrapeable from /metrics in the
-// Prometheus text format.
+// -concurrency lifts the one-batch-at-a-time evaluation bound. Everything —
+// batch outcomes, cache and store counters, per-tenant admission stats — is
+// scrapeable from /metrics in the Prometheus text format. The server tracks
+// a bounded number of tenants; idle ones past the bound fold into one
+// aggregate series.
 //
 // With -children the server is a front door: batches fan out over the
 // named child servers through the shard scheduler instead of evaluating
@@ -32,18 +34,18 @@
 // queue is already that deep. -chunk re-cuts each client batch into chunks
 // of that many jobs (default 64), so the scheduler has enough pieces to
 // spread; -hedge-after enables speculative re-dispatch of straggler
-// chunks — a chunk running past max(-hedge-after, -hedge-multiple × the
-// child's predicted completion time) is raced on a second healthy child,
-// the first result wins and the loser is cancelled. The shard's scheduling
-// counters (including hedges and hedge wins) then appear on /metrics too.
+// chunks — a chunk running past max(-hedge-after, 3 × the child's predicted
+// completion time) is raced on a second healthy child, the first result
+// wins and the loser is cancelled. The shard's scheduling counters
+// (including hedges and hedge wins) then appear on /metrics too.
 //
 // With -peers the server push-gossips its results: after every successful
 // batch the computed rows are offered, keyed by cache key, to each peer's
-// /v1/warm endpoint through a bounded per-peer queue (-gossip-queue
-// batches). A slow or dead peer drops warm batches instead of slowing the
-// serving path, and rows received on /v1/warm are never re-gossiped, so
-// fleets of cached servers heat each other without loops and without a
-// shard in the middle.
+// /v1/warm endpoint through a per-peer queue of up to 16 batches. A slow or
+// dead peer drops warm batches instead of slowing the serving path, and
+// rows received on /v1/warm are never re-gossiped, so fleets of cached
+// servers heat each other without loops. Gossip is the only way rows reach
+// a sibling's cache; a front door's shard does not warm its children.
 //
 // On SIGINT/SIGTERM the server drains: in-flight batches finish (bounded
 // by -drain), the row store is flushed and closed, and the process exits 0.
@@ -54,6 +56,7 @@
 //	scheduled -addr :9090 -workers 8 -cache rows.paged -cache-max 100000
 //	scheduled -addr :8080 -tenant-rate 500 -tenant-burst 2000 -tenant-queue 5000
 //	scheduled -addr :8080 -children http://10.0.0.1:9090,http://10.0.0.2:9090 -admit-depth 256
+//	scheduled -addr :9090 -cache rows.paged -peers http://10.0.0.2:9090
 //	scheduled -list
 package main
 
@@ -121,9 +124,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	admitDepth := fs.Int("admit-depth", 0, "shed batches with 429 when every healthy child queues this many jobs (0 = never; needs -children)")
 	chunk := fs.Int("chunk", 0, "front-door chunk size: re-cut client batches into chunks of this many jobs (0 = engine default; needs -children)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge straggler chunks after this floor delay (0 = no hedging; needs -children)")
-	hedgeMultiple := fs.Float64("hedge-multiple", 0, "hedge a chunk running this many times past its predicted completion (0 = default; needs -hedge-after)")
 	peers := fs.String("peers", "", "comma-separated peer server URLs; push computed rows to their /v1/warm caches after each batch")
-	gossipQueue := fs.Int("gossip-queue", 0, "per-peer bound on queued warm batches; full queues drop, never block (0 = default)")
 	drain := fs.Duration("drain", 5*time.Second, "shutdown bound on draining in-flight batches")
 	list := fs.Bool("list", false, "list the registered algorithms and exit")
 	if err := fs.Parse(args); err != nil {
@@ -157,7 +158,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		shard, err = schedule.NewShardWith(schedule.ShardOptions{
 			MaxQueueDepth: *admitDepth,
 			HedgeAfter:    *hedgeAfter,
-			HedgeMultiple: *hedgeMultiple,
 			ChunkSize:     *chunk,
 		}, kids...)
 		if err != nil {
@@ -207,11 +207,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			warmers = append(warmers, service.NewClient(url, nil))
 			names = append(names, url)
 		}
-		gossip = service.NewGossiper(service.GossiperOptions{QueueBound: *gossipQueue}, warmers...)
+		gossip = service.NewGossiper(warmers...)
 		defer gossip.Close()
 		fmt.Fprintf(w, "scheduled: gossiping warm rows to %d peers (%s)\n", len(names), strings.Join(names, ", "))
-	} else if *gossipQueue != 0 {
-		return fmt.Errorf("-gossip-queue needs -peers: there is no queue without peers to push to")
 	}
 
 	tenants := tenant.NewRegistry(tenant.Limits{

@@ -364,9 +364,12 @@ func TestListAndErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-badflag"}, &sb); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	// Tenants have no tree corpus to bound.
-	if err := run(context.Background(), []string{"-tenant-trees", "1"}, &sb); err == nil {
-		t.Fatal("-tenant-trees accepted")
+	// Tenants have no tree corpus to bound, and the hedge multiple and the
+	// gossip queue bound are fixed.
+	for _, flag := range []string{"-tenant-trees=1", "-hedge-multiple=2", "-gossip-queue=4"} {
+		if err := run(context.Background(), []string{flag}, &sb); err == nil {
+			t.Fatalf("%s accepted", flag)
+		}
 	}
 	if err := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &sb); err == nil {
 		t.Fatal("bad address accepted")
@@ -442,11 +445,6 @@ func TestServeGossipPeers(t *testing.T) {
 	out = shutdownPeer()
 	if !strings.Contains(out, "2 cache hits, 0 misses") {
 		t.Fatalf("gossip-warmed peer recomputed:\n%s", out)
-	}
-
-	// -gossip-queue without -peers cannot work: there is no queue to bound.
-	if err := run(context.Background(), []string{"-gossip-queue", "4"}, io.Discard); err == nil {
-		t.Fatal("-gossip-queue without -peers accepted")
 	}
 }
 

@@ -66,15 +66,6 @@ var policyKeys = [...]string{
 	BestKCombination: "best-k",
 }
 
-// RegistryName returns the schedule-registry name of the policy ("first-fit"
-// for FirstFit), or "" for an unknown policy.
-func (p Policy) RegistryName() string {
-	if p < LSNF || p > BestKCombination {
-		return ""
-	}
-	return policyKeys[p]
-}
-
 // String returns the paper's name for the policy.
 func (p Policy) String() string {
 	if p < LSNF || p > BestKCombination {

@@ -315,25 +315,6 @@ func (c *Cached) Admit(jobs int) error {
 	return nil
 }
 
-// WarmRows implements RowWarmer: the entries land in the cache's store, so
-// a Cached child of a Shard receives cross-shard cache warming — rows
-// computed by a sibling answer later hits here without re-running anything.
-// Entries with an empty key are skipped; the count of stored entries is
-// returned.
-func (c *Cached) WarmRows(_ context.Context, entries []WarmEntry) (int, error) {
-	n := 0
-	for _, e := range entries {
-		if e.Key == "" {
-			continue
-		}
-		if err := c.store.Put(e.Key, e.Row); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // Stream implements Backend by chunking the source through Run: within each
 // chunk the hits are answered from the store without touching the inner
 // backend — a fully warm chunk costs zero algorithm runs and its rows flow

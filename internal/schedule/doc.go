@@ -41,10 +41,9 @@
 //
 // # Retry, quarantine and readmission
 //
-// Shard fans chunks out across several child backends. Each chunk is
-// dispatched by the ShardOptions.Policy scheduler — adaptive by default,
-// weighting dispatch by each child's windowed observed throughput and
-// in-flight load. A chunk whose child fails is resubmitted to another
+// Shard fans chunks out across several child backends. Each chunk goes to
+// the child with the lowest expected completion time, weighting dispatch
+// by each child's windowed observed throughput and in-flight load. A chunk whose child fails is resubmitted to another
 // child; the failing child is quarantined with exponential backoff, probed
 // (HealthChecker) once the backoff expires, and readmitted when the probe
 // passes. Only when every child has failed the chunk — by running it or by
@@ -74,7 +73,8 @@
 // Cached decorates any backend with a content-addressed row store keyed by
 // CacheKey (tree digest + algorithm + budget + window + order digest);
 // MemStore (in process) and PagedStore (on disk, out of core) implement the
-// Store interface with optional LRU bounds. A Shard with ShardOptions.Warm forwards each computed chunk's
-// keyed rows to every sibling implementing RowWarmer, so the fleet's
-// caches converge on one warm working set.
+// Store interface with optional LRU bounds. NewWarmEntries keys a batch's
+// rows for a RowWarmer; the service package's Gossiper pushes every served
+// batch to the peer servers that way, so a fleet's caches converge on one
+// warm working set. A Shard does not warm its children.
 package schedule

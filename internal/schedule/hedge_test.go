@@ -29,9 +29,9 @@ func exportNoTime(t *testing.T, rows []schedule.Row) []byte {
 	return buf.Bytes()
 }
 
-// The pinned differential: one child turns an order of magnitude slower
-// mid-grid. A hedged shard must (a) export byte-identical rows to a Local
-// run, (b) record at least one hedge win, (c) cancel the straggling
+// The pinned differential: one child is an order of magnitude slower than
+// the chunks' hedge delay. A hedged shard must (a) export byte-identical
+// rows to a Local run, (b) record at least one hedge win, (c) cancel the straggling
 // attempt rather than abandon it, and (d) emit exactly one row per job —
 // the losing arm's rows never reach the sink.
 func TestHedgedShardBeatsStraggler(t *testing.T) {
@@ -42,16 +42,14 @@ func TestHedgedShardBeatsStraggler(t *testing.T) {
 	}
 	wantJSON := exportNoTime(t, want)
 
-	// The straggler answers its first call at full speed, then stalls every
-	// later chunk far past the hedge threshold. Round-robin dispatch keeps
-	// feeding it regardless — the worst case for a straggler, and the
-	// deterministic one: the adaptive policy would instead starve it of
-	// chunks after the first throughput measurement.
+	// The straggler stalls every chunk far past the hedge threshold. It is
+	// child 0, and adaptive dispatch explores unmeasured children lowest
+	// index first, so the first chunk lands on it and only a hedge can
+	// finish that chunk.
 	slow := scheduletest.NewFaultBackend(schedule.Local{})
-	slow.SlowAfter(1, 400*time.Millisecond)
+	slow.SetDelay(400 * time.Millisecond)
 	fast := scheduletest.NewFaultBackend(schedule.Local{})
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
-		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     20 * time.Millisecond,
 		QuarantineBase: time.Millisecond,
 	}, slow, fast)
@@ -144,7 +142,8 @@ func TestHedgedShardRandomLatencyMatchesLocal(t *testing.T) {
 
 // Concurrent hedged streams over one shard — the shape the race detector
 // job leans on: four grids in flight at once, all hedging off the same
-// straggler, each must come back complete and duplicate-free.
+// straggler (child 0, slow from its first call), each must come back
+// complete and duplicate-free.
 func TestHedgedShardConcurrentStreams(t *testing.T) {
 	jobs := gridJobs(t)
 	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
@@ -152,9 +151,8 @@ func TestHedgedShardConcurrentStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := scheduletest.NewFaultBackend(schedule.Local{})
-	slow.SlowAfter(1, 60*time.Millisecond)
+	slow.SetDelay(60 * time.Millisecond)
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
-		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     10 * time.Millisecond,
 		QuarantineBase: time.Millisecond,
 	}, slow, scheduletest.NewFaultBackend(schedule.Local{}))

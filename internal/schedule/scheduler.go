@@ -8,66 +8,47 @@ import (
 	"time"
 )
 
-// ShardPolicy names a chunk-dispatch policy of the Shard backend.
+// ShardPolicy names a chunk-dispatch policy of the Shard backend. There is
+// one, PolicyAdaptive; the type and ShardOptions.Policy are kept because
+// perfbench's serve-shard workload sets the field.
 type ShardPolicy string
 
-// The two dispatch policies: adaptive expected-completion-time scheduling
-// (the default) and the legacy round-robin rotation.
+// PolicyAdaptive dispatches each chunk to the child with the lowest
+// expected completion time — (in-flight jobs + chunk jobs) divided by the
+// child's observed throughput over a sliding window — so a slow or busy
+// server naturally receives fewer chunks. Children with no throughput
+// samples yet are explored first (least-loaded, then lowest index), so
+// every child is measured before the weighting kicks in.
+const PolicyAdaptive ShardPolicy = "adaptive"
+
+// Fixed scheduler tuning.
 const (
-	// PolicyAdaptive dispatches each chunk to the child with the lowest
-	// expected completion time — (in-flight jobs + chunk jobs) divided by
-	// the child's observed throughput over a sliding window — so a slow or
-	// busy server naturally receives fewer chunks. Children with no
-	// throughput samples yet are explored first (least-loaded, then lowest
-	// index), so every child is measured before the weighting kicks in.
-	PolicyAdaptive ShardPolicy = "adaptive"
-	// PolicyRoundRobin rotates chunks across the children in index order,
-	// skipping quarantined ones: every healthy child receives the same
-	// number of chunks regardless of how fast it drains them.
-	PolicyRoundRobin ShardPolicy = "roundrobin"
+	// defaultQuarantineBase is the first quarantine interval after a child
+	// fails a chunk when ShardOptions.QuarantineBase is unset; each further
+	// failure doubles it up to quarantineMax, and a successful chunk resets
+	// the ladder.
+	defaultQuarantineBase = 250 * time.Millisecond
+	// throughputWindow is the number of recent chunk completions averaged
+	// into a child's observed throughput.
+	throughputWindow = 8
+	// quarantineMax caps the exponential quarantine backoff.
+	quarantineMax = 30 * time.Second
+	// hedgeMultiple scales a child's predicted chunk completion time into
+	// the hedge delay: a chunk may run this many times longer than
+	// predicted before a speculative re-dispatch fires.
+	hedgeMultiple = 3.0
 )
 
-// Default tuning of ShardOptions: the throughput window length and the
-// quarantine backoff ladder.
-const (
-	// DefaultThroughputWindow is the number of recent chunk completions the
-	// adaptive policy averages a child's throughput over.
-	DefaultThroughputWindow = 8
-	// DefaultQuarantineBase is the first quarantine interval after a child
-	// fails a chunk; each further failure doubles it up to
-	// DefaultQuarantineMax, and a successful chunk resets the ladder.
-	DefaultQuarantineBase = 250 * time.Millisecond
-	// DefaultQuarantineMax caps the exponential quarantine backoff.
-	DefaultQuarantineMax = 30 * time.Second
-	// DefaultHedgeMultiple scales a child's predicted chunk completion time
-	// into the hedge delay when ShardOptions.HedgeMultiple is unset: a chunk
-	// may run this many times longer than predicted before a speculative
-	// re-dispatch fires.
-	DefaultHedgeMultiple = 3.0
-)
-
-// ShardOptions tunes the Shard scheduler. The zero value selects the
-// adaptive policy with the default window and backoff ladder and no cache
-// warming.
+// ShardOptions tunes the Shard scheduler. The zero value selects adaptive
+// dispatch with the default backoff ladder, no admission control and no
+// hedging.
 type ShardOptions struct {
-	// Policy selects the dispatch policy; empty selects PolicyAdaptive.
+	// Policy must be empty or PolicyAdaptive.
 	Policy ShardPolicy
-	// ThroughputWindow is the number of recent chunk completions averaged
-	// into a child's observed throughput (≤ 0 selects
-	// DefaultThroughputWindow).
-	ThroughputWindow int
 	// QuarantineBase is the first quarantine interval after a chunk failure
-	// (≤ 0 selects DefaultQuarantineBase). Each consecutive failure doubles
-	// it; a successful chunk resets the ladder.
+	// (≤ 0 selects 250 ms). Each consecutive failure doubles it up to 30 s;
+	// a successful chunk resets the ladder.
 	QuarantineBase time.Duration
-	// QuarantineMax caps the exponential backoff (≤ 0 selects
-	// DefaultQuarantineMax).
-	QuarantineMax time.Duration
-	// Warm forwards each computed chunk's rows to every sibling child that
-	// implements RowWarmer (keyed by CacheKey), so a resubmitted or re-run
-	// chunk is warm on every cache in the fleet. Forwarding is best-effort:
-	// failures advance the WarmErrors counter but never fail the chunk.
-	Warm bool
 	// MaxQueueDepth enables admission control (Shard.Admit): when every
 	// healthy (non-quarantined) child already has at least this many jobs
 	// in flight, new work is shed with an *OverloadError instead of
@@ -77,50 +58,21 @@ type ShardOptions struct {
 	MaxQueueDepth int
 	// HedgeAfter enables speculative (hedged) re-dispatch of straggler
 	// chunks: when an in-flight chunk has run longer than its hedge delay —
-	// max(HedgeAfter, HedgeMultiple × the dispatching child's predicted
-	// completion time from its windowed throughput) — the chunk is also
-	// dispatched to another healthy child. The first result wins; the loser
-	// is cancelled via context and its rows never reach the sink, so the
-	// merged stream stays bit-identical to a Local run. 0 (the default)
-	// disables hedging. HedgeAfter is also the floor of the delay, and the
-	// whole delay while a child is still unmeasured, so set it comfortably
-	// above the fleet's healthy per-chunk latency.
+	// max(HedgeAfter, 3 × the dispatching child's predicted completion time
+	// from its windowed throughput) — the chunk is also dispatched to
+	// another healthy child. The first result wins; the loser is cancelled
+	// via context and its rows never reach the sink, so the merged stream
+	// stays bit-identical to a Local run. 0 (the default) disables hedging.
+	// HedgeAfter is also the floor of the delay, and the whole delay while
+	// a child is still unmeasured, so set it comfortably above the fleet's
+	// healthy per-chunk latency.
 	HedgeAfter time.Duration
-	// HedgeMultiple scales the predicted completion time into the hedge
-	// delay (≤ 0 selects DefaultHedgeMultiple). Meaningful only with
-	// HedgeAfter > 0.
-	HedgeMultiple float64
 	// ChunkSize, when > 0, is the shard's default stream chunk size, used
 	// by Stream calls that do not set StreamOptions.ChunkSize themselves
 	// (the per-call option wins). A front-door server re-chunking one large
 	// client batch sets this so adaptive dispatch and hedging get enough
 	// chunks to schedule.
 	ChunkSize int
-
-	// now is the test hook for the scheduler clock; nil selects time.Now.
-	now func() time.Time
-}
-
-func (o ShardOptions) withDefaults() ShardOptions {
-	if o.Policy == "" {
-		o.Policy = PolicyAdaptive
-	}
-	if o.ThroughputWindow <= 0 {
-		o.ThroughputWindow = DefaultThroughputWindow
-	}
-	if o.QuarantineBase <= 0 {
-		o.QuarantineBase = DefaultQuarantineBase
-	}
-	if o.QuarantineMax <= 0 {
-		o.QuarantineMax = DefaultQuarantineMax
-	}
-	if o.HedgeMultiple <= 0 {
-		o.HedgeMultiple = DefaultHedgeMultiple
-	}
-	if o.now == nil {
-		o.now = time.Now
-	}
-	return o
 }
 
 // HealthChecker is the optional probe interface of a shard child: a
@@ -158,17 +110,18 @@ func (e *OverloadError) Error() string {
 }
 
 // WarmEntry is one row keyed for a content-addressed store, the unit of
-// cross-shard cache warming: Key is CacheKey of the job that produced Row.
+// push gossip between servers: Key is CacheKey of the job that produced
+// Row.
 type WarmEntry struct {
 	Key string `json:"key"`
 	Row Row    `json:"row"`
 }
 
-// RowWarmer is the optional cache-warming interface of a shard child: the
-// shard forwards each computed chunk's keyed rows to every sibling
-// implementing it, so sibling caches answer a re-run of the chunk without
-// recomputing. WarmRows reports how many entries were stored (a cacheless
-// receiver may store none).
+// RowWarmer is a receiver of pushed rows: service.Client implements it
+// over a server's /v1/warm endpoint, and service.Gossiper pushes each
+// served batch's keyed rows to its peers through it, so a peer's cache
+// answers the same jobs without recomputing. WarmRows reports how many
+// entries were stored (a cacheless receiver may store none).
 type RowWarmer interface {
 	WarmRows(ctx context.Context, entries []WarmEntry) (int, error)
 }
@@ -176,8 +129,7 @@ type RowWarmer interface {
 // NewWarmEntries keys a batch's rows by CacheKey for cache warming,
 // hashing each distinct order of the batch once (see keyMemo).
 // jobs and rows must be parallel slices, as returned by a successful
-// Backend.Run. Servers use it to build push-gossip payloads without a
-// shard in the loop.
+// Backend.Run. Servers use it to build push-gossip payloads.
 func NewWarmEntries(jobs []Job, rows []Row) []WarmEntry {
 	entries := make([]WarmEntry, len(jobs))
 	var km keyMemo
@@ -216,7 +168,7 @@ type shardChild struct {
 	inFlightChunks int
 	inFlightJobs   int
 
-	// Sliding throughput window: the last ThroughputWindow completed
+	// Sliding throughput window: the last throughputWindow completed
 	// chunks' row counts and durations, with running sums.
 	samples []tpSample
 	sumRows float64
@@ -248,11 +200,11 @@ func (c *shardChild) throughput() (float64, bool) {
 	return c.sumRows / math.Max(c.sumSecs, 1e-9), true
 }
 
-func (c *shardChild) observe(rows int, secs float64, window int) {
+func (c *shardChild) observe(rows int, secs float64) {
 	c.samples = append(c.samples, tpSample{rows: float64(rows), secs: secs})
 	c.sumRows += float64(rows)
 	c.sumSecs += secs
-	if len(c.samples) > window {
+	if len(c.samples) > throughputWindow {
 		old := c.samples[0]
 		c.samples = c.samples[1:]
 		c.sumRows -= old.rows
@@ -272,12 +224,6 @@ type ShardCounters struct {
 	// Readmissions counts quarantine exits: the child's backoff expired and
 	// its health probe (if it has one) succeeded.
 	Readmissions int64
-	// WarmedRows counts rows accepted by sibling caches through cache
-	// warming (ShardOptions.Warm).
-	WarmedRows int64
-	// WarmErrors counts failed warm forwards; warming is best-effort, so
-	// these never fail a chunk.
-	WarmErrors int64
 	// LoadSheds counts Admit rejections: batches turned away because
 	// every healthy child's queue held at least MaxQueueDepth jobs.
 	LoadSheds int64
@@ -315,12 +261,61 @@ type ShardChildStats struct {
 
 // probeTimeout bounds one health probe, so a black-holed server cannot
 // hold a readmission check (and with it a chunk waiting on the probe's
-// outcome) hostage. warmTimeout likewise bounds one best-effort warm push,
-// which carries a chunk of rows and so gets a more generous budget.
-const (
-	probeTimeout = 5 * time.Second
-	warmTimeout  = 30 * time.Second
-)
+// outcome) hostage.
+const probeTimeout = 5 * time.Second
+
+// pickScan is one pass over a chunk's untried children under s.mu: the
+// child it charged, if any, and where the others stand.
+type pickScan struct {
+	// idx is the available child chosen and charged for the chunk, or -1.
+	idx int
+	// due are quarantined children whose backoff expired; the scan marked
+	// them probing, so the caller must probe each.
+	due []int
+	// probing reports an untried child mid-probe by another chunk.
+	probing bool
+	// wait is the earliest future due time among the benched children
+	// (zero when none).
+	wait time.Time
+	// remaining reports whether any untried child exists at all.
+	remaining bool
+}
+
+// scan sorts the untried children into available, due, probing and
+// waiting, marks the due ones probing, and charges the chosen available
+// child with a chunk of n jobs. It is the one place the quarantine rules
+// are read; pick and tryPick act on its result.
+func (s *Shard) scan(tried map[int]bool, n int) pickScan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := time.Now()
+	sc := pickScan{idx: -1}
+	var avail []int
+	for i := range s.children {
+		if tried[i] {
+			continue
+		}
+		sc.remaining = true
+		c := &s.children[i]
+		switch {
+		case !c.quarantined:
+			avail = append(avail, i)
+		case c.probing:
+			sc.probing = true
+		case !now.Before(c.until):
+			c.probing = true
+			sc.due = append(sc.due, i)
+		case sc.wait.IsZero() || c.until.Before(sc.wait):
+			sc.wait = c.until
+		}
+	}
+	if len(avail) > 0 {
+		sc.idx = s.choose(avail, n)
+		s.children[sc.idx].inFlightChunks++
+		s.children[sc.idx].inFlightJobs += n
+	}
+	return sc
+}
 
 // pick selects and charges a child for a chunk of n jobs. Children in tried
 // are excluded. Quarantined children whose backoff expired are probed — in
@@ -332,47 +327,19 @@ const (
 // context is done.
 func (s *Shard) pick(ctx context.Context, tried map[int]bool, n int) int {
 	for {
-		s.mu.Lock()
-		now := s.opt.now()
-		var avail, due []int
-		probing := false
-		var wait time.Time
-		for i := range s.children {
-			if tried[i] {
-				continue
-			}
-			c := &s.children[i]
-			switch {
-			case !c.quarantined:
-				avail = append(avail, i)
-			case c.probing:
-				probing = true
-			case !now.Before(c.until):
-				due = append(due, i)
-			case wait.IsZero() || c.until.Before(wait):
-				wait = c.until
-			}
-		}
-		for _, i := range due {
-			s.children[i].probing = true
-		}
-		if len(avail) > 0 {
-			idx := s.choose(avail, n)
-			s.children[idx].inFlightChunks++
-			s.children[idx].inFlightJobs += n
-			s.mu.Unlock()
+		sc := s.scan(tried, n)
+		if sc.idx >= 0 {
 			// Probes ride in the background: a due child's recovery must not
 			// delay dispatching to a child that is ready right now. The probe
 			// cannot mark tried (that map belongs to this chunk's loop);
 			// failures just re-bench the child.
-			for _, i := range due {
+			for _, i := range sc.due {
 				go s.probeOne(ctx, i, nil)
 			}
-			return idx
+			return sc.idx
 		}
-		s.mu.Unlock()
 		switch {
-		case len(due) > 0:
+		case len(sc.due) > 0:
 			// No one else to run on: probe synchronously — so a readmitted
 			// child can take this chunk, and a failed probe marks the child
 			// tried (probed at most once per chunk) — but concurrently, so
@@ -380,7 +347,7 @@ func (s *Shard) pick(ctx context.Context, tried map[int]bool, n int) int {
 			// a sibling an earlier probe would have readmitted. tried is
 			// only written under s.mu and only read here after Wait.
 			var wg sync.WaitGroup
-			for _, i := range due {
+			for _, i := range sc.due {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
@@ -388,18 +355,18 @@ func (s *Shard) pick(ctx context.Context, tried map[int]bool, n int) int {
 				}(i)
 			}
 			wg.Wait()
-		case probing:
+		case sc.probing:
 			// Another goroutine's probe may readmit a child; poll briefly.
 			select {
 			case <-time.After(5 * time.Millisecond):
 			case <-ctx.Done():
 				return -1
 			}
-		case wait.IsZero():
+		case sc.wait.IsZero():
 			return -1 // every child tried and failed
 		default:
 			select {
-			case <-time.After(wait.Sub(now)):
+			case <-time.After(time.Until(sc.wait)):
 			case <-ctx.Done():
 				return -1
 			}
@@ -419,48 +386,22 @@ func (s *Shard) pick(ctx context.Context, tried map[int]bool, n int) int {
 // child exists at all (quarantined or mid-probe), i.e. whether re-arming
 // the hedge timer could ever find one.
 func (s *Shard) tryPick(ctx context.Context, tried map[int]bool, n int) (idx int, retry bool) {
-	s.mu.Lock()
-	now := s.opt.now()
-	var avail, due []int
-	remaining := false
-	for i := range s.children {
-		if tried[i] {
-			continue
-		}
-		remaining = true
-		c := &s.children[i]
-		switch {
-		case !c.quarantined:
-			avail = append(avail, i)
-		case !c.probing && !now.Before(c.until):
-			due = append(due, i)
-		}
-	}
-	for _, i := range due {
-		s.children[i].probing = true
-	}
-	idx = -1
-	if len(avail) > 0 {
-		idx = s.choose(avail, n)
-		s.children[idx].inFlightChunks++
-		s.children[idx].inFlightJobs += n
-	}
-	s.mu.Unlock()
-	for _, i := range due {
+	sc := s.scan(tried, n)
+	for _, i := range sc.due {
 		go s.probeOne(ctx, i, nil)
 	}
-	return idx, remaining
+	return sc.idx, sc.remaining
 }
 
 // hedgeDelay returns how long child i may hold a chunk of n jobs before a
-// hedge fires: HedgeMultiple × the completion time predicted from the
+// hedge fires: hedgeMultiple × the completion time predicted from the
 // child's windowed throughput, floored by HedgeAfter (which alone applies
 // while the child is unmeasured).
 func (s *Shard) hedgeDelay(i, n int) time.Duration {
 	d := s.opt.HedgeAfter
 	s.mu.Lock()
 	if tp, ok := s.children[i].throughput(); ok && tp > 0 {
-		if pred := time.Duration(s.opt.HedgeMultiple * float64(n) / tp * float64(time.Second)); pred > d {
+		if pred := time.Duration(hedgeMultiple * float64(n) / tp * float64(time.Second)); pred > d {
 			d = pred
 		}
 	}
@@ -469,22 +410,12 @@ func (s *Shard) hedgeDelay(i, n int) time.Duration {
 }
 
 // choose picks among the available (non-quarantined, untried) children,
-// under s.mu. Round-robin rotates the cursor; adaptive minimizes expected
-// completion time, exploring unmeasured children first.
+// under s.mu: the lowest expected completion time, exploring unmeasured
+// children first. A child whose window holds only hedge losses has zero
+// throughput and an infinite score; it is still chosen when it is the only
+// one available.
 func (s *Shard) choose(avail []int, n int) int {
-	if s.opt.Policy == PolicyRoundRobin {
-		start := s.rr
-		best := avail[0]
-		bestD := len(s.children)
-		for _, i := range avail {
-			if d := (i - start + len(s.children)) % len(s.children); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		s.rr = (best + 1) % len(s.children)
-		return best
-	}
-	best, bestScore := -1, math.Inf(1)
+	best, bestScore := avail[0], math.Inf(1)
 	for _, i := range avail {
 		c := &s.children[i]
 		var score float64
@@ -495,7 +426,7 @@ func (s *Shard) choose(avail []int, n int) int {
 			// first so concurrent chunks don't dogpile one unknown.
 			score = -1 + float64(c.inFlightChunks)*1e-6
 		}
-		if score < bestScore || (score == bestScore && best >= 0 && c.inFlightChunks < s.children[best].inFlightChunks) {
+		if score < bestScore || (score == bestScore && c.inFlightChunks < s.children[best].inFlightChunks) {
 			best, bestScore = i, score
 		}
 	}
@@ -539,19 +470,19 @@ func (s *Shard) probeOne(ctx context.Context, i int, tried map[int]bool) {
 }
 
 // bench advances a child one rung up the backoff ladder — QuarantineBase
-// initially, doubling up to QuarantineMax — and sets its due time. Called
+// initially, doubling up to quarantineMax — and sets its due time. Called
 // with s.mu held, from both the chunk-failure and failed-probe paths.
 func (s *Shard) bench(c *shardChild) {
 	if c.backoff <= 0 {
 		c.backoff = s.opt.QuarantineBase
 	} else {
-		c.backoff = minDuration(c.backoff*2, s.opt.QuarantineMax)
+		c.backoff = min(c.backoff*2, quarantineMax)
 	}
-	c.until = s.opt.now().Add(c.backoff)
+	c.until = time.Now().Add(c.backoff)
 }
 
 // quarantine benches child i after a failed chunk, doubling its backoff up
-// to QuarantineMax.
+// to quarantineMax.
 func (s *Shard) quarantine(i int) {
 	s.mu.Lock()
 	c := &s.children[i]
@@ -601,52 +532,9 @@ func (s *Shard) complete(i, n int, dur time.Duration, outcome attemptOutcome) {
 		if !c.quarantined {
 			c.backoff = 0
 		}
-		c.observe(n, dur.Seconds(), s.opt.ThroughputWindow)
+		c.observe(n, dur.Seconds())
 	case attemptHedgeLoss:
-		c.observe(0, dur.Seconds(), s.opt.ThroughputWindow)
+		c.observe(0, dur.Seconds())
 	}
 	s.mu.Unlock()
-}
-
-// warmSiblings forwards a computed chunk's keyed rows to every sibling
-// implementing RowWarmer, fanning the pushes out concurrently so the chunk
-// pays at most one warm round-trip regardless of fleet size. Best-effort:
-// failures count, the chunk succeeds regardless.
-func (s *Shard) warmSiblings(ctx context.Context, from int, jobs []Job, rows []Row) {
-	var warmers []RowWarmer
-	for i := range s.children {
-		if i == from {
-			continue
-		}
-		if w, ok := s.children[i].backend.(RowWarmer); ok {
-			warmers = append(warmers, w)
-		}
-	}
-	if len(warmers) == 0 {
-		return
-	}
-	entries := NewWarmEntries(jobs, rows)
-	wctx, cancel := context.WithTimeout(ctx, warmTimeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, w := range warmers {
-		wg.Add(1)
-		go func(w RowWarmer) {
-			defer wg.Done()
-			n, err := w.WarmRows(wctx, entries)
-			if err != nil {
-				s.warmErrors.Add(1)
-				return
-			}
-			s.warmedRows.Add(int64(n))
-		}(w)
-	}
-	wg.Wait()
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -151,62 +151,3 @@ func TestDeadChildStaysQuarantined(t *testing.T) {
 		t.Fatalf("dead child readmitted despite failing probes: %+v", c)
 	}
 }
-
-// With Warm set, every chunk computed on one Cached child is forwarded to
-// the sibling's store: after one sharded stream, both stores hold every
-// row, so a re-run anywhere in the fleet is fully warm.
-func TestShardWarmsSiblingCaches(t *testing.T) {
-	jobs := gridJobs(t)
-	store1, store2 := schedule.NewMemStore(), schedule.NewMemStore()
-	c1 := schedule.NewCached(schedule.Local{}, store1)
-	c2 := schedule.NewCached(schedule.Local{}, store2)
-	shard, err := schedule.NewShardWith(schedule.ShardOptions{Warm: true}, c1, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sank schedule.Collector
-	if err := shard.Stream(context.Background(), schedule.SliceSource(jobs), &sank,
-		schedule.StreamOptions{ChunkSize: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sank.Rows()) != len(jobs) {
-		t.Fatalf("streamed %d rows, want %d", len(sank.Rows()), len(jobs))
-	}
-	if store1.Len() != len(jobs) || store2.Len() != len(jobs) {
-		t.Fatalf("warming left stores at %d and %d rows, want %d each", store1.Len(), store2.Len(), len(jobs))
-	}
-	c := shard.Counters()
-	if c.WarmedRows != int64(len(jobs)) {
-		t.Fatalf("warmed %d rows, want %d", c.WarmedRows, len(jobs))
-	}
-	if c.WarmErrors != 0 {
-		t.Fatalf("warm errors: %+v", c)
-	}
-
-	// A re-run through either child alone is now fully warm: zero misses,
-	// and no job ever reaches the inner backend.
-	rerun := schedule.NewCached(failIfRun{t}, store2)
-	if _, err := rerun.Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := rerun.Counters(); misses != 0 || hits != int64(len(jobs)) {
-		t.Fatalf("re-run after warming: %d hits, %d misses", hits, misses)
-	}
-}
-
-// failIfRun fails the test if any job reaches it — the warm re-run must be
-// answered entirely from the store.
-type failIfRun struct{ t *testing.T }
-
-func (f failIfRun) Capabilities() schedule.Capabilities {
-	return schedule.Capabilities{Name: "fail-if-run"}
-}
-
-func (f failIfRun) Run(ctx context.Context, jobs []schedule.Job, opt schedule.BatchOptions) ([]schedule.Row, error) {
-	f.t.Errorf("warm re-run reached the inner backend with %d jobs", len(jobs))
-	return schedule.Local{}.Run(ctx, jobs, opt)
-}
-
-func (f failIfRun) Stream(ctx context.Context, src schedule.JobSource, sink schedule.RowSink, opt schedule.StreamOptions) error {
-	return schedule.StreamChunked(ctx, f.Run, src, sink, opt)
-}

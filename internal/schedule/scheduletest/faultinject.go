@@ -13,12 +13,12 @@ import (
 )
 
 // FaultBackend is a deterministic fault-injection harness around a Backend,
-// for tests: per-call latency scripts (including the mid-grid slowdown of
-// SlowAfter), scripted failures, and a hook observing cancelled injected
-// waits. The injected delay honors context cancellation
-// — a cancelled call returns ctx.Err() without running the inner backend —
-// so a hedged shard's loser releases the child immediately, exactly like a
-// real server whose request context is cancelled when the client hangs up.
+// for tests: per-call latency scripts, scripted failures, and a hook
+// observing cancelled injected waits. The injected delay honors context
+// cancellation — a cancelled call returns ctx.Err() without running the
+// inner backend — so a hedged shard's loser releases the child
+// immediately, exactly like a real server whose request context is
+// cancelled when the client hangs up.
 //
 // With no scripts set, FaultBackend is a transparent wrapper. Call numbers
 // are assigned under a lock across concurrent Runs, monotonically from 0,
@@ -62,18 +62,6 @@ func (f *FaultBackend) SetDelayScript(script func(call int, jobs []schedule.Job)
 	f.mu.Lock()
 	f.delay = script
 	f.mu.Unlock()
-}
-
-// SlowAfter scripts the mid-grid slowdown: calls 0..n-1 run at full speed,
-// and every call from n on stalls for d first — the "child silently
-// degrades mid-grid" scenario the hedged shard exists for.
-func (f *FaultBackend) SlowAfter(n int, d time.Duration) {
-	f.SetDelayScript(func(call int, _ []schedule.Job) time.Duration {
-		if call >= n {
-			return d
-		}
-		return 0
-	})
 }
 
 // SetFailScript injects per-call failures: a non-nil return fails the call

@@ -89,9 +89,8 @@ func TestFaultBackendTransparent(t *testing.T) {
 	}
 }
 
-// The latency script sees deterministic call numbers: SlowAfter(n, d)
-// stalls exactly the calls from n on, and the fail script fails the calls
-// it names without running the inner backend.
+// The latency script sees deterministic call numbers, and the fail script
+// fails the calls it names without running the inner backend.
 func TestFaultBackendScripts(t *testing.T) {
 	jobs := gridJobs(t)[:4]
 	fb := scheduletest.NewFaultBackend(schedule.Local{})

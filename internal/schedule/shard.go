@@ -13,17 +13,16 @@ import (
 // Shard fans one job stream out across several child backends — typically
 // service.Client remotes speaking to distinct scheduled servers. The stream
 // is cut into chunks (StreamOptions.ChunkSize); each chunk is dispatched to
-// a child picked by the ShardOptions.Policy scheduler — by default the
-// adaptive policy, which weights dispatch by each child's observed
-// throughput and in-flight load so a slow or busy server naturally receives
-// fewer chunks — with at most StreamOptions.InFlight chunks in flight
-// (default 2 × children). Chunk results merge into the sink in job order,
-// so a sharded grid is bit-identical to a Local run up to the Seconds
-// column.
+// the child with the lowest expected completion time (PolicyAdaptive),
+// which weights dispatch by each child's observed throughput and in-flight
+// load so a slow or busy server naturally receives fewer chunks, with at
+// most StreamOptions.InFlight chunks in flight (default 2 × children).
+// Chunk results merge into the sink in job order, so a sharded grid is
+// bit-identical to a Local run up to the Seconds column.
 //
 // A chunk whose child fails is resubmitted to another child, and the failed
 // child is quarantined: benched for an exponentially growing interval
-// (ShardOptions.QuarantineBase doubling up to QuarantineMax), then probed —
+// (ShardOptions.QuarantineBase doubling up to 30 s), then probed —
 // via HealthChecker when the child implements it, on backoff expiry alone
 // otherwise — and readmitted when it responds. Transient child failures (a
 // server restarting, a dropped connection) therefore cost a resubmission
@@ -33,49 +32,43 @@ import (
 // Deterministic job errors still fail after one round, since every child
 // rejects them the same way.
 //
-// With ShardOptions.Warm set, each computed chunk's rows are forwarded
-// (keyed by CacheKey) to every sibling child implementing RowWarmer, so a
-// resubmitted or re-run chunk is warm on every cache in the fleet.
-//
 // With ShardOptions.HedgeAfter set, a chunk held by a straggling child is
 // speculatively re-dispatched: once the chunk runs past its hedge delay
-// (the larger of HedgeAfter and HedgeMultiple × the child's predicted
-// completion time), a second healthy child races it. The first result
+// (the larger of HedgeAfter and 3 × the child's predicted completion
+// time), a second healthy child races it. The first result
 // wins, the loser's context is cancelled, and only the winner's rows reach
 // the sink — a child that silently degrades to 10× slow mid-grid costs one
 // hedge delay, not a 10× chunk. Hedges and their wins are counted
 // (Counters().Hedges / HedgeWins) separately from failure-driven
 // resubmissions.
 //
-// Construct with NewShard (default options) or NewShardWith.
+// Construct with NewShardWith.
 type Shard struct {
 	mu       sync.Mutex
 	children []shardChild
-	rr       int // round-robin cursor, guarded by mu
 	opt      ShardOptions
 
 	resubmits    atomic.Int64
 	quarantines  atomic.Int64
 	readmissions atomic.Int64
-	warmedRows   atomic.Int64
-	warmErrors   atomic.Int64
 	sheds        atomic.Int64
 	hedges       atomic.Int64
 	hedgeWins    atomic.Int64
 }
 
 // NewShardWith builds a shard over the child backends with the given
-// scheduler options.
+// scheduler options. Any Policy but empty or PolicyAdaptive is refused.
 func NewShardWith(opt ShardOptions, children ...Backend) (*Shard, error) {
 	if len(children) == 0 {
 		return nil, errors.New("schedule: shard needs at least one child backend")
 	}
-	switch opt.Policy {
-	case "", PolicyAdaptive, PolicyRoundRobin:
-	default:
-		return nil, fmt.Errorf("schedule: unknown shard policy %q", opt.Policy)
+	if opt.Policy != "" && opt.Policy != PolicyAdaptive {
+		return nil, fmt.Errorf("schedule: unknown shard policy %q (only %q)", opt.Policy, PolicyAdaptive)
 	}
-	s := &Shard{opt: opt.withDefaults()}
+	if opt.QuarantineBase <= 0 {
+		opt.QuarantineBase = defaultQuarantineBase
+	}
+	s := &Shard{opt: opt}
 	for i, c := range children {
 		if c == nil {
 			return nil, fmt.Errorf("schedule: shard child %d is nil", i)
@@ -100,11 +93,6 @@ func (s *Shard) Capabilities() Capabilities {
 	return caps
 }
 
-// Resubmissions returns the cumulative number of chunk retries: dispatches
-// beyond the first attempt, across all Stream and Run calls. It is
-// Counters().Resubmissions, kept as a method for existing callers.
-func (s *Shard) Resubmissions() int64 { return s.resubmits.Load() }
-
 // Counters returns a snapshot of the shard's cumulative scheduling
 // counters.
 func (s *Shard) Counters() ShardCounters {
@@ -112,8 +100,6 @@ func (s *Shard) Counters() ShardCounters {
 		Resubmissions: s.resubmits.Load(),
 		Quarantines:   s.quarantines.Load(),
 		Readmissions:  s.readmissions.Load(),
-		WarmedRows:    s.warmedRows.Load(),
-		WarmErrors:    s.warmErrors.Load(),
 		LoadSheds:     s.sheds.Load(),
 		Hedges:        s.hedges.Load(),
 		HedgeWins:     s.hedgeWins.Load(),
@@ -192,8 +178,8 @@ func (s *Shard) Admit(jobs int) error {
 	return &OverloadError{RetryAfter: drain}
 }
 
-// Stream implements Backend: chunks fan out across the children under the
-// configured dispatch policy with bounded in-flight, failed chunks are
+// Stream implements Backend: chunks fan out across the children under
+// adaptive dispatch with bounded in-flight, failed chunks are
 // resubmitted to other children (the failing child is quarantined and later
 // readmitted), and the order-preserving merge keeps the sink bit-identical
 // to a Local run.
@@ -344,16 +330,8 @@ func (s *Shard) runChunk(ctx context.Context, start int, jobs []Job, workers int
 				if res.hedge {
 					s.hedgeWins.Add(1)
 				}
-				// Cancel the losers before warming so they stop burning
-				// child capacity now, not after the warm round-trip (the
-				// deferred cancels would be too late for that).
-				for _, cancel := range cancels {
-					cancel()
-				}
+				// The deferred cancels stop the losers.
 				finish(running)
-				if s.opt.Warm {
-					s.warmSiblings(ctx, res.idx, jobs, res.rows)
-				}
 				return res.rows, nil
 			}
 			if ctx.Err() != nil {

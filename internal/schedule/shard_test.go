@@ -44,21 +44,23 @@ func TestNewShardRejects(t *testing.T) {
 	if _, err := schedule.NewShardWith(schedule.ShardOptions{}, schedule.Local{}, nil); err == nil {
 		t.Fatal("nil child accepted")
 	}
-	if _, err := schedule.NewShardWith(schedule.ShardOptions{Policy: "fastest"}, schedule.Local{}); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, policy := range []schedule.ShardPolicy{"fastest", "roundrobin"} {
+		if _, err := schedule.NewShardWith(schedule.ShardOptions{Policy: policy}, schedule.Local{}); err == nil {
+			t.Fatalf("policy %q accepted", policy)
+		}
 	}
 }
 
 // A shard over healthy children returns the rows of a Local run
-// bit-identically (Seconds aside), via Run and via Stream, under both
-// dispatch policies.
+// bit-identically (Seconds aside), via Run and via Stream, with the policy
+// left empty or named.
 func TestShardMatchesLocal(t *testing.T) {
 	jobs := gridJobs(t)
 	want, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []schedule.ShardPolicy{schedule.PolicyAdaptive, schedule.PolicyRoundRobin} {
+	for _, policy := range []schedule.ShardPolicy{"", schedule.PolicyAdaptive} {
 		shard, err := schedule.NewShardWith(schedule.ShardOptions{Policy: policy},
 			schedule.Local{}, schedule.Local{}, schedule.Local{})
 		if err != nil {
@@ -128,9 +130,6 @@ func TestShardResubmitsFailedChunks(t *testing.T) {
 	}
 	if flaky.runs.Load() == 0 {
 		t.Fatal("flaky child never dispatched to")
-	}
-	if shard.Resubmissions() != c.Resubmissions {
-		t.Fatal("Resubmissions() disagrees with Counters()")
 	}
 }
 

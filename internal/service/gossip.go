@@ -11,10 +11,10 @@ import (
 
 // Gossip tuning: the per-peer queue bound and the per-push time budget.
 const (
-	// DefaultGossipQueue is the per-peer bound on queued warm batches when
-	// GossiperOptions.QueueBound is unset. A peer that falls further behind
-	// drops batches (counted) instead of queueing them.
-	DefaultGossipQueue = 16
+	// gossipQueue is the per-peer bound on queued warm batches. A peer
+	// that falls further behind drops batches (counted) instead of
+	// queueing them.
+	gossipQueue = 16
 	// gossipPushTimeout bounds one warm push to one peer, so a black-holed
 	// peer cannot pin its push worker (and with it the peer's whole queue)
 	// forever.
@@ -23,10 +23,10 @@ const (
 
 // Gossiper pushes freshly computed rows to peer servers' /v1/warm
 // endpoints — push gossip, so a fleet's caches converge on one warm
-// working set without a shard in the loop. Offer never blocks: each peer
-// has a bounded queue drained by its own push worker, and a batch that
-// finds a peer's queue full is dropped for that peer and counted, never
-// waited on. A dead or slow peer therefore costs dropped warm batches,
+// working set. It is the one mechanism that warms sibling caches. Offer
+// never blocks: each peer has a bounded queue drained by its own push
+// worker, and a batch that finds a peer's queue full is dropped for that
+// peer and counted, never waited on. A dead or slow peer therefore costs dropped warm batches,
 // not serving latency.
 //
 // Construct with NewGossiper; Close stops the workers after draining what
@@ -50,24 +50,13 @@ type gossipPeer struct {
 	queue  chan []schedule.WarmEntry
 }
 
-// GossiperOptions configures NewGossiper.
-type GossiperOptions struct {
-	// QueueBound is the per-peer bound on queued warm batches (≤ 0 selects
-	// DefaultGossipQueue).
-	QueueBound int
-}
-
 // NewGossiper builds a gossiper pushing to the peers — normally
-// service.Clients for the sibling servers — each behind its own bounded
-// queue and push worker.
-func NewGossiper(opt GossiperOptions, peers ...schedule.RowWarmer) *Gossiper {
-	bound := opt.QueueBound
-	if bound <= 0 {
-		bound = DefaultGossipQueue
-	}
+// service.Clients for the sibling servers — each behind its own queue of
+// up to 16 batches and its own push worker.
+func NewGossiper(peers ...schedule.RowWarmer) *Gossiper {
 	g := &Gossiper{}
 	for _, p := range peers {
-		gp := &gossipPeer{warmer: p, queue: make(chan []schedule.WarmEntry, bound)}
+		gp := &gossipPeer{warmer: p, queue: make(chan []schedule.WarmEntry, gossipQueue)}
 		g.peers = append(g.peers, gp)
 		g.wg.Add(1)
 		go g.push(gp)

@@ -34,7 +34,7 @@ func TestGossipWarmsPeerCache(t *testing.T) {
 	}).Handler())
 	defer peerSrv.Close()
 
-	gossip := service.NewGossiper(service.GossiperOptions{},
+	gossip := service.NewGossiper(
 		service.NewClient(peerSrv.URL, peerSrv.Client()))
 	defer gossip.Close()
 	origin := httptest.NewServer(service.NewServerWith(service.ServerOptions{Gossip: gossip}).Handler())
@@ -109,8 +109,8 @@ func (errWarmer) WarmRows(context.Context, []schedule.WarmEntry) (int, error) {
 }
 
 // Backpressure: a stalled peer costs dropped batches, never a blocked
-// Offer. With the worker pinned on one batch and the queue bound at two,
-// exactly two more offers enqueue and everything beyond that drops — all
+// Offer. With the worker pinned on one batch, exactly the queue bound's
+// worth of further offers enqueue and everything beyond that drops — all
 // counted deterministically — and what was queued still lands once the
 // peer recovers.
 func TestGossipBackpressureDropsInsteadOfBlocking(t *testing.T) {
@@ -122,7 +122,7 @@ func TestGossipBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	batch := schedule.NewWarmEntries(jobs, rows)
 
 	peer := &gateWarmer{started: make(chan struct{}), gate: make(chan struct{})}
-	gossip := service.NewGossiper(service.GossiperOptions{QueueBound: 2}, peer)
+	gossip := service.NewGossiper(peer)
 
 	gossip.Offer(batch)
 	select {
@@ -130,29 +130,31 @@ func TestGossipBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("push worker never dequeued the first batch")
 	}
-	// Worker pinned, queue empty: two offers fill the queue, three drop.
-	for i := 0; i < 5; i++ {
+	// Worker pinned, queue empty: GossipQueue offers fill the queue, three
+	// more drop.
+	const bound = service.GossipQueue
+	for i := 0; i < bound+3; i++ {
 		gossip.Offer(batch)
 	}
 	g := gossip.Stats()
-	if g.EnqueuedBatches != 3 || g.DroppedBatches != 3 {
-		t.Fatalf("gossip stats %+v, want 3 enqueued and 3 dropped", g)
+	if g.EnqueuedBatches != bound+1 || g.DroppedBatches != 3 {
+		t.Fatalf("gossip stats %+v, want %d enqueued and 3 dropped", g, bound+1)
 	}
 
-	// The peer recovers; Close drains the two queued batches and the pinned
-	// one, so 3 batches × 1 row land.
+	// The peer recovers; Close drains the queued batches and the pinned
+	// one, so bound+1 batches × 1 row land.
 	close(peer.gate)
 	gossip.Close()
-	if got := peer.rows.Load(); got != 3 {
-		t.Fatalf("recovered peer received %d rows, want 3", got)
+	if got := peer.rows.Load(); got != bound+1 {
+		t.Fatalf("recovered peer received %d rows, want %d", got, bound+1)
 	}
-	if g := gossip.Stats(); g.SentRows != 3 {
-		t.Fatalf("gossip stats after drain %+v, want 3 rows sent", g)
+	if g := gossip.Stats(); g.SentRows != bound+1 {
+		t.Fatalf("gossip stats after drain %+v, want %d rows sent", g, bound+1)
 	}
 
 	// A dead peer costs counted errors, nothing else: offers still return
 	// immediately and Close still terminates.
-	dead := service.NewGossiper(service.GossiperOptions{}, errWarmer{})
+	dead := service.NewGossiper(errWarmer{})
 	dead.Offer(batch)
 	dead.Close()
 	if g := dead.Stats(); g.Errors != 1 || g.SentRows != 0 {
@@ -170,7 +172,7 @@ func TestGossipOfferAfterCloseCountsDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two peers whose pushes would fail: a leaked offer shows as an error.
-	gossip := service.NewGossiper(service.GossiperOptions{}, errWarmer{}, errWarmer{})
+	gossip := service.NewGossiper(errWarmer{}, errWarmer{})
 	gossip.Close()
 	gossip.Offer(schedule.NewWarmEntries(jobs, rows))
 	if g := gossip.Stats(); g.DroppedBatches != 2 || g.EnqueuedBatches != 0 || g.Errors != 0 {
@@ -225,20 +227,22 @@ func TestClientCancellationReachesServerBackend(t *testing.T) {
 	}
 }
 
-// The hedge race over real HTTP: a server that turns slow mid-grid loses
-// every later chunk to a hedged re-dispatch, its handler observes the
-// loser's cancellation server-side, and the merged rows stay bit-identical
-// to Local.
+// The hedge race over real HTTP: a server that stalls every batch loses
+// each chunk it is dispatched to a hedged re-dispatch, its handler observes
+// the loser's cancellation server-side, and the merged rows stay
+// bit-identical to Local.
 func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	jobs := testJobs(t)
 	local, err := schedule.Local{}.Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// From its second call on the slow server stalls until cancelled, so
-	// every chunk it holds can only finish through a hedge.
+	// The slow server stalls until cancelled, so every chunk it holds can
+	// only finish through a hedge. It is child 0, and adaptive dispatch
+	// explores unmeasured children lowest index first, so the first chunk
+	// lands on it.
 	slowFault := scheduletest.NewFaultBackend(schedule.Local{})
-	slowFault.SlowAfter(1, time.Hour)
+	slowFault.SetDelay(time.Hour)
 	cancelled := make(chan struct{})
 	var once sync.Once
 	slowFault.OnCancel(func(int) { once.Do(func() { close(cancelled) }) })
@@ -248,7 +252,6 @@ func TestHedgedShardOverHTTPCancelsLoser(t *testing.T) {
 	defer fastSrv.Close()
 
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
-		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     20 * time.Millisecond,
 		QuarantineBase: time.Millisecond,
 	},
@@ -287,19 +290,18 @@ func TestHedgedShardGossipsIntoPagedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	peerClient, peerStore := startPagedServer(t, filepath.Join(t.TempDir(), "rows.paged"))
-	_ = peerClient
-	gossip := service.NewGossiper(service.GossiperOptions{}, peerClient)
+	gossip := service.NewGossiper(peerClient)
 	defer gossip.Close()
 
 	fastSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Gossip: gossip}).Handler())
 	defer fastSrv.Close()
+	// The slow child (child 0, explored first) stalls from its first call.
 	slowFault := scheduletest.NewFaultBackend(schedule.Local{})
-	slowFault.SlowAfter(1, 60*time.Millisecond)
+	slowFault.SetDelay(60 * time.Millisecond)
 	slowSrv := httptest.NewServer(service.NewServerWith(service.ServerOptions{Backend: slowFault}).Handler())
 	defer slowSrv.Close()
 
 	shard, err := schedule.NewShardWith(schedule.ShardOptions{
-		Policy:         schedule.PolicyRoundRobin,
 		HedgeAfter:     10 * time.Millisecond,
 		QuarantineBase: time.Millisecond,
 	},
@@ -334,5 +336,63 @@ func TestHedgedShardGossipsIntoPagedStore(t *testing.T) {
 	}
 	if g := gossip.Stats(); g.Errors != 0 {
 		t.Fatalf("gossip stats %+v, want no push errors", g)
+	}
+}
+
+// BenchmarkGossipWarmth measures what push gossip buys. Each op serves the
+// service tests' grid on server A, drains A's gossip, then serves the same
+// grid on server B; both start with empty in-memory caches. It reports
+// B's miss ratio (1 without gossip, 0 when every row arrived), the
+// /v1/warm request bytes A pushed per batch, and B's batch latency. It
+// asserts nothing about time.
+func BenchmarkGossipWarmth(b *testing.B) {
+	jobs := testJobs(b)
+	for _, peers := range []bool{false, true} {
+		name := "gossip-off"
+		if peers {
+			name = "gossip-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			var misses int64
+			var pushed atomic.Int64
+			var latency time.Duration
+			for i := 0; i < b.N; i++ {
+				storeB := schedule.NewMemStore()
+				cachedB := schedule.NewCached(schedule.Local{}, storeB)
+				handlerB := service.NewServerWith(service.ServerOptions{Backend: cachedB, Store: storeB}).Handler()
+				srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/v1/warm" {
+						pushed.Add(r.ContentLength)
+					}
+					handlerB.ServeHTTP(w, r)
+				}))
+				var gossip *service.Gossiper
+				if peers {
+					gossip = service.NewGossiper(service.NewClient(srvB.URL, srvB.Client()))
+				}
+				srvA := httptest.NewServer(service.NewServerWith(service.ServerOptions{
+					Backend: schedule.NewCached(schedule.Local{}, schedule.NewMemStore()),
+					Gossip:  gossip,
+				}).Handler())
+				if _, err := service.NewClient(srvA.URL, srvA.Client()).Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				if gossip != nil {
+					gossip.Close() // drains the push, so B's store holds what arrived
+				}
+				t0 := time.Now()
+				if _, err := service.NewClient(srvB.URL, srvB.Client()).Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				latency += time.Since(t0)
+				_, m := cachedB.Counters()
+				misses += m
+				srvA.Close()
+				srvB.Close()
+			}
+			b.ReportMetric(float64(misses)/float64(b.N*len(jobs)), "miss_ratio")
+			b.ReportMetric(float64(pushed.Load())/float64(b.N), "push_bytes/op")
+			b.ReportMetric(float64(latency)/float64(time.Millisecond)/float64(b.N), "b_ms/op")
+		})
 	}
 }

@@ -18,10 +18,10 @@ import (
 //	scheduled_store_rows, scheduled_store_evictions_total
 //	scheduled_store_commits_total, scheduled_store_commit_stalls_total
 //	scheduled_tenant_accepted_jobs_total{tenant}
-//	scheduled_tenant_rejected_jobs_total{tenant,reason="rate"|"queue"|"overload"}
+//	scheduled_tenant_rejected_jobs_total{tenant,reason="rate"|"queue"|"overload"|"full"}
 //	scheduled_tenant_queued_jobs{tenant}
 //	scheduled_shard_{resubmissions,quarantines,readmissions,load_sheds,
-//	                 warmed_rows,warm_errors,hedges,hedge_wins}_total
+//	                 hedges,hedge_wins}_total
 //	scheduled_shard_child_{chunks,rows,failures}_total{child},
 //	scheduled_shard_child_{quarantined,rows_per_sec}{child}
 //	scheduled_gossip_batches_total{outcome="enqueued"|"dropped"}
@@ -29,8 +29,11 @@ import (
 //
 // Cache, store, shard and gossip families appear only when the server was
 // built with the matching ServerOptions source; tenant families appear per
-// tenant the server has seen. Zero-valued samples are still exported so a
-// scrape can tell "counter at zero" from "family absent".
+// tenant the registry tracks, plus one aggregate series with an empty
+// tenant label once the registry has dropped an idle tenant or turned a
+// new one away (reason "full" appears on that series only). Zero-valued
+// samples are still exported so a scrape can tell "counter at zero" from
+// "family absent".
 
 // metricsContentType is the Prometheus text exposition content type.
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -83,7 +86,7 @@ func (p *promWriter) sample(name string, value float64, labels ...string) {
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format: the server's own batch/row/tree counters, the cache, row-store
 // and shard counters it was configured with, and one sample set per
-// tenant the registry has seen.
+// tenant the registry tracks.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -128,10 +131,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, st := range s.tenants.Snapshot() {
 		p.family("scheduled_tenant_accepted_jobs_total", "counter", "Jobs admitted per tenant.")
 		p.sample("scheduled_tenant_accepted_jobs_total", float64(st.Accepted), "tenant", st.Name)
-		p.family("scheduled_tenant_rejected_jobs_total", "counter", "Jobs rejected per tenant by reason (rate, queue, overload).")
+		p.family("scheduled_tenant_rejected_jobs_total", "counter", "Jobs rejected per tenant by reason (rate, queue, overload, full).")
 		p.sample("scheduled_tenant_rejected_jobs_total", float64(st.RejectedRate), "tenant", st.Name, "reason", "rate")
 		p.sample("scheduled_tenant_rejected_jobs_total", float64(st.RejectedQueue), "tenant", st.Name, "reason", "queue")
 		p.sample("scheduled_tenant_rejected_jobs_total", float64(st.RejectedOverload), "tenant", st.Name, "reason", "overload")
+		if st.Name == "" {
+			p.sample("scheduled_tenant_rejected_jobs_total", float64(st.RejectedFull), "tenant", st.Name, "reason", "full")
+		}
 		p.family("scheduled_tenant_queued_jobs", "gauge", "Jobs admitted but not yet finished, per tenant.")
 		p.sample("scheduled_tenant_queued_jobs", float64(st.Queued), "tenant", st.Name)
 	}
@@ -147,8 +153,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"scheduled_shard_quarantines_total", c.Quarantines, "Child quarantine entries."},
 			{"scheduled_shard_readmissions_total", c.Readmissions, "Child quarantine exits."},
 			{"scheduled_shard_load_sheds_total", c.LoadSheds, "Batches shed by admission control."},
-			{"scheduled_shard_warmed_rows_total", c.WarmedRows, "Rows accepted by sibling caches through warming."},
-			{"scheduled_shard_warm_errors_total", c.WarmErrors, "Failed best-effort warm forwards."},
 			{"scheduled_shard_hedges_total", c.Hedges, "Speculative re-dispatches of straggler chunks."},
 			{"scheduled_shard_hedge_wins_total", c.HedgeWins, "Hedged dispatches that beat the straggler."},
 		} {

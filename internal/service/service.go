@@ -48,11 +48,14 @@
 // response bytes stream, so a rejected batch is cheap for both sides;
 // Client honors the header by delaying its retry at least that long.
 //
-// /v1/warm is the cache-warming sink of cross-shard gossip: a shard (or a
-// sibling server) pushes rows it computed, keyed by schedule.CacheKey, and
-// a server configured with a row store (ServerOptions.Store, cmd/scheduled
-// -cache) stores them so a resubmitted or re-run chunk is answered without
-// recomputation. A server without a store accepts the push and stores
+// /v1/warm is the sink of push gossip: a sibling server's Gossiper (or any
+// client, as perfbench's setup does) pushes rows computed elsewhere, keyed
+// by schedule.CacheKey, and a server configured with a row store
+// (ServerOptions.Store, cmd/scheduled -cache) stores them so the same jobs
+// are answered here without recomputation. Each entry is checked against
+// its key's algorithm, budget and kind (schedule.CheckWarmEntry), but the
+// row itself is not recomputed: a WarmEntry carries the tree's digest, not
+// the tree. A server without a store accepts the push and stores
 // nothing ({"stored": 0}) — warming a cacheless server is a no-op, not an
 // error. The row cache is content-addressed and therefore shared across
 // tenants by design — equal trees produce equal rows, so there is nothing
@@ -61,9 +64,9 @@
 // With ServerOptions.Gossip (cmd/scheduled -peers) the server is also a
 // warm-push source: after each successful batch it offers the batch's
 // keyed rows to its peers' /v1/warm endpoints through the Gossiper's
-// bounded, drop-on-backpressure queues, so caches heat fleet-wide without
-// a shard in the loop. Rows received on /v1/warm are stored but never
-// re-gossiped, so a warm push cannot circulate forever between peers.
+// bounded, drop-on-backpressure queues, so caches heat fleet-wide. Rows
+// received on /v1/warm are stored but never re-gossiped, so a warm push
+// cannot circulate forever between peers.
 package service
 
 import (
@@ -155,12 +158,12 @@ type retainKey struct {
 // against the server's retained trees for the tenant, and inline trees are
 // retained.
 type batchTrees struct {
-	s   *Server
-	ten *tenant.Tenant
+	s      *Server
+	tenant string
 }
 
 func (b batchTrees) resolve(d tree.Digest) (*tree.Tree, bool) {
-	t, ok := b.s.retained.get(retainKey{b.ten.Name(), d})
+	t, ok := b.s.retained.get(retainKey{b.tenant, d})
 	if ok {
 		b.s.refsResolved.Add(1)
 	} else {
@@ -170,7 +173,7 @@ func (b batchTrees) resolve(d tree.Digest) (*tree.Tree, bool) {
 }
 
 func (b batchTrees) adopt(t *tree.Tree) *tree.Tree {
-	return b.s.retained.add(retainKey{b.ten.Name(), t.Digest()}, t, t.Len())
+	return b.s.retained.add(retainKey{b.tenant, t.Digest()}, t, t.Len())
 }
 
 // ServerOptions configures NewServerWith.
@@ -248,11 +251,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/warm", s.handleWarm)
 	return mux
-}
-
-// tenantFor resolves the request's tenant from the X-Tenant header.
-func (s *Server) tenantFor(r *http.Request) *tenant.Tenant {
-	return s.tenants.Tenant(r.Header.Get(TenantHeader))
 }
 
 // writeRetryAfter rejects a request with 429 and a Retry-After header of
@@ -387,7 +385,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch requests must be Content-Type "+ContentTypeBinaryBatch, http.StatusUnsupportedMediaType)
 		return
 	}
-	ten := s.tenantFor(r)
+	// Only the name until admission: the registry resolves and charges the
+	// tenant in one step, so no handle outlives a dropped idle tenant.
+	ten := tenant.Canonical(r.Header.Get(TenantHeader))
 	w.Header().Set(TreeRefsHeader, "1")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	if err != nil {
@@ -425,13 +425,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &oe) {
 				after = oe.RetryAfter
 			}
-			ten.RecordOverload(len(jobs))
+			s.tenants.RecordOverload(ten, len(jobs))
 			s.batchesRejected.Add(1)
 			writeRetryAfter(w, after, err.Error())
 			return
 		}
 	}
-	release, err := ten.Admit(len(jobs))
+	release, err := s.tenants.Admit(ten, len(jobs))
 	if err != nil {
 		var re *tenant.RetryError
 		after := time.Second
@@ -486,9 +486,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // writeUnknownTrees answers a batch whose references resolve
 // nowhere: 409 with the missing digests, before any stream commits.
-func writeUnknownTrees(w http.ResponseWriter, e *unknownTreesError, ten *tenant.Tenant) {
+func writeUnknownTrees(w http.ResponseWriter, e *unknownTreesError, ten string) {
 	body := unknownTreesBody{
-		Error:   fmt.Sprintf("%v for tenant %q: resend them inline", e, ten.Name()),
+		Error:   fmt.Sprintf("%v for tenant %q: resend them inline", e, ten),
 		Missing: make([]string, len(e.digests)),
 	}
 	for i, d := range e.digests {

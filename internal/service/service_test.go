@@ -26,7 +26,7 @@ import (
 	_ "repro/internal/traversal"
 )
 
-func testInstances(t *testing.T) []schedule.Instance {
+func testInstances(t testing.TB) []schedule.Instance {
 	t.Helper()
 	var out []schedule.Instance
 	for seed := int64(0); seed < 4; seed++ {
@@ -40,7 +40,7 @@ func testInstances(t *testing.T) []schedule.Instance {
 	return out
 }
 
-func testJobs(t *testing.T) []schedule.Job {
+func testJobs(t testing.TB) []schedule.Job {
 	t.Helper()
 	insts := testInstances(t)
 	jobs := schedule.MinMemoryGrid(insts, []string{"postorder", "liu", "minmem"})
@@ -633,44 +633,6 @@ func TestWarmEndpoint(t *testing.T) {
 		if resp.Stored != want || fresh.Len() != want {
 			t.Fatalf("%.40s: stored %d (store holds %d), want %d", body, resp.Stored, fresh.Len(), want)
 		}
-	}
-}
-
-// The tentpole end to end: a warming shard over two cached servers leaves
-// every row in both servers' stores after one stream, so a re-run anywhere
-// in the fleet is answered without recomputation.
-func TestShardWarmsServerCaches(t *testing.T) {
-	jobs := testJobs(t)
-	newCachedServer := func() (*httptest.Server, *schedule.MemStore) {
-		store := schedule.NewMemStore()
-		srv := httptest.NewServer(service.NewServerWith(service.ServerOptions{
-			Backend: schedule.NewCached(schedule.Local{}, store),
-			Store:   store,
-		}).Handler())
-		t.Cleanup(srv.Close)
-		return srv, store
-	}
-	srv1, store1 := newCachedServer()
-	srv2, store2 := newCachedServer()
-	shard, err := schedule.NewShardWith(schedule.ShardOptions{Warm: true},
-		service.NewClient(srv1.URL, srv1.Client()),
-		service.NewClient(srv2.URL, srv2.Client()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sank schedule.Collector
-	if err := shard.Stream(context.Background(), schedule.SliceSource(jobs), &sank,
-		schedule.StreamOptions{ChunkSize: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sank.Rows()) != len(jobs) {
-		t.Fatalf("streamed %d rows, want %d", len(sank.Rows()), len(jobs))
-	}
-	if store1.Len() != len(jobs) || store2.Len() != len(jobs) {
-		t.Fatalf("warming left server stores at %d and %d rows, want %d each", store1.Len(), store2.Len(), len(jobs))
-	}
-	if c := shard.Counters(); c.WarmedRows != int64(len(jobs)) || c.WarmErrors != 0 {
-		t.Fatalf("warm counters %+v, want %d warmed rows and no errors", c, len(jobs))
 	}
 }
 

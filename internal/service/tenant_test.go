@@ -401,3 +401,82 @@ func TestHealthIndependentOfAlgorithmsEndpoint(t *testing.T) {
 		t.Fatalf("discovery is down, yet /v1/algorithms answered %d", code)
 	}
 }
+
+// Fresh X-Tenant names cannot grow the server without bound. A body that
+// fails to decode never reaches the tenant registry, and past its bound
+// the registry turns new names away while every tracked tenant is busy
+// (here: each one's bucket is empty for the next 1,000 s). Nothing is lost
+// from the ledger: accepted and rejected jobs, summed over every tenant
+// series and the aggregate, equal what was posted.
+func TestFreshTenantNamesStayBounded(t *testing.T) {
+	reg := tenant.NewRegistry(tenant.Limits{RatePerSec: 0.001, Burst: 1})
+	handler := service.NewServerWith(service.ServerOptions{Tenants: reg}).Handler()
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	for i := 0; i < 20_000; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader("x"))
+		req.Header.Set("Content-Type", service.ContentTypeBinaryBatch)
+		req.Header.Set(service.TenantHeader, fmt.Sprint("junk-", i))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("one-byte post %d answered %d, want 400", i, rec.Code)
+		}
+	}
+
+	// Each of these tenants posts one job twice: the first batch empties
+	// its one-job bucket, so the second is over its rate.
+	const tenants = 1200
+	job := testJobs(t)[:1]
+	var accepted, rejected int
+	for i := 0; i < tenants; i++ {
+		c := service.NewClient(srv.URL, srv.Client())
+		c.Tenant = fmt.Sprint("tenant-", i)
+		for k := 0; k < 2; k++ {
+			_, err := c.Run(context.Background(), job, schedule.BatchOptions{})
+			var se *service.StatusError
+			switch {
+			case err == nil:
+				accepted++
+			case errors.As(err, &se) && se.Code == http.StatusTooManyRequests:
+				rejected++
+			default:
+				t.Fatalf("tenant %d batch %d: %v", i, k, err)
+			}
+		}
+	}
+
+	_, body := httpGet(t, srv.URL+"/metrics", "")
+	lines := strings.Split(body, "\n")
+	var tracked int
+	var sumAccepted, sumRejected float64
+	for _, line := range lines {
+		name, value, ok := strings.Cut(line, "} ")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("bad sample %q", line)
+		}
+		switch {
+		case strings.HasPrefix(name, "scheduled_tenant_accepted_jobs_total{"):
+			sumAccepted += v
+		case strings.HasPrefix(name, "scheduled_tenant_rejected_jobs_total{"):
+			sumRejected += v
+		case strings.HasPrefix(name, "scheduled_tenant_queued_jobs{") && name != `scheduled_tenant_queued_jobs{tenant=""`:
+			tracked++
+		}
+	}
+	if tracked >= tenants || len(lines) > 10_000 {
+		t.Fatalf("/metrics has %d lines and %d tenant series after %d fresh tenant names", len(lines), tracked, 20_000+tenants)
+	}
+	if accepted == 0 || rejected <= tenants {
+		t.Fatalf("%d accepted and %d rejected batches: the bound was not reached", accepted, rejected)
+	}
+	if int(sumAccepted) != accepted || int(sumRejected) != rejected {
+		t.Fatalf("/metrics sums %v accepted and %v rejected jobs, clients saw %d and %d",
+			sumAccepted, sumRejected, accepted, rejected)
+	}
+}

@@ -4,10 +4,17 @@
 //
 // A Registry holds the tenants, creating each on first use with the
 // registry-wide Limits. Every batch a server accepts for a tenant first
-// passes Admit, which charges the tenant's token bucket and queue quota;
-// over-limit work is rejected with a *RetryError carrying the time after
-// which a retry can succeed, which the HTTP layer surfaces as
+// passes Registry.Admit, which charges the tenant's token bucket and queue
+// quota; over-limit work is rejected with a *RetryError carrying the time
+// after which a retry can succeed, which the HTTP layer surfaces as
 // 429 + Retry-After.
+//
+// The registry tracks at most maxTenants tenants by name. Past the bound
+// it drops the idle ones — nothing queued and a full bucket, so a
+// returning tenant is admitted exactly like a new one — and folds their
+// counters into one aggregate Stats entry, so nothing is lost from the
+// ledger. When every tracked tenant is busy, a new tenant's batch is
+// rejected (reason "full") until one goes idle.
 //
 // The package deliberately knows nothing about HTTP, trees or the schedule
 // engine: it depends only on the standard library, and the service layer
@@ -64,8 +71,9 @@ type RetryError struct {
 	// After is the duration after which a retry can succeed: the bucket
 	// refill time for rate rejections, a fixed estimate for queue ones.
 	After time.Duration
-	// Reason is "rate" (token bucket empty) or "queue" (queue-depth quota
-	// reached); it labels the per-tenant rejection counters.
+	// Reason is "rate" (token bucket empty), "queue" (queue-depth quota
+	// reached) or "full" (a new tenant while the registry holds maxTenants
+	// busy ones); it labels the per-tenant rejection counters.
 	Reason string
 }
 
@@ -74,15 +82,30 @@ func (e *RetryError) Error() string {
 	return fmt.Sprintf("tenant: over %s limit, retry after %s", e.Reason, e.After)
 }
 
-// queueRetryAfter is the Retry-After estimate for queue-quota rejections:
-// the tenant's queue drains at the backend's pace, which the limiter
-// cannot observe, so it advertises a modest fixed delay.
+// queueRetryAfter is the Retry-After estimate for queue-quota and
+// full-registry rejections: queues drain at the backend's pace, which the
+// limiter cannot observe, so it advertises a modest fixed delay.
 const queueRetryAfter = time.Second
+
+// maxTenants bounds the tenants a Registry tracks by name.
+const maxTenants = 1024
+
+// Canonical returns the registry name of a tenant header value: the empty
+// name aliases "default", so unauthenticated single-tenant callers share
+// one namespace instead of each empty header minting a tenant.
+func Canonical(name string) string {
+	if name == "" {
+		return "default"
+	}
+	return name
+}
 
 // Stats is a point-in-time snapshot of one tenant's admission counters,
 // the source of the per-tenant /metrics families.
 type Stats struct {
-	// Name is the tenant's name ("default" for the anonymous tenant).
+	// Name is the tenant's name ("default" for the anonymous tenant). The
+	// aggregate of the tenants dropped from the registry has the empty
+	// name.
 	Name string
 	// Accepted is the cumulative count of admitted jobs.
 	Accepted int64
@@ -90,21 +113,44 @@ type Stats struct {
 	// bucket and the queue-depth quota; RejectedOverload counts jobs the
 	// backend shed (every healthy shard child's queue deep) — recorded
 	// via RecordOverload, since backend admission happens outside this
-	// package.
+	// package. RejectedFull, nonzero only in the aggregate, counts jobs
+	// of new tenants turned away while the registry was full.
 	RejectedRate     int64
 	RejectedQueue    int64
 	RejectedOverload int64
+	RejectedFull     int64
 	// Queued is the jobs currently admitted but not yet released.
 	Queued int
 }
 
+// add folds the counters of an idle tenant, which has nothing queued and
+// no RejectedFull, into s.
+func (s *Stats) add(o Stats) {
+	s.Accepted += o.Accepted
+	s.RejectedRate += o.RejectedRate
+	s.RejectedQueue += o.RejectedQueue
+	s.RejectedOverload += o.RejectedOverload
+}
+
 // Registry holds the tenants of one server, creating each on first use
-// with the registry's Limits. Construct with NewRegistry; all methods are
-// safe for concurrent use.
+// with the registry's Limits and dropping idle ones past maxTenants.
+// Construct with NewRegistry; all methods are safe for concurrent use.
+// One lock guards every tenant, so a tenant is resolved and charged in
+// one step and no caller ever holds a tenant the registry has dropped.
 type Registry struct {
 	mu      sync.Mutex
 	limits  Limits
-	tenants map[string]*Tenant
+	tenants map[string]*entry
+	// folded sums the counters of the dropped tenants and the rejections
+	// of tenants the full registry could not take.
+	folded Stats
+}
+
+// entry is one tenant's admission state, guarded by Registry.mu.
+type entry struct {
+	stats  Stats // Name, counters and Queued
+	tokens float64
+	last   time.Time
 }
 
 // NewRegistry builds an empty registry whose tenants share the limits.
@@ -112,132 +158,119 @@ func NewRegistry(limits Limits) *Registry {
 	if limits.now == nil {
 		limits.now = time.Now
 	}
-	return &Registry{limits: limits, tenants: map[string]*Tenant{}}
+	return &Registry{limits: limits, tenants: map[string]*entry{}}
 }
 
-// Tenant returns the named tenant, creating it on first use. The empty
-// name aliases "default", so unauthenticated single-tenant callers share
-// one namespace instead of each empty header minting a tenant.
-func (r *Registry) Tenant(name string) *Tenant {
-	if name == "" {
-		name = "default"
+// lookup returns the named tenant, creating it on first use, under r.mu.
+// At the bound it first drops every idle tenant; it returns nil when the
+// registry is still full.
+func (r *Registry) lookup(name string, now time.Time) *entry {
+	name = Canonical(name)
+	if e, ok := r.tenants[name]; ok {
+		return e
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tenants[name]
-	if !ok {
-		t = &Tenant{
-			name:   name,
-			limits: r.limits,
-			tokens: r.limits.burst(),
-			last:   r.limits.now(),
+	if len(r.tenants) >= maxTenants {
+		for n, e := range r.tenants {
+			if r.idle(e, now) {
+				r.folded.add(e.stats)
+				delete(r.tenants, n)
+			}
 		}
-		r.tenants[name] = t
+		if len(r.tenants) >= maxTenants {
+			return nil
+		}
 	}
-	return t
+	e := &entry{stats: Stats{Name: name}, tokens: r.limits.burst(), last: now}
+	r.tenants[name] = e
+	return e
 }
 
-// Snapshot returns every tenant's Stats, sorted by name, for metrics
-// export and operator reporting.
-func (r *Registry) Snapshot() []Stats {
-	r.mu.Lock()
-	tenants := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		tenants = append(tenants, t)
+// idle reports whether dropping e changes no admission decision: nothing
+// queued, and a bucket that has refilled to its burst by now.
+func (r *Registry) idle(e *entry, now time.Time) bool {
+	if e.stats.Queued > 0 {
+		return false
 	}
-	r.mu.Unlock()
-	stats := make([]Stats, len(tenants))
-	for i, t := range tenants {
-		stats[i] = t.Stats()
-	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
-	return stats
+	return r.limits.RatePerSec <= 0 ||
+		e.tokens+now.Sub(e.last).Seconds()*r.limits.RatePerSec >= r.limits.burst()
 }
 
-// Tenant is one namespace's admission state. Obtain from Registry.Tenant;
-// all methods are safe for concurrent use.
-type Tenant struct {
-	name   string
-	limits Limits
-
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	queued int
-
-	accepted         int64
-	rejectedRate     int64
-	rejectedQueue    int64
-	rejectedOverload int64
-}
-
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.name }
-
-// Admit charges jobs against the tenant's quotas. On success it returns a
-// release func the caller must invoke when the work finishes (it frees
-// the queue slots; calling it more than once is a no-op) and a nil error.
-// On rejection it returns a *RetryError saying when a retry can succeed.
-// The queue quota is checked before the bucket is charged, so a rejected
-// batch never burns tokens.
-func (t *Tenant) Admit(jobs int) (release func(), err error) {
+// Admit resolves the named tenant and charges jobs against its quotas. On
+// success it returns a release func the caller must invoke when the work
+// finishes (it frees the queue slots; calling it more than once is a
+// no-op) and a nil error. On rejection it returns a *RetryError saying
+// when a retry can succeed. The queue quota is checked before the bucket
+// is charged, so a rejected batch never burns tokens.
+func (r *Registry) Admit(name string, jobs int) (release func(), err error) {
 	if jobs <= 0 {
 		return func() {}, nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.limits.MaxQueued > 0 && t.queued+jobs > t.limits.MaxQueued {
-		t.rejectedQueue += int64(jobs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.limits.now()
+	e := r.lookup(name, now)
+	if e == nil {
+		r.folded.RejectedFull += int64(jobs)
+		return nil, &RetryError{After: queueRetryAfter, Reason: "full"}
+	}
+	if r.limits.MaxQueued > 0 && e.stats.Queued+jobs > r.limits.MaxQueued {
+		e.stats.RejectedQueue += int64(jobs)
 		return nil, &RetryError{After: queueRetryAfter, Reason: "queue"}
 	}
-	if t.limits.RatePerSec > 0 {
-		now := t.limits.now()
-		burst := t.limits.burst()
-		t.tokens = math.Min(burst, t.tokens+now.Sub(t.last).Seconds()*t.limits.RatePerSec)
-		t.last = now
+	if r.limits.RatePerSec > 0 {
+		burst := r.limits.burst()
+		e.tokens = math.Min(burst, e.tokens+now.Sub(e.last).Seconds()*r.limits.RatePerSec)
+		e.last = now
 		// A batch larger than the burst can never hold a full n tokens;
 		// it is admitted at a full bucket and charged in full, so
 		// oversized batches are delayed (the deficit refills first), not
 		// starved.
 		need := math.Min(float64(jobs), burst)
-		if t.tokens < need {
-			after := time.Duration((need - t.tokens) / t.limits.RatePerSec * float64(time.Second))
-			t.rejectedRate += int64(jobs)
+		if e.tokens < need {
+			after := time.Duration((need - e.tokens) / r.limits.RatePerSec * float64(time.Second))
+			e.stats.RejectedRate += int64(jobs)
 			return nil, &RetryError{After: after, Reason: "rate"}
 		}
-		t.tokens -= float64(jobs)
+		e.tokens -= float64(jobs)
 	}
-	t.queued += jobs
-	t.accepted += int64(jobs)
+	e.stats.Queued += jobs
+	e.stats.Accepted += int64(jobs)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			t.mu.Lock()
-			t.queued -= jobs
-			t.mu.Unlock()
+			r.mu.Lock()
+			e.stats.Queued -= jobs
+			r.mu.Unlock()
 		})
 	}, nil
 }
 
-// RecordOverload counts jobs rejected by backend admission control (the
-// shard shedding load), which happens outside this package but belongs in
-// the tenant's rejection ledger.
-func (t *Tenant) RecordOverload(jobs int) {
-	t.mu.Lock()
-	t.rejectedOverload += int64(jobs)
-	t.mu.Unlock()
+// RecordOverload counts jobs of the named tenant rejected by backend
+// admission control (the shard shedding load), which happens outside this
+// package but belongs in the tenant's rejection ledger.
+func (r *Registry) RecordOverload(name string, jobs int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.lookup(name, r.limits.now()); e != nil {
+		e.stats.RejectedOverload += int64(jobs)
+	} else {
+		r.folded.RejectedOverload += int64(jobs)
+	}
 }
 
-// Stats snapshots the tenant's counters.
-func (t *Tenant) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return Stats{
-		Name:             t.name,
-		Accepted:         t.accepted,
-		RejectedRate:     t.rejectedRate,
-		RejectedQueue:    t.rejectedQueue,
-		RejectedOverload: t.rejectedOverload,
-		Queued:           t.queued,
+// Snapshot returns every tracked tenant's Stats, sorted by name, for
+// metrics export and operator reporting. Once any tenant has been dropped
+// or turned away, the aggregate entry (empty name) comes first.
+func (r *Registry) Snapshot() []Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	stats := make([]Stats, 0, len(r.tenants)+1)
+	if r.folded != (Stats{}) {
+		stats = append(stats, r.folded)
 	}
+	for _, e := range r.tenants {
+		stats = append(stats, e.stats)
+	}
+	sort.Slice(stats, func(i, j int) bool { return stats[i].Name < stats[j].Name })
+	return stats
 }

@@ -16,10 +16,17 @@
 // package (an unnamed import binds the last element of its path, as every
 // package here is named), or a bare Name in another declaration of the
 // package. Every directory below the root counts, nested modules
-// (perfbench) included; testdata and hidden directories do not. Packages
-// whose name ends in "test" are test support and exempt, and allowlist
-// names the exports kept for tests on purpose. Methods and struct fields
-// are not checked.
+// (perfbench) included; testdata and hidden directories do not.
+//
+// An exported method of an exported type counts as used when a non-test
+// file selects .Name on anything (the scan has no types, so any receiver
+// will do), or when Name is a method of an interface — one declared in a
+// non-test file of the repository, or one of the standard library's on
+// stdlibMethods, which values satisfy without naming the method. Struct
+// fields are not checked.
+//
+// Packages whose name ends in "test" are test support and exempt, and
+// allowlist names the exports kept for tests on purpose.
 //
 // _test.go files are never checked and never count as callers. Every
 // offender is reported as "file:line: name: problem", and the exit status
@@ -53,6 +60,23 @@ var allowlist = map[string]string{
 	"internal/schedule.OpenPagedStoreBacking": "opens a paged store over the crash tests' fake backing",
 	"internal/schedule.ReadBinaryRows":        "decodes the row stream that -exp bench writes",
 	"internal/tree.MustNew":                   "test helper shared by four packages' tests",
+	"internal/store.MemBacking.JournalBytes":  "the crash tests cut the fake backing's image at every journal byte",
+	"internal/store.MemBacking.SyncPoints":    "the crash tests reopen the fake backing at every sync point",
+	"internal/minio.Result.Tau":               "turns a write schedule into the τ that CheckOutOfCore takes",
+	"internal/tree.Tree.FVector":              "the file-size vector five packages' tests compare trees by",
+	"internal/tree.Tree.NVector":              "the file-size vector five packages' tests compare trees by",
+}
+
+// stdlibMethods are the methods through which standard-library interfaces
+// call a value: a type implementing one is used without any file naming
+// the method.
+var stdlibMethods = map[string]bool{
+	"Error": true, "String": true, "GoString": true, "Format": true,
+	"Unwrap": true, "Is": true, "As": true, "ServeHTTP": true,
+	"Read": true, "Write": true, "Close": true, "Seek": true,
+	"ReadAt": true, "WriteAt": true, "ReadFrom": true, "WriteTo": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 }
 
 func main() {
@@ -74,19 +98,27 @@ func main() {
 	}
 }
 
+// uses is what the non-test files of the repository reference: exported
+// identifiers as "importpath.Name", and method names through any
+// selector or interface declaration.
+type uses struct {
+	refs    map[string]bool
+	methods map[string]bool
+}
+
 // run checks the package directories and returns every problem, sorted.
 func run(dirs []string) ([]string, error) {
 	root, module, err := moduleRoot(dirs[0])
 	if err != nil {
 		return nil, err
 	}
-	refs, err := references(root, module)
+	u, err := references(root, module)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
 	for _, dir := range dirs {
-		p, err := check(dir, root, module, refs)
+		p, err := check(dir, root, module, u)
 		if err != nil {
 			return nil, err
 		}
@@ -122,10 +154,11 @@ func importPath(root, module, dir string) (string, error) {
 	return path.Join(module, filepath.ToSlash(rel)), err
 }
 
-// references parses every non-test Go file under root and returns the set
-// of "importpath.Name" references they make to exported identifiers.
-func references(root, module string) (map[string]bool, error) {
-	refs := map[string]bool{}
+// references parses every non-test Go file under root and returns the
+// "importpath.Name" references they make to exported identifiers and the
+// method names they select or declare in interfaces.
+func references(root, module string) (uses, error) {
+	refs, methods := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			if err == nil && p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
@@ -158,7 +191,14 @@ func references(root, module string) (map[string]bool, error) {
 			var visit func(n ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							methods[name.Name] = true
+						}
+					}
 				case *ast.SelectorExpr:
+					methods[n.Sel.Name] = true
 					// An X the parser resolved is a local shadowing the import.
 					if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
 						refs[imports[x.Name]+"."+n.Sel.Name] = true
@@ -177,7 +217,7 @@ func references(root, module string) (map[string]bool, error) {
 		}
 		return nil
 	})
-	return refs, err
+	return uses{refs, methods}, err
 }
 
 // declNames returns the names a top-level declaration defines, so that a
@@ -207,9 +247,9 @@ func declNames(decl ast.Decl) map[string]bool {
 }
 
 // check parses the non-test Go files of dir and returns "file:line: name:
-// problem" for each exported identifier that lacks a doc comment or a
-// reference in refs.
-func check(dir, root, module string, refs map[string]bool) ([]string, error) {
+// problem" for each exported identifier that lacks a doc comment or a use
+// in u.
+func check(dir, root, module string, u uses) ([]string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -232,8 +272,12 @@ func check(dir, root, module string, refs map[string]bool) ([]string, error) {
 		problems = append(problems, fmt.Sprintf("%s:%d: %s: %s", p.Filename, p.Line, name, problem))
 	}
 	for pkgName, pkg := range pkgs {
+		exempt := func(name string) bool {
+			_, ok := allowlist[rel+"."+name]
+			return ok || strings.HasSuffix(pkgName, "test")
+		}
 		used := func(pos token.Pos, name string) {
-			if _, ok := allowlist[rel+"."+name]; !ok && !refs[ip+"."+name] && !strings.HasSuffix(pkgName, "test") {
+			if !u.refs[ip+"."+name] && !exempt(name) {
 				report(pos, name, "no non-test file references it")
 			}
 		}
@@ -249,6 +293,8 @@ func check(dir, root, module string, refs map[string]bool) ([]string, error) {
 					}
 					if d.Recv == nil {
 						used(d.Pos(), d.Name.Name)
+					} else if m := d.Name.Name; !u.methods[m] && !stdlibMethods[m] && !exempt(funcName(d)) {
+						report(d.Pos(), funcName(d), "no non-test file calls it")
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {

@@ -27,7 +27,22 @@ func TestOnly() {}
 // ForNested is referenced from the nested module only.
 type ForNested struct{}
 
-// Method is a method, which the use check skips.
+// Method is called from the nested module.
 func (ForNested) Method() {}
+
+// Satisfies is named only by an interface the nested module declares.
+func (ForNested) Satisfies() {}
+
+// String is on the standard-library interface list.
+func (ForNested) String() string { return "" }
+
+// TestOnlyMethod is called from lib_test.go only.
+func (ForNested) TestOnlyMethod() {}
+
+// hidden is unexported, so its exported method is unreachable API.
+type hidden struct{}
+
+// Exempt is a method of an unexported type.
+func (hidden) Exempt() {}
 
 func Undocumented() {}

@@ -5,4 +5,5 @@ import "testing"
 func TestFixture(t *testing.T) {
 	TestOnly()
 	Recursive(1)
+	ForNested{}.TestOnlyMethod()
 }

@@ -2,6 +2,10 @@ package main
 
 import "fixture/lib"
 
+type satisfier interface{ Satisfies() }
+
 func main() {
-	_ = lib.ForNested{}
+	var s satisfier = lib.ForNested{}
+	_ = s
+	lib.ForNested{}.Method()
 }
